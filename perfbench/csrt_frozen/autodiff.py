@@ -1,0 +1,374 @@
+"""Reverse-mode automatic differentiation over dense float64 arrays.
+
+A Tensor wraps a numpy array plus an optional gradient buffer. A Tape
+records operations in execution order (a Wengert list); backward() walks
+the list once in reverse, accumulating gradients into every recorded
+tensor. Tapes are single-use: one forward pass, one backward pass.
+
+Ops record themselves on a tape whenever at least one input is attached
+to it, so the same code paths serve both training (taped) and inference
+(tape-free, plain numpy speed). Mixing tensors from two different live
+tapes is an error.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import (
+    AxisOutOfRangeError,
+    NonDeterministicFunctionError,
+    ShapeMismatchError,
+    TapeError,
+)
+
+
+class Tensor:
+    """Dense float64 array with an optional gradient slot."""
+
+    __slots__ = ("data", "grad", "tape")
+
+    def __init__(self, data, tape=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.tape = tape
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def item(self):
+        if self.data.size != 1:
+            raise ShapeMismatchError(f"item() on non-scalar shape {self.data.shape}")
+        return float(self.data.reshape(()))
+
+    def _accumulate(self, g):
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += g
+
+    # Operator sugar; the named functions below are the real surface.
+    def __add__(self, other):
+        return add(self, other)
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def tanh(self):
+        return tanh(self)
+
+    def relu(self):
+        return relu(self)
+
+    def sum(self, axis=None):
+        return tensor_sum(self, axis)
+
+    def reshape(self, shape):
+        return reshape(self, shape)
+
+    def __repr__(self):
+        return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
+
+
+class _Node:
+    __slots__ = ("out", "inputs", "grad_fn")
+
+    def __init__(self, out, inputs, grad_fn):
+        self.out = out
+        self.inputs = inputs
+        self.grad_fn = grad_fn
+
+
+class Tape:
+    """Ordered record of operations for one forward pass. Single use."""
+
+    __slots__ = ("_nodes", "_leaves", "consumed")
+
+    def __init__(self):
+        self._nodes = []
+        self._leaves = []
+        self.consumed = False
+
+    def leaf(self, data):
+        """Attach an array as a differentiable leaf; its grad starts at zero."""
+        t = Tensor(data, tape=self)
+        t.grad = np.zeros_like(t.data)
+        self._leaves.append(t)
+        return t
+
+    def leaves(self):
+        return list(self._leaves)
+
+    def __len__(self):
+        return len(self._nodes)
+
+
+def _lift(x):
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+
+
+def _result_tape(inputs):
+    tape = None
+    for t in inputs:
+        if t.tape is not None:
+            if tape is None:
+                tape = t.tape
+            elif tape is not t.tape:
+                raise TapeError("operation mixes tensors from two different tapes")
+    return tape
+
+
+def _emit(out_data, inputs, grad_fn):
+    tape = _result_tape(inputs)
+    out = Tensor(out_data, tape=tape)
+    if tape is not None:
+        if tape.consumed:
+            raise TapeError("tape already consumed by backward()")
+        tape._nodes.append(_Node(out, inputs, grad_fn))
+    return out
+
+
+def _unbroadcast(g, shape):
+    """Sum a broadcast gradient back down to the original operand shape."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b):
+    a, b = _lift(a), _lift(b)
+    try:
+        out = a.data + b.data
+    except ValueError:
+        raise ShapeMismatchError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+
+    def grad_fn(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+    return _emit(out, (a, b), grad_fn)
+
+
+def mul(a, b):
+    """Elementwise product (numpy broadcasting rules)."""
+    a, b = _lift(a), _lift(b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeMismatchError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+
+    def grad_fn(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    return _emit(out, (a, b), grad_fn)
+
+
+def matmul(a, b):
+    a, b = _lift(a), _lift(b)
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    out = a.data @ b.data
+
+    def grad_fn(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _emit(out, (a, b), grad_fn)
+
+
+def tanh(x):
+    x = _lift(x)
+    y = np.tanh(x.data)
+
+    def grad_fn(g):
+        return (g * (1.0 - y * y),)
+
+    return _emit(y, (x,), grad_fn)
+
+
+def relu(x):
+    x = _lift(x)
+    y = np.maximum(x.data, 0.0)
+
+    def grad_fn(g):
+        return (g * (x.data > 0.0),)
+
+    return _emit(y, (x,), grad_fn)
+
+
+def log_softmax(x, axis):
+    """Log of softmax along `axis`; rows exponentiate-and-sum to one."""
+    x = _lift(x)
+    if not -x.data.ndim <= axis < x.data.ndim:
+        raise AxisOutOfRangeError(f"log-softmax axis {axis} out of range for rank {x.data.ndim}")
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def grad_fn(g):
+        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
+
+    return _emit(y, (x,), grad_fn)
+
+
+def tensor_sum(x, axis=None):
+    x = _lift(x)
+    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
+        raise AxisOutOfRangeError(f"sum axis {axis} out of range for rank {x.data.ndim}")
+    out = x.data.sum(axis=axis)
+
+    def grad_fn(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+
+    return _emit(out, (x,), grad_fn)
+
+
+def index_select(x, indices):
+    """Gather rows (axis 0). Duplicate indices accumulate in the gradient."""
+    x = _lift(x)
+    idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
+        raise ShapeMismatchError(f"index-select: index out of bounds for {x.shape[0]} rows")
+    out = x.data[idx]
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        np.add.at(gx, idx, g)
+        return (gx,)
+
+    return _emit(out, (x,), grad_fn)
+
+
+def concat(tensors, axis=0):
+    tensors = [_lift(t) for t in tensors]
+    if not tensors:
+        raise ShapeMismatchError("concat of zero tensors")
+    rank = tensors[0].data.ndim
+    if not -rank <= axis < rank:
+        raise AxisOutOfRangeError(f"concat axis {axis} out of range for rank {rank}")
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise ShapeMismatchError(
+            "concat: shapes " + ", ".join(str(t.shape) for t in tensors) + " do not align"
+        )
+    sizes = [t.shape[axis] for t in tensors]
+    bounds = np.cumsum(sizes)[:-1]
+
+    def grad_fn(g):
+        return tuple(np.split(g, bounds, axis=axis))
+
+    return _emit(out, tuple(tensors), grad_fn)
+
+
+def reshape(x, shape):
+    x = _lift(x)
+    shape = tuple(shape)
+    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
+        raise ShapeMismatchError(f"reshape: {x.shape} incompatible with {shape}")
+    out = x.data.reshape(shape)
+
+    def grad_fn(g):
+        return (g.reshape(x.shape),)
+
+    return _emit(out, (x,), grad_fn)
+
+
+_KINDS = {
+    "matmul": lambda inputs, kw: matmul(*inputs),
+    "add": lambda inputs, kw: add(*inputs),
+    "elementwise-mul": lambda inputs, kw: mul(*inputs),
+    "tanh": lambda inputs, kw: tanh(*inputs),
+    "relu": lambda inputs, kw: relu(*inputs),
+    "log-softmax": lambda inputs, kw: log_softmax(inputs[0], kw["axis"]),
+    "sum": lambda inputs, kw: tensor_sum(inputs[0], kw.get("axis")),
+    "index-select": lambda inputs, kw: index_select(inputs[0], kw["indices"]),
+    "concat": lambda inputs, kw: concat(list(inputs), kw.get("axis", 0)),
+    "reshape": lambda inputs, kw: reshape(inputs[0], kw["shape"]),
+}
+
+
+def tensor_op(kind, *inputs, **kwargs):
+    """Dispatch an operation by name; the named functions are equivalent."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown op kind {kind!r}")
+    return _KINDS[kind](inputs, kwargs)
+
+
+def record_custom(out_data, inputs, grad_fn):
+    """Record a hand-differentiated operation (used by the lattice losses).
+
+    `grad_fn(g)` must return one gradient array per input, already in the
+    input's shape.
+    """
+    return _emit(out_data, tuple(inputs), grad_fn)
+
+
+def backward(loss):
+    """Populate grads of everything recorded on the loss's tape.
+
+    The tape is consumed: a second backward on it is rejected.
+    """
+    if not isinstance(loss, Tensor) or loss.tape is None:
+        raise TapeError("backward: loss is not tape-recorded")
+    if loss.data.size != 1:
+        raise TapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    tape = loss.tape
+    if tape.consumed:
+        raise TapeError("backward: tape already consumed")
+    tape.consumed = True
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape._nodes):
+        g = node.out.grad
+        if g is None:
+            continue
+        for inp, gi in zip(node.inputs, node.grad_fn(g)):
+            if inp.tape is tape:
+                inp._accumulate(gi)
+
+
+def grad_check(f, params, epsilon=1e-5):
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` maps a list of leaf Tensors to a scalar Tensor and must be
+    deterministic; it is re-evaluated once to verify that. `params` is a
+    list of numpy arrays, perturbed in place (and restored) during the
+    numeric sweep.
+    """
+    if not 0.0 < epsilon <= 1e-2:
+        raise ValueError(f"epsilon {epsilon} outside (0, 1e-2]")
+    params = [np.asarray(p, dtype=np.float64) for p in params]
+
+    def value(arrs):
+        return float(f([Tensor(a) for a in arrs]).data)
+
+    tape = Tape()
+    leaves = [tape.leaf(p.copy()) for p in params]
+    loss = f(leaves)
+    v0 = float(loss.data)
+    if value(params) != v0:
+        raise NonDeterministicFunctionError("function value changed on re-evaluation")
+    backward(loss)
+
+    max_err = 0.0
+    for pi, p in enumerate(params):
+        flat = p.reshape(-1)
+        analytic = leaves[pi].grad.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + epsilon
+            fp = value(params)
+            flat[j] = orig - epsilon
+            fm = value(params)
+            flat[j] = orig
+            numeric = (fp - fm) / (2.0 * epsilon)
+            err = abs(analytic[j] - numeric) / max(1e-8, abs(analytic[j]) + abs(numeric))
+            if err > max_err:
+                max_err = err
+    return max_err

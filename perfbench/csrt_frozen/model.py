@@ -1,0 +1,391 @@
+"""Model zoo: monolingual encoders with CTC heads, additive fusion, a
+recurrent prediction network, and the joint network, assembled into the
+single-, dual-, and triple-encoder architectures.
+
+All parameters live in one flat name -> float64 array dict. A forward
+pass binds that dict onto a tape (Model.bind) and threads the bound
+tensors through the tensor ops, so one code path serves both training
+(taped) and inference (bind with tape=None, plain numpy speed).
+
+Checkpoints are a self-describing binary format: magic "CSRT1", a
+length-prefixed architecture fingerprint (canonical text, parseable back
+into an Architecture), then named little-endian float64 blocks.
+"""
+
+from __future__ import annotations
+
+import struct
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import autodiff as ad
+from .autodiff import Tape, Tensor
+from .errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
+
+CHECKPOINT_MAGIC = b"CSRT1"
+
+VARIANTS = ("conditional", "conditional-ls", "three-encoder", "vanilla")
+
+# Architecture family per training variant; conditional and conditional-ls
+# share one architecture (they differ only in the fine-tuning loss), which
+# is what lets a single pre-trained checkpoint initialize either one.
+_VARIANT_ARCH = {
+    "conditional": "dual",
+    "conditional-ls": "dual",
+    "three-encoder": "triple",
+    "vanilla": "single",
+}
+
+
+@dataclass(frozen=True)
+class Architecture:
+    """Everything that determines the parameter set of a model."""
+
+    family: str  # single | dual | triple
+    input_dim: int
+    hidden_dim: int
+    encoder_layers: int
+    encoder_mixing: str  # conv | recurrent
+    embed_dim: int
+    decoder_dim: int
+    joint_dim: int
+    n_m: int
+    n_e: int
+
+    def __post_init__(self):
+        if self.family not in ("single", "dual", "triple"):
+            raise CsrtError(f"unknown architecture family {self.family!r}")
+        if self.encoder_mixing not in ("conv", "recurrent"):
+            raise CsrtError(f"unknown encoder mixing {self.encoder_mixing!r}")
+
+    @property
+    def n_units(self):
+        return self.n_m + self.n_e
+
+    @property
+    def has_ctc_heads(self):
+        return self.family != "single"
+
+    @property
+    def encoder_names(self):
+        if self.family == "single":
+            return ("enc",)
+        if self.family == "dual":
+            return ("enc_m", "enc_e")
+        return ("enc_m", "enc_e", "enc_a")
+
+    @property
+    def start_token(self):
+        return self.n_units + 1
+
+    def fingerprint(self):
+        """Canonical text of this architecture; stored in every checkpoint."""
+        items = [
+            ("family", self.family),
+            ("input-dim", self.input_dim),
+            ("hidden-dim", self.hidden_dim),
+            ("encoder-layers", self.encoder_layers),
+            ("encoder-mixing", self.encoder_mixing),
+            ("embed-dim", self.embed_dim),
+            ("decoder-dim", self.decoder_dim),
+            ("joint-dim", self.joint_dim),
+            ("units-m", self.n_m),
+            ("units-e", self.n_e),
+        ]
+        return "".join(f"{k} = {v}\n" for k, v in sorted(items))
+
+    @staticmethod
+    def from_fingerprint(text):
+        fields = {}
+        for line in text.splitlines():
+            key, _, value = line.partition("=")
+            fields[key.strip()] = value.strip()
+        try:
+            return Architecture(
+                family=fields["family"],
+                input_dim=int(fields["input-dim"]),
+                hidden_dim=int(fields["hidden-dim"]),
+                encoder_layers=int(fields["encoder-layers"]),
+                encoder_mixing=fields["encoder-mixing"],
+                embed_dim=int(fields["embed-dim"]),
+                decoder_dim=int(fields["decoder-dim"]),
+                joint_dim=int(fields["joint-dim"]),
+                n_m=int(fields["units-m"]),
+                n_e=int(fields["units-e"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise CsrtError(f"unparseable architecture fingerprint: {exc}")
+
+
+def variant_family(variant):
+    try:
+        return _VARIANT_ARCH[variant]
+    except KeyError:
+        raise CsrtError(f"unknown model variant {variant!r}; expected one of {VARIANTS}")
+
+
+def init_params(arch, seed):
+    """Seeded parameter dict; draw order is fixed by construction order."""
+    rng = np.random.default_rng(seed)
+
+    params = {}
+
+    def draw(name, shape, fan_in):
+        scale = 1.0 / np.sqrt(max(1, fan_in))
+        params[name] = rng.uniform(-scale, scale, size=shape)
+
+    for enc in arch.encoder_names:
+        in_dim = arch.input_dim
+        for layer in range(arch.encoder_layers):
+            p = f"{enc}.{layer}"
+            h = arch.hidden_dim
+            if arch.encoder_mixing == "conv":
+                draw(f"{p}.w_prev", (in_dim, h), 3 * in_dim)
+                draw(f"{p}.w_cur", (in_dim, h), 3 * in_dim)
+                draw(f"{p}.w_next", (in_dim, h), 3 * in_dim)
+            else:
+                draw(f"{p}.w_in", (in_dim, h), in_dim)
+                draw(f"{p}.u", (h, h), h)
+            params[f"{p}.b_mix"] = np.zeros(h)
+            draw(f"{p}.w_ff", (h, h), h)
+            params[f"{p}.b_ff"] = np.zeros(h)
+            in_dim = h
+
+    if arch.has_ctc_heads:
+        draw("head_m.w", (arch.hidden_dim, arch.n_m + 1), arch.hidden_dim)
+        params["head_m.b"] = np.zeros(arch.n_m + 1)
+        draw("head_e.w", (arch.hidden_dim, arch.n_e + 1), arch.hidden_dim)
+        params["head_e.b"] = np.zeros(arch.n_e + 1)
+
+    draw("dec.embed", (arch.n_units + 2, arch.embed_dim), arch.embed_dim)
+    draw("dec.w_in", (arch.embed_dim, arch.decoder_dim), arch.embed_dim)
+    draw("dec.u", (arch.decoder_dim, arch.decoder_dim), arch.decoder_dim)
+    params["dec.b"] = np.zeros(arch.decoder_dim)
+
+    draw("joint.w_enc", (arch.hidden_dim, arch.joint_dim), arch.hidden_dim)
+    draw("joint.w_dec", (arch.decoder_dim, arch.joint_dim), arch.decoder_dim)
+    params["joint.b"] = np.zeros(arch.joint_dim)
+    draw("joint.w_out", (arch.joint_dim, arch.n_units + 1), arch.joint_dim)
+    params["joint.b_out"] = np.zeros(arch.n_units + 1)
+
+    return params
+
+
+def n_params(params):
+    return sum(int(a.size) for a in params.values())
+
+
+class Model:
+    """A parameterized network of one architecture family.
+
+    Immutable during forward/decoding; training mutates `params` between
+    passes via the optimizer.
+    """
+
+    def __init__(self, arch, params=None, seed=0):
+        self.arch = arch
+        # Copy incoming arrays: training updates parameters in place, and a
+        # caller's checkpoint must stay untouched.
+        if params is None:
+            self.params = init_params(arch, seed)
+        else:
+            self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+
+    def bind(self, tape):
+        """Attach every parameter to a tape (or wrap tape-free for inference)."""
+        if tape is None:
+            return {k: Tensor(v) for k, v in self.params.items()}
+        return {k: tape.leaf(v) for k, v in self.params.items()}
+
+    # --- components -----------------------------------------------------
+
+    def encode(self, bound, x, enc):
+        """Run one encoder stack over a (T, input_dim) feature array."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
+            raise ShapeMismatchError(
+                f"encode: features {x.shape} do not match input dim {self.arch.input_dim}"
+            )
+        h = Tensor(x)
+        T = x.shape[0]
+        for layer in range(self.arch.encoder_layers):
+            p = f"{enc}.{layer}"
+            if self.arch.encoder_mixing == "conv":
+                pad = Tensor(np.zeros((1, h.shape[1])))
+                prev = ad.concat([pad, ad.index_select(h, np.arange(T - 1))])
+                nxt = ad.concat([ad.index_select(h, np.arange(1, T)), pad])
+                mix = ad.matmul(prev, bound[f"{p}.w_prev"])
+                mix = ad.add(mix, ad.matmul(h, bound[f"{p}.w_cur"]))
+                mix = ad.add(mix, ad.matmul(nxt, bound[f"{p}.w_next"]))
+                mix = ad.tanh(ad.add(mix, bound[f"{p}.b_mix"]))
+            else:
+                pre = ad.matmul(h, bound[f"{p}.w_in"])
+                state = Tensor(np.zeros((1, self.arch.hidden_dim)))
+                rows = []
+                for t in range(T):
+                    z = ad.add(ad.index_select(pre, [t]), ad.matmul(state, bound[f"{p}.u"]))
+                    state = ad.tanh(ad.add(z, bound[f"{p}.b_mix"]))
+                    rows.append(state)
+                mix = ad.concat(rows)
+            h = ad.tanh(ad.add(ad.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
+        return h
+
+    def ctc_head(self, bound, h, lang):
+        """Per-frame log-posteriors over one language's units plus blank."""
+        if not self.arch.has_ctc_heads:
+            raise CsrtError(f"{self.arch.family} architecture has no CTC heads")
+        p = "head_m" if lang == "M" else "head_e"
+        return ad.log_softmax(ad.add(ad.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
+
+    @staticmethod
+    def fuse(h_m, h_e, h_a=None):
+        """Elementwise sum of the monolingual (and optional third) encodings."""
+        if h_m.shape != h_e.shape or (h_a is not None and h_a.shape != h_m.shape):
+            raise ShapeMismatchError(
+                f"fuse: shapes {h_m.shape}, {h_e.shape}"
+                + (f", {h_a.shape}" if h_a is not None else "")
+                + " differ"
+            )
+        out = ad.add(h_m, h_e)
+        if h_a is not None:
+            out = ad.add(out, h_a)
+        return out
+
+    def encode_fused(self, bound, x):
+        """Fused encoder sequence plus the per-language encodings (or Nones)."""
+        if self.arch.family == "single":
+            return self.encode(bound, x, "enc"), None, None
+        h_m = self.encode(bound, x, "enc_m")
+        h_e = self.encode(bound, x, "enc_e")
+        if self.arch.family == "triple":
+            h_a = self.encode(bound, x, "enc_a")
+            return self.fuse(h_m, h_e, h_a), h_m, h_e
+        return self.fuse(h_m, h_e), h_m, h_e
+
+    def decoder_step(self, bound, label_id, state):
+        """One prediction-network update; state is (1, decoder_dim) or None."""
+        if not 0 <= label_id <= self.arch.start_token:
+            raise CsrtError(f"invalid label id {label_id} for decoder")
+        if state is None:
+            state = Tensor(np.zeros((1, self.arch.decoder_dim)))
+        emb = ad.index_select(bound["dec.embed"], [label_id])
+        z = ad.add(ad.matmul(emb, bound["dec.w_in"]), ad.matmul(state, bound["dec.u"]))
+        return ad.tanh(ad.add(z, bound["dec.b"]))
+
+    def predict(self, bound, y):
+        """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""
+        state = None
+        rows = []
+        for label in (self.arch.start_token,) + tuple(y):
+            state = self.decoder_step(bound, label, state)
+            rows.append(state)
+        return ad.concat(rows) if len(rows) > 1 else rows[0]
+
+    def joint(self, bound, h_enc, h_dec):
+        """Joint lattice (T, U, V+1) of log-distributions over units plus blank."""
+        T = h_enc.shape[0]
+        U = h_dec.shape[0]
+        J = self.arch.joint_dim
+        e = ad.reshape(ad.matmul(h_enc, bound["joint.w_enc"]), (T, 1, J))
+        d = ad.reshape(ad.matmul(h_dec, bound["joint.w_dec"]), (1, U, J))
+        a = ad.tanh(ad.add(ad.add(e, d), bound["joint.b"]))
+        logits = ad.add(ad.matmul(ad.reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
+        return ad.reshape(ad.log_softmax(logits, axis=1), (T, U, self.arch.n_units + 1))
+
+    def joint_row(self, bound, h_enc_t, h_dec_u):
+        """Single-cell joint distribution as a flat (V+1,) tensor."""
+        return ad.reshape(self.joint(bound, h_enc_t, h_dec_u), (self.arch.n_units + 1,))
+
+    def forward(self, bound, x, y):
+        """All heads for one utterance on one tape.
+
+        Returns {'rnnt': (T, L+1, V+1), 'ctc_m': ..., 'ctc_e': ...}; the CTC
+        entries are None for the single-encoder architecture.
+        """
+        h_enc, h_m, h_e = self.encode_fused(bound, x)
+        out = {
+            "rnnt": self.joint(bound, h_enc, self.predict(bound, y)),
+            "ctc_m": None,
+            "ctc_e": None,
+        }
+        if self.arch.has_ctc_heads:
+            out["ctc_m"] = self.ctc_head(bound, h_m, "M")
+            out["ctc_e"] = self.ctc_head(bound, h_e, "E")
+        return out
+
+    @property
+    def n_params(self):
+        return n_params(self.params)
+
+
+# --- checkpoint serialization -------------------------------------------
+
+
+@dataclass
+class Checkpoint:
+    """Model parameters plus optimizer/train-state blocks and a fingerprint."""
+
+    fingerprint: str
+    blocks: dict
+
+    def model_params(self):
+        return {k: v for k, v in self.blocks.items() if not k.startswith(("opt.", "state."))}
+
+    def architecture(self):
+        return Architecture.from_fingerprint(self.fingerprint)
+
+
+def save_checkpoint(path, checkpoint):
+    fp = checkpoint.fingerprint.encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(fp)))
+        fh.write(fp)
+        fh.write(struct.pack("<I", len(checkpoint.blocks)))
+        for name in sorted(checkpoint.blocks):
+            arr = np.asarray(checkpoint.blocks[name])
+            shape = arr.shape  # before ascontiguousarray, which promotes 0-d to 1-d
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            nm = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nm)))
+            fh.write(nm)
+            fh.write(struct.pack("<I", len(shape)))
+            for dim in shape:
+                fh.write(struct.pack("<I", dim))
+            fh.write(arr.tobytes())
+
+
+def load_checkpoint(path, expect_fingerprint=None):
+    """Read a checkpoint; verify the fingerprint when one is expected."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    view = memoryview(raw)
+    if bytes(view[:5]) != CHECKPOINT_MAGIC:
+        raise CsrtError(f"{path}: not a checkpoint file (bad magic)")
+    off = 5
+
+    def take(n):
+        nonlocal off
+        if off + n > len(raw):
+            raise CsrtError(f"{path}: truncated checkpoint")
+        out = view[off : off + n]
+        off += n
+        return out
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    fingerprint = bytes(take(u32())).decode("utf-8")
+    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+        raise FingerprintMismatchError(
+            f"{path}: checkpoint fingerprint does not match the expected configuration"
+        )
+    blocks = {}
+    for _ in range(u32()):
+        name = bytes(take(u32())).decode("utf-8")
+        shape = tuple(u32() for _ in range(u32()))
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        arr = np.frombuffer(take(count * 8), dtype="<f8").astype(np.float64).reshape(shape)
+        blocks[name] = arr
+    return Checkpoint(fingerprint=fingerprint, blocks=blocks)

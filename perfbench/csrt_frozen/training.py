@@ -1,0 +1,369 @@
+"""Two-stage training: monolingual CTC pre-training, then transducer or
+language-separation fine-tuning on a seeded mixture of code-switched and
+monolingual batches.
+
+Everything stochastic is derived from (seed, phase tag, epoch), never from
+ambient RNG state, so a fixed seed yields bit-identical checkpoints and a
+run saved mid-epoch resumes step-for-step: the saved state is just
+(epoch, batch index, step count) plus optimizer moments, and the epoch's
+batch schedule is regenerated from its seed on resume.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import autodiff as ad
+from .alignments import mask_labels
+from .errors import CsrtError, FingerprintMismatchError, OptimizerError
+from .losses import ctc_loss, ls_loss, rnnt_loss
+from .model import Architecture, Checkpoint, Model, variant_family
+
+_PHASES = ("pretrain", "finetune")
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    lam: float = 0.5
+    learning_rate: float = 0.004
+    schedule: str = "constant"
+    warmup_steps: int = 200
+    epochs: int = 12
+    batch_size: int = 8
+    seed: int = 0
+    variant: str = "conditional-ls"
+    fine_tune_data: str = "cs+mono"
+    mono_mix_ratio: float = 2.0 / 3.0
+    beta1: float = 0.9
+    beta2: float = 0.999
+    moment_eps: float = 1e-8
+    grad_clip: float = 5.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise CsrtError(f"lambda {self.lam} outside [0, 1]")
+        if not 0.0 <= self.mono_mix_ratio <= 1.0:
+            raise CsrtError(f"mono-mix-ratio {self.mono_mix_ratio} outside [0, 1]")
+        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate < 0:
+            raise CsrtError("epochs, batch-size, learning-rate must be non-negative/positive")
+
+    @staticmethod
+    def from_values(values):
+        return TrainingConfig(
+            lam=values["lambda"],
+            learning_rate=values["learning-rate"],
+            schedule=values["schedule"],
+            warmup_steps=values["warmup-steps"],
+            epochs=values["epochs"],
+            batch_size=values["batch-size"],
+            seed=values["seed"],
+            variant=values["variant"],
+            fine_tune_data=values["fine-tune-data"],
+            mono_mix_ratio=values["mono-mix-ratio"],
+            beta1=values["beta1"],
+            beta2=values["beta2"],
+            moment_eps=values["moment-eps"],
+            grad_clip=values["grad-clip"],
+        )
+
+
+def arch_for(variant, values, vocab, input_dim):
+    """Architecture for a variant; vanilla gets its own (wider) encoder width."""
+    hidden = values["vanilla-hidden-dim"] if variant == "vanilla" else values["hidden-dim"]
+    return Architecture(
+        family=variant_family(variant),
+        input_dim=input_dim,
+        hidden_dim=hidden,
+        encoder_layers=values["encoder-layers"],
+        encoder_mixing=values["encoder-mixing"],
+        embed_dim=values["embed-dim"],
+        decoder_dim=values["decoder-dim"],
+        joint_dim=values["joint-dim"],
+        n_m=vocab.n_m,
+        n_e=vocab.n_e,
+    )
+
+
+@dataclass
+class TrainState:
+    step: int = 0
+    epoch: int = 0
+    batch: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+
+def schedule_lr(config, step):
+    """Learning rate at 1-based optimizer step."""
+    if config.schedule == "constant":
+        return config.learning_rate
+    w = max(1, config.warmup_steps)
+    return config.learning_rate * min(step / w, np.sqrt(w / step))
+
+
+def optimizer_step(params, grads, state, config):
+    """One in-place update of every parameter block.
+
+    Plain gradient descent, optionally smoothed by first/second moments
+    (bias-corrected). Gradients are clipped to a global norm first; any
+    non-finite gradient aborts, naming the block.
+    """
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise OptimizerError(f"non-finite gradient in parameter block {name!r}")
+    scale = 1.0
+    if config.grad_clip > 0:
+        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if norm > config.grad_clip:
+            scale = config.grad_clip / norm
+    state.step += 1
+    lr = schedule_lr(config, state.step)
+    for name, arr in params.items():
+        g = grads[name] * scale
+        if config.beta1 > 0:
+            m = state.m.setdefault(name, np.zeros_like(arr))
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            update = m / (1.0 - config.beta1**state.step)
+        else:
+            update = g
+        if config.beta2 > 0:
+            v = state.v.setdefault(name, np.zeros_like(arr))
+            v *= config.beta2
+            v += (1.0 - config.beta2) * g * g
+            vhat = v / (1.0 - config.beta2**state.step)
+            update = update / (np.sqrt(vhat) + config.moment_eps)
+        arr -= lr * update
+    return state
+
+
+def _epoch_rng(seed, tag, epoch):
+    return np.random.default_rng(np.random.SeedSequence([seed, tag, epoch]))
+
+
+def _chunks(indices, size):
+    return [indices[i : i + size] for i in range(0, len(indices), size)]
+
+
+def _local_labels(vocab, labels, lang):
+    return tuple(vocab.to_local(lang, u) for u in labels)
+
+
+def _check_monolingual(utts, lang, vocab):
+    for utt in utts:
+        for u in utt.labels:
+            if vocab.lang_of(u) != lang:
+                raise CsrtError(
+                    f"corpus language violation: utterance {utt.uid} contains "
+                    f"{vocab.lang_of(u)} unit {vocab.surface(u)} in the {lang} corpus"
+                )
+
+
+def _finish_checkpoint(model, state, phase):
+    blocks = {k: v.copy() for k, v in model.params.items()}
+    for k, arr in state.m.items():
+        blocks[f"opt.m.{k}"] = arr.copy()
+    for k, arr in state.v.items():
+        blocks[f"opt.v.{k}"] = arr.copy()
+    blocks["state.step"] = np.array(float(state.step))
+    blocks["state.epoch"] = np.array(float(state.epoch))
+    blocks["state.batch"] = np.array(float(state.batch))
+    blocks["state.phase"] = np.array(float(_PHASES.index(phase)))
+    return Checkpoint(fingerprint=model.arch.fingerprint(), blocks=blocks)
+
+
+def _restore_state(checkpoint, phase):
+    blocks = checkpoint.blocks
+    if "state.phase" not in blocks or _PHASES[int(blocks["state.phase"])] != phase:
+        raise CsrtError(f"checkpoint has no resumable {phase} state")
+    state = TrainState(
+        step=int(blocks["state.step"]),
+        epoch=int(blocks["state.epoch"]),
+        batch=int(blocks["state.batch"]),
+    )
+    for name, arr in blocks.items():
+        if name.startswith("opt.m."):
+            state.m[name[6:]] = arr.copy()
+        elif name.startswith("opt.v."):
+            state.v[name[6:]] = arr.copy()
+    return state
+
+
+def _pretrain_loss(model, bound, vocab, utt, lang):
+    h = model.encode(bound, utt.features, "enc_m" if lang == "M" else "enc_e")
+    logp = model.ctc_head(bound, h, lang)
+    return ctc_loss(logp, _local_labels(vocab, utt.labels, lang))
+
+
+def _finetune_loss(model, bound, vocab, utt, config):
+    out = model.forward(bound, utt.features, utt.labels)
+    l_rnnt = rnnt_loss(out["rnnt"], utt.labels)
+    parts = {"rnnt": l_rnnt.item(), "ctc_m": None, "ctc_e": None}
+    if config.variant == "conditional-ls":
+        l_m = ctc_loss(out["ctc_m"], _local_labels(vocab, mask_labels(utt.labels, "M", vocab), "M"))
+        l_e = ctc_loss(out["ctc_e"], _local_labels(vocab, mask_labels(utt.labels, "E", vocab), "E"))
+        parts["ctc_m"], parts["ctc_e"] = l_m.item(), l_e.item()
+        return ls_loss(l_rnnt, l_m, l_e, config.lam), parts
+    return l_rnnt, parts
+
+
+def _run_batch(model, items, loss_fn, state, config, log, parts_seen):
+    tape = ad.Tape()
+    bound = model.bind(tape)
+    total = None
+    sums = {"rnnt": 0.0, "ctc_m": 0.0, "ctc_e": 0.0, "n": 0}
+    for item in items:
+        loss, parts = loss_fn(bound, item)
+        total = loss if total is None else ad.add(total, loss)
+        for key in ("rnnt", "ctc_m", "ctc_e"):
+            if parts.get(key) is not None:
+                sums[key] += parts[key]
+                parts_seen.add(key)
+        sums["n"] += 1
+    batch_loss = ad.mul(total, 1.0 / len(items))
+    ad.backward(batch_loss)
+    grads = {name: bound[name].grad for name in model.params}
+    optimizer_step(model.params, grads, state, config)
+    if log is not None:
+        comp = " ".join(
+            f"{k}={sums[k] / sums['n']:.6f}" if k in parts_seen else f"{k}=-"
+            for k in ("rnnt", "ctc_m", "ctc_e")
+        )
+        log(
+            f"step={state.step} epoch={state.epoch} loss={batch_loss.item():.6f} "
+            f"{comp} lr={schedule_lr(config, state.step):.6g}"
+        )
+    return batch_loss.item()
+
+
+def _validate(model, loss_fn, utts):
+    if not utts:
+        return float("nan")
+    bound = model.bind(None)
+    return sum(loss_fn(bound, u)[0].item() for u in utts) / len(utts)
+
+
+def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, log=None,
+             stop_after_steps=None, resume_from=None):
+    """CTC pre-training of the monolingual encoders and heads.
+
+    The decoder and joint network stay at their seeded initialization: the
+    CTC losses never touch them. Returns a Checkpoint.
+    """
+    if vocab is None:
+        raise CsrtError("pretrain requires the corpus vocabulary")
+    if not arch.has_ctc_heads:
+        raise CsrtError("the single-encoder variant has no CTC heads to pre-train")
+    _check_monolingual(corpus_m, "M", vocab)
+    _check_monolingual(corpus_e, "E", vocab)
+
+    model = Model(arch, seed=config.seed)
+    state = TrainState()
+    if resume_from is not None:
+        if resume_from.fingerprint != arch.fingerprint():
+            raise FingerprintMismatchError("resume checkpoint does not match the architecture")
+        model = Model(arch, params=resume_from.model_params())
+        state = _restore_state(resume_from, "pretrain")
+
+    items = [("M", u) for u in corpus_m] + [("E", u) for u in corpus_e]
+    dev_items = [("M", u) for u in dev_m] + [("E", u) for u in dev_e]
+
+    def loss_fn(bound, item):
+        lang, utt = item
+        return _pretrain_loss(model, bound, vocab, utt, lang), {}
+
+    return _train_loop(
+        model, state, config, items, dev_items, loss_fn, "pretrain", 11, log, stop_after_steps
+    )
+
+
+def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
+             stop_after_steps=None, resume=False):
+    """Fine-tune all parameters with the transducer or LS loss.
+
+    `corpora` maps {'cs': [...], 'mono-m': [...], 'mono-e': [...]}; the
+    monolingual entries are used only when the config asks for cs+mono.
+    `init` is the pre-training Checkpoint (fingerprint-checked), or a
+    mid-run finetune checkpoint when `resume` is set.
+    """
+    if vocab is None:
+        raise CsrtError("finetune requires the corpus vocabulary")
+    if init.fingerprint != arch.fingerprint():
+        raise FingerprintMismatchError(
+            "init checkpoint fingerprint does not match the configured variant/dimensions"
+        )
+    model = Model(arch, params=init.model_params())
+    state = _restore_state(init, "finetune") if resume else TrainState()
+
+    sources = {"cs": list(corpora.get("cs", ()))}
+    if config.fine_tune_data == "cs+mono":
+        for key in ("mono-m", "mono-e"):
+            if corpora.get(key):
+                sources[key] = list(corpora[key])
+    if not sources["cs"]:
+        raise CsrtError("finetune requires code-switched training data")
+
+    def loss_fn(bound, utt):
+        return _finetune_loss(model, bound, vocab, utt, config)
+
+    def schedule(epoch):
+        rng = _epoch_rng(config.seed, 13, epoch)
+        perms = {k: rng.permutation(len(v)).tolist() for k, v in sources.items()}
+        cursors = {k: 0 for k in perms}
+        mono = [k for k in ("mono-m", "mono-e") if k in sources]
+        total = sum(len(v) for v in sources.values())
+        n_batches = max(1, total // config.batch_size)
+        batches = []
+        for _ in range(n_batches):
+            if mono and rng.random() < config.mono_mix_ratio:
+                src = mono[int(rng.integers(len(mono)))]
+            else:
+                src = "cs"
+            picked = []
+            for _ in range(min(config.batch_size, len(sources[src]))):
+                picked.append(sources[src][perms[src][cursors[src] % len(perms[src])]])
+                cursors[src] += 1
+            batches.append(picked)
+        return batches
+
+    return _train_loop(
+        model, state, config, None, list(dev), loss_fn, "finetune", None, log,
+        stop_after_steps, schedule=schedule,
+    )
+
+
+def _train_loop(model, state, config, items, dev_items, loss_fn, phase, tag, log,
+                stop_after_steps, schedule=None):
+    def validate():
+        return _validate(model, loss_fn, dev_items)
+
+    best = initial = validate()
+    if log is not None and dev_items:
+        log(f"epoch={state.epoch} val_loss={initial:.6f} best={best:.6f}")
+    parts_seen = set()
+    for epoch in range(state.epoch, config.epochs):
+        state.epoch = epoch
+        if schedule is not None:
+            batches = schedule(epoch)
+        else:
+            perm = _epoch_rng(config.seed, tag, epoch).permutation(len(items)).tolist()
+            batches = _chunks([items[i] for i in perm], config.batch_size)
+        start = state.batch
+        state.batch = 0
+        for bi, batch in enumerate(batches):
+            if bi < start:
+                continue
+            _run_batch(model, batch, loss_fn, state, config, log, parts_seen)
+            state.batch = bi + 1
+            if stop_after_steps is not None and state.step >= stop_after_steps:
+                return _finish_checkpoint(model, state, phase)
+        state.batch = 0
+        state.epoch = epoch + 1
+        if dev_items:
+            val = validate()
+            best = min(best, val)
+            if log is not None:
+                log(f"epoch={epoch + 1} val_loss={val:.6f} best={best:.6f}")
+    return _finish_checkpoint(model, state, phase)
