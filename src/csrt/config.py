@@ -19,6 +19,13 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _choice(*options):
     def convert(text):
         if text not in options:
@@ -39,7 +46,7 @@ REGISTRY = {
     "init": (str, "", "checkpoint (file or run directory) to initialize from"),
     "model": (str, "", "trained checkpoint (file or run directory) to evaluate"),
     "split": (str, "test-cs", "corpus split name"),
-    "beam": (int, 10, "beam size for transducer decoding"),
+    "beam": (_positive_int, 10, "beam size for transducer decoding"),
     "utt": (str, "", "utterance id (dump-posteriors)"),
     "resume": (_bool, False, "continue training from the init checkpoint's saved state"),
     "trials": (int, 200, "number of random instances for oracle/gradient sweeps"),

@@ -253,7 +253,11 @@ def load_vocabulary(path):
             if len(parts) != 3:
                 raise CorpusFormatError(f"{path}:{ln}: expected 3 tab-separated fields")
             uid, surface, lang = parts
-            if int(uid) == 0:
+            try:
+                uid = int(uid)
+            except ValueError:
+                raise CorpusFormatError(f"{path}:{ln}: unit id {uid!r} is not an integer")
+            if uid == 0:
                 continue
             if lang == "M":
                 m.append(surface)
@@ -308,10 +312,15 @@ def load_corpus(path):
                 except CorpusFormatError as exc:
                     raise CorpusFormatError(f"utterance {uid}: {exc}")
                 span_list = []
-                if uid in spans and spans[uid]:
-                    for token in spans[uid].split():
+                for token in spans.get(uid, "").split():
+                    try:
                         a, b, lang = token.split(":")
                         span_list.append((int(a), int(b), lang))
+                    except ValueError:
+                        raise CorpusFormatError(
+                            f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
+                            " (expected start:end:lang)"
+                        )
                 utts.append(
                     Utterance(uid=uid, features=feats, labels=labels, spans=tuple(span_list))
                 )

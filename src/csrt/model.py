@@ -4,18 +4,26 @@ single-, dual-, and triple-encoder architectures.
 
 All parameters live in one flat name -> float64 array dict. A forward
 pass binds that dict onto a tape (Model.bind) and threads the bound
-tensors through the tensor ops, so one code path serves both training
-(taped) and inference (bind with tape=None, plain numpy speed).
+tensors through the tensor ops. Training runs that path taped; bound
+with tape=None it computes the same values without recording, which is
+how inference runs the encoders and CTC heads. Transducer search does
+not use the Tensor path for the prediction and joint networks: it reads
+their arrays from `params` directly (see decoding.py), and decoder_step
+and joint stay the reference that search is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
 length-prefixed architecture fingerprint (canonical text, parseable back
-into an Architecture), then named little-endian float64 blocks.
+into an Architecture), then named little-endian float64 blocks. A save
+writes a temporary file beside the target and moves it into place, so a
+failed save never leaves a truncated checkpoint.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -293,10 +301,6 @@ class Model:
         logits = ad.add(ad.matmul(ad.reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
         return ad.reshape(ad.log_softmax(logits, axis=1), (T, U, self.arch.n_units + 1))
 
-    def joint_row(self, bound, h_enc_t, h_dec_u):
-        """Single-cell joint distribution as a flat (V+1,) tensor."""
-        return ad.reshape(self.joint(bound, h_enc_t, h_dec_u), (self.arch.n_units + 1,))
-
     def forward(self, bound, x, y):
         """All heads for one utterance on one tape.
 
@@ -337,6 +341,18 @@ class Checkpoint:
 
 
 def save_checkpoint(path, checkpoint):
+    """Write a checkpoint atomically: an existing target is replaced only by a complete file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _write_checkpoint(tmp, checkpoint)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(path, checkpoint):
     fp = checkpoint.fingerprint.encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -376,14 +392,20 @@ def load_checkpoint(path, expect_fingerprint=None):
     def u32():
         return struct.unpack("<I", take(4))[0]
 
-    fingerprint = bytes(take(u32())).decode("utf-8")
+    def text(what):
+        try:
+            return bytes(take(u32())).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CsrtError(f"{path}: checkpoint {what} is not valid UTF-8")
+
+    fingerprint = text("fingerprint")
     if expect_fingerprint is not None and fingerprint != expect_fingerprint:
         raise FingerprintMismatchError(
             f"{path}: checkpoint fingerprint does not match the expected configuration"
         )
     blocks = {}
     for _ in range(u32()):
-        name = bytes(take(u32())).decode("utf-8")
+        name = text("block name")
         shape = tuple(u32() for _ in range(u32()))
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         arr = np.frombuffer(take(count * 8), dtype="<f8").astype(np.float64).reshape(shape)

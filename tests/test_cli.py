@@ -39,6 +39,11 @@ class TestUsage:
     def test_bad_option_value(self, tmp_path):
         assert run(gen_args(tmp_path / "d", ["--noise-sigma", "tiny"])) == 1
 
+    def test_beam_below_one_is_usage_error(self, tmp_path, capsys):
+        code = run(["eval", "--model", str(tmp_path / "m"), "--data", str(tmp_path), "--beam", "0"])
+        assert code == 1
+        assert "usage error: bad value for 'beam'" in capsys.readouterr().err
+
 
 class TestRuntimeErrors:
     def test_missing_corpus_exit_2(self, tmp_path, capsys):
@@ -210,6 +215,15 @@ class TestPipeline:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("not-a-key = 3\n")
         assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+
+    def test_config_beam_below_one_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text("beam = 0\n")
+        code = run(["eval", "--config", str(cfg), "--model", str(tmp_path / "m"),
+                    "--data", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'beam'") and len(err.splitlines()) == 1
 
 
 class TestSelfChecks:

@@ -190,6 +190,30 @@ class TestLoading:
         with pytest.raises(CsrtError):
             load_corpus(root)
 
+    @pytest.mark.parametrize("token", ["0:x:M", "0-4-M", "0:4"])
+    def test_malformed_span_token_names_file_and_utterance(self, tmp_path, token):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        s = root / "dev-cs" / "spans.tsv"
+        uid, _, _ = s.read_text().splitlines()[0].partition("\t")
+        s.write_text(f"{uid}\t{token}\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(s) in str(err.value) and uid in str(err.value)
+
+    def test_non_integer_vocab_id_names_line(self, tmp_path):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        v = root / "vocab.tsv"
+        lines = v.read_text().splitlines()
+        lines[2] = "two\t" + lines[2].partition("\t")[2]
+        v.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert f"{v}:3" in str(err.value)
+
     def test_empty_transcript_file_gives_empty_split(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
         root = tmp_path / "c"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csrt import autodiff as ad
 from csrt.alignments import BLANK, collapse
 from csrt.decoding import greedy_ctc_decode, rnnt_decode
 from csrt.model import Architecture, Model
@@ -22,6 +23,11 @@ def toy_model(seed, n_m=2, n_e=2):
     return Model(arch, seed=seed)
 
 
+def _joint_dist(model, bound, enc_t, h_dec):
+    """One cell of the taped joint lattice, as a flat (V+1,) array."""
+    return model.joint(bound, enc_t, h_dec).data.reshape(-1)
+
+
 def reference_greedy(model, x):
     """Independent greedy policy: emit while the argmax is non-blank."""
     bound = model.bind(None)
@@ -29,12 +35,10 @@ def reference_greedy(model, x):
     h_dec = model.decoder_step(bound, model.arch.start_token, None)
     prefix = []
     score = 0.0
-    from csrt import autodiff as ad
-
     for t in range(h_enc.shape[0]):
         enc_t = ad.index_select(h_enc, [t])
         while True:
-            lp = model.joint_row(bound, enc_t, h_dec).data
+            lp = _joint_dist(model, bound, enc_t, h_dec)
             k = int(np.argmax(lp))
             if k == BLANK or len(prefix) >= 3 * h_enc.shape[0]:
                 score += lp[BLANK]
@@ -43,6 +47,88 @@ def reference_greedy(model, x):
             score += lp[k]
             h_dec = model.decoder_step(bound, k, h_dec)
     return tuple(prefix), float(score)
+
+
+def reference_beam(model, x, beam):
+    """Frame-synchronous beam search, one hypothesis at a time through Model.joint.
+
+    Within a frame every frontier hypothesis ends with blank into `done` or
+    extends by one unit; `done` keeps the best `beam` by (-score, prefix), and
+    only extensions above its worst entry survive. Like rnnt_decode, the
+    result falls back to the greedy chain when that scores higher.
+    """
+    bound = model.bind(None)
+    h_enc, _, _ = model.encode_fused(bound, x)
+    T = h_enc.shape[0]
+    cap = 3 * T
+
+    def top(hyps, k):
+        return sorted(hyps, key=lambda h: (-h[1], h[0]))[:k]
+
+    hyps = [((), 0.0, model.decoder_step(bound, model.arch.start_token, None))]
+    for t in range(T):
+        enc_t = ad.index_select(h_enc, [t])
+        done = []
+        frontier = hyps
+        while frontier:
+            scored = []
+            for prefix, score, h_dec in frontier:
+                lp = _joint_dist(model, bound, enc_t, h_dec)
+                done.append((prefix, score + float(lp[BLANK]), h_dec))
+                scored.append((prefix, score, h_dec, lp))
+            done = top(done, beam)
+            floor = done[-1][1] if len(done) >= beam else -np.inf
+            ext = []
+            for prefix, score, h_dec, lp in scored:
+                if len(prefix) >= cap:
+                    continue
+                for k in range(1, model.arch.n_units + 1):
+                    s = score + float(lp[k])
+                    if s > floor:
+                        ext.append((prefix + (k,), s, h_dec))
+            frontier = [
+                (prefix, s, model.decoder_step(bound, prefix[-1], h_dec))
+                for prefix, s, h_dec in top(ext, beam)
+            ]
+        hyps = done
+    best = top(hyps, 1)[0][:2]
+    greedy = reference_greedy(model, x)
+    return greedy if greedy[1] > best[1] else best
+
+
+def rigged_emitter(seed):
+    """A toy model whose joint always prefers unit 1, so only the cap stops emission."""
+    model = toy_model(seed=seed)
+    model.params["joint.b_out"] = np.array([-1e3, 10.0, 0.0, 0.0, 0.0])
+    model.params["joint.w_out"] = np.zeros_like(model.params["joint.w_out"])
+    return model
+
+
+def sharp_model(seed):
+    """A toy model with peaked, state-dependent joint outputs.
+
+    At its initial scale a toy model decodes to the empty sequence at every
+    beam; this one's searches branch, and its best paths often emit.
+    """
+    model = toy_model(seed=seed)
+    p = model.params
+    p["joint.w_dec"] *= 3.0
+    p["joint.w_out"] *= 6.0
+    p["joint.b_out"][BLANK] = -2.0
+    return model
+
+
+def interchangeable_units(seed):
+    """A sharp model whose units share one embedding and one output column.
+
+    Hypotheses that differ only in which unit they emitted score exactly
+    alike, so only the (-score, prefix) tie-break tells them apart.
+    """
+    model = sharp_model(seed)
+    p = model.params
+    p["dec.embed"][2:5] = p["dec.embed"][1]
+    p["joint.w_out"][:, 2:] = p["joint.w_out"][:, 1:2]
+    return model
 
 
 class TestGreedyCtc:
@@ -109,9 +195,20 @@ class TestRnntDecode:
 
     def test_emission_cap(self):
         # a model rigged to always emit would loop without the hard stop
-        model = toy_model(seed=4)
-        model.params["joint.b_out"] = np.array([-1e3, 10.0, 0.0, 0.0, 0.0])
-        model.params["joint.w_out"] = np.zeros_like(model.params["joint.w_out"])
         x = np.zeros((3, 3))
-        hyp, _ = rnnt_decode(model, x, beam=1)
+        hyp, _ = rnnt_decode(rigged_emitter(seed=4), x, beam=1)
         assert len(hyp) <= 3 * 3
+
+    def test_beam_matches_reference_beam(self):
+        rng = np.random.default_rng(5)
+        cases = [(sharp_model(seed=200 + i), rng.standard_normal((int(rng.integers(2, 8)), 3)))
+                 for i in range(25)]
+        cases.append((rigged_emitter(seed=4), np.zeros((3, 3))))
+        cases += [(interchangeable_units(seed=300 + i), rng.standard_normal((5, 3)))
+                  for i in range(8)]
+        for model, x in cases:
+            for beam in (2, 4, 10):
+                got = rnnt_decode(model, x, beam=beam)
+                want = reference_beam(model, x, beam)
+                assert got[0] == want[0]
+                assert got[1] == pytest.approx(want[1], abs=1e-9)

@@ -226,6 +226,32 @@ class TestCheckpointIO:
         with pytest.raises(CsrtError):
             load_checkpoint(path)
 
+    def test_non_utf8_text_rejected(self, tmp_path):
+        arch = small_arch()
+        good = tmp_path / "good.csrt"
+        save_checkpoint(good, Checkpoint(arch.fingerprint(), {"zz": np.zeros(2)}))
+        raw = good.read_bytes()
+        fp_at = raw.index(b"family")
+        name_at = raw.rindex(b"zz")
+        for at in (fp_at, name_at):
+            bad = tmp_path / f"bad{at}.csrt"
+            bad.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+            with pytest.raises(CsrtError) as err:
+                load_checkpoint(bad)
+            assert str(bad) in str(err.value) and "UTF-8" in str(err.value)
+
+    def test_failed_save_keeps_existing_target(self, tmp_path):
+        arch = small_arch()
+        path = tmp_path / "ck.csrt"
+        save_checkpoint(path, Checkpoint(arch.fingerprint(), dict(Model(arch, seed=0).params)))
+        before = path.read_bytes()
+        blocks = dict(Model(arch, seed=1).params)
+        blocks["zz.bad"] = np.array(["not a number"])  # sorts last: fails after the other blocks
+        with pytest.raises(ValueError):
+            save_checkpoint(path, Checkpoint(arch.fingerprint(), blocks))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.csrt"]
+
     def test_fingerprint_text_roundtrip(self):
         arch = small_arch(mixing="recurrent", family="triple")
         assert Architecture.from_fingerprint(arch.fingerprint()) == arch
