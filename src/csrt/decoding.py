@@ -100,7 +100,7 @@ def _beam(scorer, T, cap, beam):
             lp = scorer.log_probs(t, [prefix for prefix, _ in frontier])
             base = np.array([score for _, score in frontier])
             ended = (base + lp[:, BLANK]).tolist()
-            done = _top(done + [(h[0], s) for h, s in zip(frontier, ended)], beam)
+            done = _top(done + [(prefix, s) for (prefix, _), s in zip(frontier, ended)], beam)
             floor = done[-1][1] if len(done) >= beam else -np.inf
             ext = base[:, None] + lp[:, 1:]
             keep = ext > floor
@@ -129,9 +129,7 @@ def rnnt_decode(model, x, beam=1):
     if beam == 1:
         return greedy
     best = _beam(scorer, T, cap, beam)
-    if greedy[1] > best[1]:
-        return greedy
-    return best
+    return greedy if greedy[1] > best[1] else best
 
 
 def decode_ctc_subnet(model, bound, x, lang, vocab):
