@@ -15,7 +15,7 @@ from .alignments import (
     enumerate_rnnt_paths,
     mask_labels,
 )
-from .autodiff import Tape, Tensor, backward, grad_check, tensor_op
+from .autodiff import Tape, Tensor, backward, grad_check
 from .data import CorpusSpec, Utterance, gen_corpus, load_corpus
 from .decoding import greedy_ctc_decode, rnnt_decode
 from .errors import CsrtError
@@ -64,5 +64,4 @@ __all__ = [
     "rnnt_loss",
     "rnnt_loss_oracle",
     "save_checkpoint",
-    "tensor_op",
 ]

@@ -5,10 +5,11 @@ records operations in execution order (a Wengert list); backward() walks
 the list once in reverse, accumulating gradients into every recorded
 tensor. Tapes are single-use: one forward pass, one backward pass.
 
-Ops record themselves on a tape whenever at least one input is attached
-to it, so the same code paths serve both training (taped) and inference
-(tape-free, plain numpy speed). Mixing tensors from two different live
-tapes is an error.
+The op set is what the model and losses record: add, mul, matmul, tanh,
+log_softmax, index_select, concat and reshape, plus record_custom for
+hand-differentiated ops (the lattice losses). An op records itself on a
+tape whenever at least one input is attached to it; with no tape it only
+computes. Mixing tensors from two different live tapes is an error.
 """
 
 from __future__ import annotations
@@ -47,28 +48,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    # Operator sugar; the named functions below are the real surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def tanh(self):
-        return tanh(self)
-
-    def relu(self):
-        return relu(self)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
 
@@ -85,22 +64,17 @@ class _Node:
 class Tape:
     """Ordered record of operations for one forward pass. Single use."""
 
-    __slots__ = ("_nodes", "_leaves", "consumed")
+    __slots__ = ("_nodes", "consumed")
 
     def __init__(self):
         self._nodes = []
-        self._leaves = []
         self.consumed = False
 
     def leaf(self, data):
         """Attach an array as a differentiable leaf; its grad starts at zero."""
         t = Tensor(data, tape=self)
         t.grad = np.zeros_like(t.data)
-        self._leaves.append(t)
         return t
-
-    def leaves(self):
-        return list(self._leaves)
 
     def __len__(self):
         return len(self._nodes)
@@ -191,16 +165,6 @@ def tanh(x):
     return _emit(y, (x,), grad_fn)
 
 
-def relu(x):
-    x = _lift(x)
-    y = np.maximum(x.data, 0.0)
-
-    def grad_fn(g):
-        return (g * (x.data > 0.0),)
-
-    return _emit(y, (x,), grad_fn)
-
-
 def log_softmax(x, axis):
     """Log of softmax along `axis`; rows exponentiate-and-sum to one."""
     x = _lift(x)
@@ -213,20 +177,6 @@ def log_softmax(x, axis):
         return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
     return _emit(y, (x,), grad_fn)
-
-
-def tensor_sum(x, axis=None):
-    x = _lift(x)
-    if axis is not None and not -x.data.ndim <= axis < x.data.ndim:
-        raise AxisOutOfRangeError(f"sum axis {axis} out of range for rank {x.data.ndim}")
-    out = x.data.sum(axis=axis)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
-
-    return _emit(out, (x,), grad_fn)
 
 
 def index_select(x, indices):
@@ -278,27 +228,6 @@ def reshape(x, shape):
         return (g.reshape(x.shape),)
 
     return _emit(out, (x,), grad_fn)
-
-
-_KINDS = {
-    "matmul": lambda inputs, kw: matmul(*inputs),
-    "add": lambda inputs, kw: add(*inputs),
-    "elementwise-mul": lambda inputs, kw: mul(*inputs),
-    "tanh": lambda inputs, kw: tanh(*inputs),
-    "relu": lambda inputs, kw: relu(*inputs),
-    "log-softmax": lambda inputs, kw: log_softmax(inputs[0], kw["axis"]),
-    "sum": lambda inputs, kw: tensor_sum(inputs[0], kw.get("axis")),
-    "index-select": lambda inputs, kw: index_select(inputs[0], kw["indices"]),
-    "concat": lambda inputs, kw: concat(list(inputs), kw.get("axis", 0)),
-    "reshape": lambda inputs, kw: reshape(inputs[0], kw["shape"]),
-}
-
-
-def tensor_op(kind, *inputs, **kwargs):
-    """Dispatch an operation by name; the named functions are equivalent."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown op kind {kind!r}")
-    return _KINDS[kind](inputs, kwargs)
 
 
 def record_custom(out_data, inputs, grad_fn):

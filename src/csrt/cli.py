@@ -28,7 +28,7 @@ from .metrics import (
     format_separation_report,
     format_split_report,
 )
-from .model import Model, load_checkpoint, save_checkpoint
+from .model import Model, load_checkpoint, save_checkpoint, write_atomic
 from .training import TrainingConfig, arch_for, finetune, pretrain
 
 CHECKPOINT_NAME = "checkpoint.csrt"
@@ -244,18 +244,28 @@ def cmd_finetune(values):
     return 0
 
 
+def _write_text(path, text):
+    write_atomic(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
+
+
+def _hyps_text(hyps, vocab):
+    """hyps.tsv text: per (uid, hyp) pair, the id, a tab and the space-joined surfaces."""
+    lines = [uid + "\t" + " ".join(vocab.surface(u) for u in hyp) for uid, hyp in hyps]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_decode(values):
     model = _load_model(_require(values, "model", "decode"))
     corpus = load_corpus(_require(values, "data", "decode"))
     utts = corpus.split(values["split"])
     out = _require(values, "out", "decode")
     run = RunDir(out, values, values["force"])
-    lines = []
+    hyps = []
     for utt in utts:
         hyp, score = rnnt_decode(model, utt.features, beam=values["beam"])
-        lines.append(utt.uid + "\t" + " ".join(corpus.vocab.surface(u) for u in hyp))
+        hyps.append((utt.uid, hyp))
         run.log(f"decoded {utt.uid} score={score:.4f}")
-    (run.path / "hyps.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(run.path / "hyps.tsv", _hyps_text(hyps, corpus.vocab))
     return 0
 
 
@@ -268,12 +278,8 @@ def cmd_eval(values):
     print(text)
     if values["out"]:
         run = RunDir(values["out"], values, values["force"])
-        lines = [
-            uid + "\t" + " ".join(corpus.vocab.surface(u) for u in hyp)
-            for uid, hyp in hyps.items()
-        ]
-        (run.path / "hyps.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        (run.path / "report.txt").write_text(text + "\n", encoding="utf-8")
+        _write_text(run.path / "hyps.tsv", _hyps_text(hyps.items(), corpus.vocab))
+        _write_text(run.path / "report.txt", text + "\n")
         run.log(text.splitlines()[-1])
     return 0
 
@@ -286,7 +292,7 @@ def cmd_eval_ls(values):
     print(text)
     if values["out"]:
         run = RunDir(values["out"], values, values["force"])
-        (run.path / "report.txt").write_text(text + "\n", encoding="utf-8")
+        _write_text(run.path / "report.txt", text + "\n")
         run.log(text.splitlines()[-1])
     return 0
 

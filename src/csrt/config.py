@@ -117,7 +117,10 @@ def parse_config_text(text, path="<config>"):
         if not eq:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key = key.strip()
-        values[key] = convert(key, value.strip())
+        try:
+            values[key] = convert(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{ln}: {exc}")
     return values
 
 

@@ -236,6 +236,8 @@ def read_features(path):
     if len(raw) < 12:
         raise CorpusFormatError(f"{path}: truncated feature header")
     T, D = struct.unpack("<II", raw[4:12])
+    if T == 0:
+        raise CorpusFormatError(f"{path}: zero frames")
     body = raw[12:]
     if len(body) != T * D * 4:
         raise CorpusFormatError(f"{path}: expected {T}x{D} float32 payload, got {len(body)} bytes")
@@ -282,6 +284,16 @@ def _read_tsv_map(path, what):
     return out
 
 
+def _tiles(spans, T):
+    """Whether non-empty spans cover [0, T) in order, each starting where the last ended."""
+    cursor = 0
+    for a, b, _ in spans:
+        if a != cursor or b <= a:
+            return False
+        cursor = b
+    return cursor == T
+
+
 def load_corpus(path):
     """Load a generated corpus directory back into memory; exact round trip."""
     root = Path(path)
@@ -321,6 +333,11 @@ def load_corpus(path):
                             f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
                             " (expected start:end:lang)"
                         )
+                if span_list and not _tiles(span_list, feats.shape[0]):
+                    raise CorpusFormatError(
+                        f"{root / s_rel}: utterance {uid}: spans do not tile frames"
+                        f" [0, {feats.shape[0]}) in order"
+                    )
                 utts.append(
                     Utterance(uid=uid, features=feats, labels=labels, spans=tuple(span_list))
                 )

@@ -84,31 +84,22 @@ def error_stats(hyp, ref):
 class MixedScore:
     """Per-utterance mixed-token stats plus per-language projections.
 
-    `m` / `e` are None when that language's reference projection is empty
-    (the rate is then reported as absent for the utterance).
+    A projection whose reference is empty has ref_len 0 and no rate; each
+    hypothesis token of that language counts as an insertion.
     """
 
     mer: ErrorStats
-    m: ErrorStats | None
-    e: ErrorStats | None
-    m_ins: int = 0
-    e_ins: int = 0
+    m: ErrorStats
+    e: ErrorStats
 
 
 def mixed_error_rate(hyp, ref, vocab):
     """Mixed error stats over all tokens, plus M (CER) and E (WER) projections."""
-    proj = {}
-    for lang in ("M", "E"):
-        r = mask_labels(ref, lang, vocab)
-        stats = error_stats(mask_labels(hyp, lang, vocab), r)
-        proj[lang] = (stats if r else None, stats.ins)
-    return MixedScore(
-        mer=error_stats(hyp, ref),
-        m=proj["M"][0],
-        e=proj["E"][0],
-        m_ins=proj["M"][1],
-        e_ins=proj["E"][1],
+    m, e = (
+        error_stats(mask_labels(hyp, lang, vocab), mask_labels(ref, lang, vocab))
+        for lang in ("M", "E")
     )
+    return MixedScore(mer=error_stats(hyp, ref), m=m, e=e)
 
 
 @dataclass
@@ -119,10 +110,6 @@ class SplitReport:
     cer: ErrorStats  # language-M projection
     wer: ErrorStats  # language-E projection
     n_utts: int
-
-    @property
-    def rates(self):
-        return {"MER": self.mer.rate, "CER": self.cer.rate, "WER": self.wer.rate}
 
 
 def evaluate_split(model, utts, vocab, beam=10):
@@ -137,15 +124,7 @@ def evaluate_split(model, utts, vocab, beam=10):
         hyp, _ = rnnt_decode(model, utt.features, beam=beam)
         hyps[utt.uid] = hyp
         score = mixed_error_rate(hyp, utt.labels, vocab)
-        mer = mer + score.mer
-        if score.m is not None:
-            cer = cer + score.m
-        else:
-            cer = cer + ErrorStats(ins=score.m_ins)
-        if score.e is not None:
-            wer = wer + score.e
-        else:
-            wer = wer + ErrorStats(ins=score.e_ins)
+        mer, cer, wer = mer + score.mer, cer + score.m, wer + score.e
     return SplitReport(mer=mer, cer=cer, wer=wer, n_utts=len(utts)), hyps
 
 
@@ -212,11 +191,17 @@ def dump_frame_posteriors(model, x, out_path, vocab):
 
 
 def format_split_report(title, report):
-    """Plain-text metric row in the shape of the paper-style results table."""
+    """Plain-text metric row in the shape of the paper-style results table.
+
+    A rate over an empty reference (e.g. WER on a mono-M split) prints as '-'.
+    """
+    cells = [
+        f"{100 * s.rate:>7.2f}" if s.ref_len else f"{'-':>7}"
+        for s in (report.mer, report.cer, report.wer)
+    ]
     lines = [
         f"{'Split':<14} {'Utts':>5} {'MER':>7} {'CER':>7} {'WER':>7}",
-        f"{title:<14} {report.n_utts:>5} "
-        f"{100 * report.mer.rate:>7.2f} {100 * report.cer.rate:>7.2f} {100 * report.wer.rate:>7.2f}",
+        f"{title:<14} {report.n_utts:>5} " + " ".join(cells),
     ]
     return "\n".join(lines)
 

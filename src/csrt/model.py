@@ -215,6 +215,8 @@ class Model:
             raise ShapeMismatchError(
                 f"encode: features {x.shape} do not match input dim {self.arch.input_dim}"
             )
+        if x.shape[0] == 0:
+            raise ShapeMismatchError("encode: features have zero frames")
         h = Tensor(x)
         T = x.shape[0]
         for layer in range(self.arch.encoder_layers):
@@ -340,16 +342,25 @@ class Checkpoint:
         return Architecture.from_fingerprint(self.fingerprint)
 
 
-def save_checkpoint(path, checkpoint):
-    """Write a checkpoint atomically: an existing target is replaced only by a complete file."""
+def write_atomic(path, write):
+    """Run write(tmp) on a temporary file beside `path`, then move it into place.
+
+    An existing target is replaced only by a complete file; on failure the
+    temporary file is removed.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        _write_checkpoint(tmp, checkpoint)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_checkpoint(path, checkpoint):
+    """Write a checkpoint atomically (see write_atomic)."""
+    write_atomic(path, lambda tmp: _write_checkpoint(tmp, checkpoint))
 
 
 def _write_checkpoint(path, checkpoint):

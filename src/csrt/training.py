@@ -274,8 +274,12 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, l
         lang, utt = item
         return _pretrain_loss(model, bound, vocab, utt, lang), {}
 
+    def schedule(epoch):
+        perm = _epoch_rng(config.seed, 11, epoch).permutation(len(items)).tolist()
+        return _chunks([items[i] for i in perm], config.batch_size)
+
     return _train_loop(
-        model, state, config, items, dev_items, loss_fn, "pretrain", 11, log, stop_after_steps
+        model, state, config, schedule, dev_items, loss_fn, "pretrain", log, stop_after_steps
     )
 
 
@@ -329,13 +333,12 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
         return batches
 
     return _train_loop(
-        model, state, config, None, list(dev), loss_fn, "finetune", None, log,
-        stop_after_steps, schedule=schedule,
+        model, state, config, schedule, list(dev), loss_fn, "finetune", log, stop_after_steps
     )
 
 
-def _train_loop(model, state, config, items, dev_items, loss_fn, phase, tag, log,
-                stop_after_steps, schedule=None):
+def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
+                stop_after_steps):
     def validate():
         return _validate(model, loss_fn, dev_items)
 
@@ -345,11 +348,7 @@ def _train_loop(model, state, config, items, dev_items, loss_fn, phase, tag, log
     parts_seen = set()
     for epoch in range(state.epoch, config.epochs):
         state.epoch = epoch
-        if schedule is not None:
-            batches = schedule(epoch)
-        else:
-            perm = _epoch_rng(config.seed, tag, epoch).permutation(len(items)).tolist()
-            batches = _chunks([items[i] for i in perm], config.batch_size)
+        batches = schedule(epoch)
         start = state.batch
         state.batch = 0
         for bi, batch in enumerate(batches):

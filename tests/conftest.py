@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csrt import autodiff as ad
 from csrt.alignments import Vocabulary
 from csrt.data import CorpusSpec, gen_corpus
 
@@ -30,3 +31,9 @@ def random_log_rows(rng, t, v1):
     logits = rng.standard_normal((t, v1))
     m = logits.max(axis=1, keepdims=True)
     return logits - m - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+
+
+def sum_all(x):
+    """Sum of every entry of a Tensor as a 0-d Tensor, built from recorded ops."""
+    n = x.data.size
+    return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), ad.Tensor(np.ones((n, 1)))), ())

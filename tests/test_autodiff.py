@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sum_all
 from csrt import autodiff as ad
-from csrt.autodiff import Tape, Tensor, backward, grad_check, tensor_op
+from csrt.autodiff import Tape, Tensor, backward, grad_check
 from csrt.errors import (
     AxisOutOfRangeError,
     NonDeterministicFunctionError,
@@ -29,10 +30,10 @@ def test_log_softmax_symmetric_and_normalized():
     assert np.max(np.abs(sums - 1.0)) < 1e-9
 
 
-def test_tanh_relu_fixed_points():
+def test_tanh_fixed_point_and_odd_symmetry():
     assert ad.tanh(Tensor(0.0)).item() == 0.0
-    assert ad.relu(Tensor(-1.0)).item() == 0.0
-    assert ad.relu(Tensor(2.5)).item() == 2.5
+    x = np.array([0.3, 1.7, 25.0])
+    assert np.array_equal(ad.tanh(Tensor(-x)).data, -ad.tanh(Tensor(x)).data)
 
 
 def test_shape_errors_name_both_shapes():
@@ -44,7 +45,7 @@ def test_shape_errors_name_both_shapes():
     with pytest.raises(AxisOutOfRangeError):
         ad.log_softmax(Tensor(np.zeros((2, 2))), axis=2)
     with pytest.raises(AxisOutOfRangeError):
-        ad.tensor_sum(Tensor(np.zeros((2, 2))), axis=5)
+        ad.concat([Tensor(np.zeros((2, 2)))], axis=5)
 
 
 def test_backward_square():
@@ -59,7 +60,7 @@ def test_backward_matmul_sum():
     tape = Tape()
     w = tape.leaf(np.array([[1.0, 2.0], [3.0, 4.0]]))
     v = Tensor(np.array([[1.0], [1.0]]))
-    loss = ad.tensor_sum(ad.matmul(w, v))
+    loss = sum_all(ad.matmul(w, v))
     backward(loss)
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
@@ -68,7 +69,7 @@ def test_backward_log_softmax_entry():
     tape = Tape()
     z = tape.leaf(np.array([0.0, 0.0]))
     out = ad.log_softmax(z, axis=0)
-    loss = ad.tensor_sum(ad.mul(out, Tensor(np.array([1.0, 0.0]))))
+    loss = sum_all(ad.mul(out, Tensor(np.array([1.0, 0.0]))))
     backward(loss)
     assert np.allclose(z.grad, [0.5, -0.5], atol=1e-12)
 
@@ -79,7 +80,7 @@ def test_backward_rejects_non_scalar_and_reuse():
     y = ad.mul(x, x)
     with pytest.raises(TapeError):
         backward(y)
-    loss = ad.tensor_sum(y)
+    loss = sum_all(y)
     backward(loss)
     with pytest.raises(TapeError):
         backward(loss)
@@ -115,7 +116,7 @@ def test_index_select_and_concat_gradients():
     tape = Tape()
     table = tape.leaf(np.arange(6.0).reshape(3, 2))
     picked = ad.index_select(table, [0, 2, 0])
-    loss = ad.tensor_sum(picked)
+    loss = sum_all(picked)
     backward(loss)
     # row 0 picked twice, row 2 once, row 1 never
     assert np.array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
@@ -129,52 +130,29 @@ def test_forward_determinism():
     assert a.tobytes() == b.tobytes()
 
 
-def test_tensor_op_dispatch_matches_functions():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((3, 4))
-    y = rng.standard_normal((4, 2))
-    assert np.array_equal(tensor_op("matmul", Tensor(x), Tensor(y)).data, x @ y)
-    assert np.array_equal(tensor_op("relu", Tensor(x)).data, np.maximum(x, 0))
-    assert np.array_equal(
-        tensor_op("log-softmax", Tensor(x), axis=1).data, ad.log_softmax(Tensor(x), 1).data
-    )
-    assert np.array_equal(tensor_op("sum", Tensor(x), axis=0).data, x.sum(axis=0))
-    assert np.array_equal(tensor_op("index-select", Tensor(x), indices=[1]).data, x[[1]])
-    assert np.array_equal(
-        tensor_op("concat", Tensor(x), Tensor(x), axis=0).data, np.concatenate([x, x])
-    )
-    assert np.array_equal(tensor_op("reshape", Tensor(x), shape=(4, 3)).data, x.reshape(4, 3))
-    with pytest.raises(ValueError):
-        tensor_op("unknown-op", Tensor(x))
-
-
 def _op_instances(rng):
     """Random small instances covering every differentiable op."""
     t, d, k = 3, 4, 2
-    yield "matmul", lambda p: ad.tensor_sum(ad.tanh(ad.matmul(p[0], p[1]))), [
+    yield "matmul", lambda p: sum_all(ad.tanh(ad.matmul(p[0], p[1]))), [
         rng.standard_normal((t, d)),
         rng.standard_normal((d, k)),
     ]
-    yield "add-broadcast", lambda p: ad.tensor_sum(ad.tanh(ad.add(p[0], p[1]))), [
+    yield "add-broadcast", lambda p: sum_all(ad.tanh(ad.add(p[0], p[1]))), [
         rng.standard_normal((t, d)),
         rng.standard_normal(d),
     ]
-    yield "mul", lambda p: ad.tensor_sum(ad.mul(p[0], p[1])), [
+    yield "mul", lambda p: sum_all(ad.mul(p[0], p[1])), [
         rng.standard_normal((t, d)),
         rng.standard_normal((t, d)),
     ]
-    yield "relu", lambda p: ad.tensor_sum(ad.relu(p[0])), [rng.standard_normal((t, d)) + 0.3]
     weights = Tensor(rng.standard_normal((t, d)))
-    yield "log-softmax", lambda p: ad.tensor_sum(
+    yield "log-softmax", lambda p: sum_all(
         ad.mul(ad.log_softmax(p[0], axis=1), weights)
     ), [rng.standard_normal((t, d))]
-    yield "sum-axis", lambda p: ad.tensor_sum(ad.tanh(ad.tensor_sum(p[0], axis=0))), [
+    yield "index-select", lambda p: sum_all(ad.tanh(ad.index_select(p[0], [0, 2, 0]))), [
         rng.standard_normal((t, d))
     ]
-    yield "index-select", lambda p: ad.tensor_sum(ad.tanh(ad.index_select(p[0], [0, 2, 0]))), [
-        rng.standard_normal((t, d))
-    ]
-    yield "concat-reshape", lambda p: ad.tensor_sum(
+    yield "concat-reshape", lambda p: sum_all(
         ad.tanh(ad.reshape(ad.concat([p[0], p[1]], axis=0), (2 * t * d,)))
     ), [rng.standard_normal((t, d)), rng.standard_normal((t, d))]
 
@@ -195,7 +173,7 @@ def test_grad_check_detects_nondeterminism():
 
     def f(leaves):
         state["n"] += 1
-        return ad.tensor_sum(ad.mul(leaves[0], float(state["n"])))
+        return sum_all(ad.mul(leaves[0], float(state["n"])))
 
     with pytest.raises(NonDeterministicFunctionError):
         grad_check(f, [np.array([1.0])])
@@ -203,7 +181,7 @@ def test_grad_check_detects_nondeterminism():
 
 def test_grad_check_epsilon_range():
     with pytest.raises(ValueError):
-        grad_check(lambda p: ad.tensor_sum(p[0]), [np.array([1.0])], epsilon=0.5)
+        grad_check(lambda p: sum_all(p[0]), [np.array([1.0])], epsilon=0.5)
 
 
 def test_grad_check_square_tight():

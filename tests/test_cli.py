@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,23 @@ class TestPipeline:
             uid, tab, rest = line.partition("\t")
             assert tab and uid.startswith("test-cs-")
 
+    def test_failed_hyps_write_keeps_existing_file(self, workdir, monkeypatch, capsys):
+        root, data = workdir
+        out = root / "hyp-kept"
+        out.mkdir()
+        (out / "hyps.tsv").write_bytes(b"old\thyps\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code = run(["decode", "--model", str(root / "ft"), "--data", str(data),
+                    "--split", "test-cs", "--beam", "1", "--out", str(out), "--force"])
+        assert code == 2
+        assert "replace failed" in capsys.readouterr().err
+        assert (out / "hyps.tsv").read_bytes() == b"old\thyps\n"
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "hyps.tsv", "log.txt"]
+
     def test_eval_ls_prints_table(self, workdir, capsys):
         root, data = workdir
         code = run(
@@ -223,7 +242,8 @@ class TestPipeline:
                     "--data", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: bad value for 'beam'") and len(err.splitlines()) == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "beam.cfg:1: bad value for 'beam'" in err
 
 
 class TestSelfChecks:

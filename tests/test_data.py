@@ -152,6 +152,13 @@ class TestFeatureFiles:
         with pytest.raises(CorpusFormatError):
             read_features(p)
 
+    def test_zero_frames_rejected(self, tmp_path):
+        p = tmp_path / "empty.csft"
+        write_features(p, np.zeros((0, 4)))
+        with pytest.raises(CorpusFormatError) as err:
+            read_features(p)
+        assert "zero frames" in str(err.value)
+
 
 class TestLoading:
     def test_roundtrip_equals_generated(self, tiny_corpus):
@@ -201,6 +208,18 @@ class TestLoading:
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
         assert str(s) in str(err.value) and uid in str(err.value)
+
+    @pytest.mark.parametrize("spans", ["0:{end}:M", "0:2:M 3:{T}:E", "0:3:M 2:{T}:E"])
+    def test_spans_not_tiling_frames_name_file_and_utterance(self, tmp_path, spans):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        utt = gen_corpus(spec, root).split("dev-cs")[0]
+        T = utt.n_frames
+        s = root / "dev-cs" / "spans.tsv"
+        s.write_text(f"{utt.uid}\t{spans.format(T=T, end=T - 1)}\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(s) in str(err.value) and utt.uid in str(err.value)
 
     def test_non_integer_vocab_id_names_line(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)

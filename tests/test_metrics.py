@@ -6,6 +6,7 @@ from csrt.data import CorpusSpec, gen_corpus
 from csrt.errors import CsrtError
 from csrt.metrics import (
     ErrorStats,
+    SplitReport,
     dump_frame_posteriors,
     error_stats,
     eval_language_separation,
@@ -75,14 +76,14 @@ class TestMixedErrorRate:
     def test_pure_m_reference_has_absent_wer(self, vocab55):
         ref = (1, 2, 3)
         score = mixed_error_rate((1, 2, 3), ref, vocab55)
-        assert score.e is None and score.e_ins == 0
+        assert score.e.ref_len == 0 and score.e.ins == 0
         assert score.mer.rate == score.m.rate == 0.0
 
     def test_leaked_token_counts_toward_ins(self, vocab55):
         ref = (1, 2)
         hyp = (1, vocab55.e_ids()[0], 2)
         score = mixed_error_rate(hyp, ref, vocab55)
-        assert score.e is None and score.e_ins == 1
+        assert score.e.ref_len == 0 and score.e.ins == 1
 
     def test_mer_errors_dominate_projections(self, vocab55):
         rng = np.random.default_rng(1)
@@ -91,9 +92,7 @@ class TestMixedErrorRate:
             ref = tuple(int(units[rng.integers(10)]) for _ in range(int(rng.integers(0, 9))))
             hyp = tuple(int(units[rng.integers(10)]) for _ in range(int(rng.integers(0, 9))))
             score = mixed_error_rate(hyp, ref, vocab55)
-            m_err = score.m.errors if score.m else score.m_ins
-            e_err = score.e.errors if score.e else score.e_ins
-            assert score.mer.errors >= max(m_err, e_err)
+            assert score.mer.errors >= max(score.m.errors, score.e.errors)
 
 
 def separating_model(vocab):
@@ -212,14 +211,21 @@ class TestPosteriorDump:
 
 class TestReports:
     def test_split_report_layout(self):
-        from csrt.metrics import SplitReport
-
         rep = SplitReport(
             mer=ErrorStats(1, 0, 0, 10), cer=ErrorStats(0, 0, 0, 5), wer=ErrorStats(1, 0, 0, 5),
             n_utts=3,
         )
         text = format_split_report("test-cs", rep)
         assert "MER" in text and "test-cs" in text and "10.00" in text
+
+    def test_split_report_empty_projection_prints_dash(self):
+        # A mono-M split: leaked E tokens are insertions, but WER has no reference.
+        rep = SplitReport(
+            mer=ErrorStats(0, 153, 0, 40), cer=ErrorStats(0, 0, 0, 40),
+            wer=ErrorStats(0, 153, 0, 0), n_utts=8,
+        )
+        row = format_split_report("test-mono-m", rep).splitlines()[1].split()
+        assert row == ["test-mono-m", "8", "382.50", "0.00", "-"]
 
     def test_separation_report_layout(self):
         res = {"M": {"rate": 0.118, "ins": 0.037}, "E": {"rate": 0.427, "ins": 0.079}}

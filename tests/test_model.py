@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import sum_all
 from csrt.autodiff import Tape, Tensor, backward
 from csrt.checks import full_model_grad_check, tiny_setup
 from csrt.config import defaults
+from csrt.decoding import rnnt_decode
 from csrt.errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
 from csrt.losses import rnnt_loss
 from csrt.model import (
@@ -57,6 +59,13 @@ class TestEncoder:
         model = Model(small_arch(), seed=1)
         with pytest.raises(ShapeMismatchError):
             model.encode(model.bind(None), np.zeros((4, 5)), "enc_m")
+
+    def test_zero_frames_rejected(self):
+        model = Model(small_arch(), seed=1)
+        with pytest.raises(ShapeMismatchError):
+            model.encode(model.bind(None), np.zeros((0, 3)), "enc_m")
+        with pytest.raises(ShapeMismatchError):
+            rnnt_decode(model, np.zeros((0, 3)))
 
     def test_deterministic(self):
         model = Model(small_arch(), seed=2)
@@ -185,7 +194,7 @@ class TestGradients:
 
         def f(leaves):
             bound = dict(zip(names, leaves))
-            return ad.tensor_sum(ad.tanh(model.encode(bound, x, "enc_m")))
+            return sum_all(ad.tanh(model.encode(bound, x, "enc_m")))
 
         assert grad_check(f, [model.params[n] for n in names]) < 1e-4
 
