@@ -48,21 +48,9 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, taped={self.tape is not None})"
-
-
-class _Node:
-    __slots__ = ("out", "inputs", "grad_fn")
-
-    def __init__(self, out, inputs, grad_fn):
-        self.out = out
-        self.inputs = inputs
-        self.grad_fn = grad_fn
-
 
 class Tape:
-    """Ordered record of operations for one forward pass. Single use."""
+    """Ordered (output, inputs, grad_fn) records of one forward pass. Single use."""
 
     __slots__ = ("_nodes", "consumed")
 
@@ -101,7 +89,7 @@ def _emit(out_data, inputs, grad_fn):
     if tape is not None:
         if tape.consumed:
             raise TapeError("tape already consumed by backward()")
-        tape._nodes.append(_Node(out, inputs, grad_fn))
+        tape._nodes.append((out, inputs, grad_fn))
     return out
 
 
@@ -242,7 +230,10 @@ def record_custom(out_data, inputs, grad_fn):
 def backward(loss):
     """Populate grads of everything recorded on the loss's tape.
 
-    The tape is consumed: a second backward on it is rejected.
+    The tape is consumed: a second backward on it is rejected, and each
+    record is dropped once processed. Records and the tensors that refer to
+    the tape form a cycle that would keep the pass's arrays until the cyclic
+    GC runs; dropping them frees each array as soon as nothing needs it.
     """
     if not isinstance(loss, Tensor) or loss.tape is None:
         raise TapeError("backward: loss is not tape-recorded")
@@ -253,11 +244,12 @@ def backward(loss):
         raise TapeError("backward: tape already consumed")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
-        g = node.out.grad
-        if g is None:
+    nodes, tape._nodes = tape._nodes, []
+    while nodes:
+        out, inputs, grad_fn = nodes.pop()
+        if out.grad is None:
             continue
-        for inp, gi in zip(node.inputs, node.grad_fn(g)):
+        for inp, gi in zip(inputs, grad_fn(out.grad)):
             if inp.tape is tape:
                 inp._accumulate(gi)
 

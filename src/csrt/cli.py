@@ -168,8 +168,6 @@ def _corpus_and_arch(values, command):
 
 
 def cmd_gen_data(values):
-    if values["spec"] != "default":
-        raise UsageError(f"unknown corpus preset {values['spec']!r}")
     out = _require(values, "out", "gen-data")
     run = RunDir(out, values, values["force"])
     spec = CorpusSpec(

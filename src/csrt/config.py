@@ -19,11 +19,14 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low):
+    def convert(text):
+        value = int(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}, got {value}")
+        return value
+
+    return convert
 
 
 def _choice(*options):
@@ -39,17 +42,17 @@ def _choice(*options):
 REGISTRY = {
     # common
     "spec": (_choice("default"), "default", "corpus preset name"),
-    "seed": (int, 0, "RNG seed for the command"),
+    "seed": (_int_at_least(0), 0, "RNG seed for the command"),
     "out": (str, "", "output directory (or file, where noted)"),
     "force": (_bool, False, "allow writing into a non-empty output directory"),
     "data": (str, "", "corpus directory"),
     "init": (str, "", "checkpoint (file or run directory) to initialize from"),
     "model": (str, "", "trained checkpoint (file or run directory) to evaluate"),
     "split": (str, "test-cs", "corpus split name"),
-    "beam": (_positive_int, 10, "beam size for transducer decoding"),
+    "beam": (_int_at_least(1), 10, "beam size for transducer decoding"),
     "utt": (str, "", "utterance id (dump-posteriors)"),
     "resume": (_bool, False, "continue training from the init checkpoint's saved state"),
-    "trials": (int, 200, "number of random instances for oracle/gradient sweeps"),
+    "trials": (_int_at_least(1), 200, "number of random instances for oracle/gradient sweeps"),
     # corpus generation
     "units-per-language": (int, 5, "units in each of V^M and V^E"),
     "feature-dim": (int, 8, "feature vector dimension"),
@@ -58,7 +61,7 @@ REGISTRY = {
     "noise-sigma": (float, 0.1, "per-frame Gaussian noise level"),
     "utt-units-min": (int, 4, "minimum units per utterance"),
     "utt-units-max": (int, 8, "maximum units per utterance"),
-    "cs-spans-max": (int, 2, "maximum embedded-language spans per CS utterance"),
+    "cs-spans-max": (_int_at_least(1), 2, "maximum embedded-language spans per CS utterance"),
     "cs-matrix-fraction": (float, 0.7, "fraction of CS tokens in the matrix language"),
     "cross-lingual-offset": (float, 0.0, "distance of each E prototype from its M twin (0 = independent)"),
     "train-count": (int, 500, "training utterances per corpus"),
@@ -70,13 +73,13 @@ REGISTRY = {
         "conditional-ls",
         "model variant",
     ),
-    "hidden-dim": (int, 32, "encoder hidden width"),
-    "vanilla-hidden-dim": (int, 48, "encoder width for the single-encoder variant"),
-    "encoder-layers": (int, 2, "encoder blocks per stack"),
+    "hidden-dim": (_int_at_least(1), 32, "encoder hidden width"),
+    "vanilla-hidden-dim": (_int_at_least(1), 48, "encoder width for the single-encoder variant"),
+    "encoder-layers": (_int_at_least(1), 2, "encoder blocks per stack"),
     "encoder-mixing": (_choice("conv", "recurrent"), "conv", "temporal mixing kind"),
-    "embed-dim": (int, 16, "decoder label embedding size"),
-    "decoder-dim": (int, 32, "prediction network hidden size"),
-    "joint-dim": (int, 32, "joint network hidden size"),
+    "embed-dim": (_int_at_least(1), 16, "decoder label embedding size"),
+    "decoder-dim": (_int_at_least(1), 32, "prediction network hidden size"),
+    "joint-dim": (_int_at_least(1), 32, "joint network hidden size"),
     # training
     "lambda": (float, 0.5, "transducer weight in the language-separation loss"),
     "learning-rate": (float, 0.004, "peak learning rate"),
@@ -125,8 +128,12 @@ def parse_config_text(text, path="<config>"):
 
 
 def load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), path=str(path))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 (byte {exc.start})")
+    return parse_config_text(text, path=str(path))
 
 
 def _format_value(value):

@@ -229,8 +229,11 @@ def write_features(path, features):
 
 
 def read_features(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise CorpusFormatError(f"cannot read feature file {path}: {exc}")
     if raw[:4] != FEATURE_MAGIC:
         raise CorpusFormatError(f"{path}: bad feature-file magic")
     if len(raw) < 12:
@@ -244,43 +247,51 @@ def read_features(path):
     return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(T, D)
 
 
+def _lines(path, where=""):
+    """Numbered non-empty lines of a UTF-8 file; `where` prefixes its errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{where}{path}: not valid UTF-8 (byte {exc.start})")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise CorpusFormatError(f"{where}cannot read {path}: {exc}")
+    return [(ln, line) for ln, line in enumerate(text.split("\n"), 1) if line]
+
+
 def load_vocabulary(path):
+    """Read vocab.tsv: ids run 0 (blank), then the M units, then the E units."""
     m, e = [], []
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusFormatError(f"{path}:{ln}: expected 3 tab-separated fields")
-            uid, surface, lang = parts
-            try:
-                uid = int(uid)
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{ln}: unit id {uid!r} is not an integer")
-            if uid == 0:
-                continue
-            if lang == "M":
-                m.append(surface)
-            elif lang == "E":
-                e.append(surface)
-            else:
-                raise CorpusFormatError(f"{path}:{ln}: unknown language tag {lang!r}")
+    for position, (ln, line) in enumerate(_lines(path)):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusFormatError(f"{path}:{ln}: expected 3 tab-separated fields")
+        uid, surface, lang = parts
+        try:
+            uid = int(uid)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{ln}: unit id {uid!r} is not an integer")
+        if uid != position:
+            raise CorpusFormatError(
+                f"{path}:{ln}: unit id {uid} is not its position {position}"
+                " (ids run 0 for blank, then M units, then E units)"
+            )
+        if uid == 0:
+            continue
+        if lang not in ("M", "E"):
+            raise CorpusFormatError(f"{path}:{ln}: unknown language tag {lang!r}")
+        if lang == "M" and e:
+            raise CorpusFormatError(f"{path}:{ln}: M unit {surface!r} after the E units")
+        (m if lang == "M" else e).append(surface)
     return Vocabulary(m_surfaces=tuple(m), e_surfaces=tuple(e))
 
 
-def _read_tsv_map(path, what):
+def _read_tsv_map(path, what, where):
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            uid, tab, rest = line.partition("\t")
-            if not tab:
-                raise CorpusFormatError(f"{path}:{ln}: missing tab in {what} line")
-            out[uid] = rest
+    for ln, line in _lines(path, where):
+        uid, tab, rest = line.partition("\t")
+        if not tab:
+            raise CorpusFormatError(f"{path}:{ln}: missing tab in {what} line")
+        out[uid] = rest
     return out
 
 
@@ -298,48 +309,41 @@ def load_corpus(path):
     """Load a generated corpus directory back into memory; exact round trip."""
     root = Path(path)
     manifest = root / "manifest.tsv"
-    if not manifest.exists():
-        raise CorpusFormatError(f"{root}: no manifest.tsv")
     vocab = load_vocabulary(root / "vocab.tsv")
     corpus = Corpus(vocab=vocab)
-    with open(manifest, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise CorpusFormatError(f"{manifest}:{ln}: expected 4 tab-separated fields")
-            split, t_rel, f_rel, s_rel = parts
-            transcripts = _read_tsv_map(root / t_rel, "transcript")
-            spans = _read_tsv_map(root / s_rel, "span")
-            utts = []
-            for uid, text in transcripts.items():
-                labels = tuple(vocab.id_of(s) for s in text.split()) if text else ()
-                feat_path = root / f_rel / f"{uid}.csft"
+    for ln, line in _lines(manifest):
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise CorpusFormatError(f"{manifest}:{ln}: expected 4 tab-separated fields")
+        split, t_rel, f_rel, s_rel = parts
+        where = f"{manifest}:{ln}: "
+        transcripts = _read_tsv_map(root / t_rel, "transcript", where)
+        spans = _read_tsv_map(root / s_rel, "span", where)
+        utts = []
+        for uid, text in transcripts.items():
+            labels = tuple(vocab.id_of(s) for s in text.split()) if text else ()
+            feat_path = root / f_rel / f"{uid}.csft"
+            try:
+                feats = read_features(feat_path)
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"utterance {uid}: {exc}")
+            span_list = []
+            for token in spans.get(uid, "").split():
                 try:
-                    feats = read_features(feat_path)
-                except FileNotFoundError:
-                    raise CorpusFormatError(f"utterance {uid}: missing feature file {feat_path}")
-                except CorpusFormatError as exc:
-                    raise CorpusFormatError(f"utterance {uid}: {exc}")
-                span_list = []
-                for token in spans.get(uid, "").split():
-                    try:
-                        a, b, lang = token.split(":")
-                        span_list.append((int(a), int(b), lang))
-                    except ValueError:
-                        raise CorpusFormatError(
-                            f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
-                            " (expected start:end:lang)"
-                        )
-                if span_list and not _tiles(span_list, feats.shape[0]):
+                    a, b, lang = token.split(":")
+                    span_list.append((int(a), int(b), lang))
+                except ValueError:
                     raise CorpusFormatError(
-                        f"{root / s_rel}: utterance {uid}: spans do not tile frames"
-                        f" [0, {feats.shape[0]}) in order"
+                        f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
+                        " (expected start:end:lang)"
                     )
-                utts.append(
-                    Utterance(uid=uid, features=feats, labels=labels, spans=tuple(span_list))
+            if span_list and not _tiles(span_list, feats.shape[0]):
+                raise CorpusFormatError(
+                    f"{root / s_rel}: utterance {uid}: spans do not tile frames"
+                    f" [0, {feats.shape[0]}) in order"
                 )
-            corpus.splits[split] = utts
+            utts.append(
+                Utterance(uid=uid, features=feats, labels=labels, spans=tuple(span_list))
+            )
+        corpus.splits[split] = utts
     return corpus

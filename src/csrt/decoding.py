@@ -1,16 +1,18 @@
 """Greedy CTC decoding and greedy/beam transducer decoding.
 
 Transducer search runs on plain numpy arrays read from `model.params`
-under the names `Model.joint` and `Model.decoder_step` use; only the
-encoder goes through the (tape-free) Tensor forward. Per utterance, a
-scorer projects the encoder rows once, `E = h_enc @ joint.w_enc + joint.b`,
-and keeps a cache keyed by label prefix (the empty prefix is the start
-token): each entry holds the prediction-net state after that prefix and
-the state's `@ joint.w_dec` projection. The cache fills lazily, one
-prediction-net update per prefix, and is shared by the greedy pass and the
-beam. At frame t the scorer evaluates every frontier hypothesis at once,
-`log_softmax(tanh(E[t] + D) @ joint.w_out + joint.b_out)` over the stack D
-of cached projections; greedy is the one-hypothesis case.
+under the names `Model.predict` and `Model.joint` use, and those two
+methods are the reference it is tested against; only the encoder goes
+through the (tape-free) Tensor forward. Per utterance, a scorer projects
+the encoder rows once, `E = h_enc @ joint.w_enc + joint.b`, and keeps a
+cache keyed by label prefix (the empty prefix is the start token): each
+entry holds the prediction-net state after that prefix and the state's
+`@ joint.w_dec` projection. The cache fills lazily, one prediction-net
+update per prefix (the one-step form of `Model.predict`), and is shared by
+the greedy pass and the beam. At frame t the scorer evaluates every
+frontier hypothesis at once, `log_softmax(tanh(E[t] + D) @ joint.w_out +
+joint.b_out)` over the stack D of cached projections; greedy is the
+one-hypothesis case.
 
 The beam search is frame-synchronous: within a frame a hypothesis may emit
 repeatedly (at most MAX_EMITS_PER_FRAME_FACTOR * T labels in all) and then
@@ -53,6 +55,7 @@ class _Scorer:
         self.cache = {(): (state, state @ self.w_dec)}  # prefix -> (state, projection)
 
     def _advance(self, state, label):
+        """One prediction-net step; the last row of `Model.predict` in numpy."""
         return np.tanh(self.embed[label] @ self.w_in + state @ self.u + self.b)
 
     def _projection(self, prefix):
@@ -134,6 +137,5 @@ def rnnt_decode(model, x, beam=1):
 
 def decode_ctc_subnet(model, bound, x, lang, vocab):
     """Greedy sub-net transcript of one language head, as global unit ids."""
-    h = model.encode(bound, x, "enc_m" if lang == "M" else "enc_e")
-    local = greedy_ctc_decode(model.ctc_head(bound, h, lang))
+    local = greedy_ctc_decode(model.subnet(bound, x, lang))
     return tuple(vocab.to_global(lang, u) for u in local)

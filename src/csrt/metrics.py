@@ -166,10 +166,7 @@ def dump_frame_posteriors(model, x, out_path, vocab):
     if not model.arch.has_ctc_heads:
         raise CsrtError("posterior dump needs a variant with CTC heads")
     bound = model.bind(None)
-    heads = {}
-    for lang in ("M", "E"):
-        h = model.encode(bound, x, "enc_m" if lang == "M" else "enc_e")
-        heads[lang] = np.exp(model.ctc_head(bound, h, lang).data)
+    heads = {lang: np.exp(model.subnet(bound, x, lang).data) for lang in ("M", "E")}
     T = heads["M"].shape[0]
     lines = ["frame,m_blank,m_units,m_top,e_blank,e_units,e_top"]
     for t in range(T):

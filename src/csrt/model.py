@@ -6,10 +6,11 @@ All parameters live in one flat name -> float64 array dict. A forward
 pass binds that dict onto a tape (Model.bind) and threads the bound
 tensors through the tensor ops. Training runs that path taped; bound
 with tape=None it computes the same values without recording, which is
-how inference runs the encoders and CTC heads. Transducer search does
+how inference runs the encoders and CTC heads. The recurrent encoder and
+the prediction net share one recurrence (`_recur`). Transducer search does
 not use the Tensor path for the prediction and joint networks: it reads
-their arrays from `params` directly (see decoding.py), and decoder_step
-and joint stay the reference that search is tested against.
+their arrays from `params` directly (see decoding.py), and `predict` and
+`joint` stay the reference that search is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
 length-prefixed architecture fingerprint (canonical text, parseable back
@@ -20,6 +21,8 @@ failed save never leaves a truncated checkpoint.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tensor
 from .errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"CSRT1"
@@ -133,55 +136,66 @@ def variant_family(variant):
         raise CsrtError(f"unknown model variant {variant!r}; expected one of {VARIANTS}")
 
 
-def init_params(arch, seed):
-    """Seeded parameter dict; draw order is fixed by construction order."""
-    rng = np.random.default_rng(seed)
-
-    params = {}
-
-    def draw(name, shape, fan_in):
-        scale = 1.0 / np.sqrt(max(1, fan_in))
-        params[name] = rng.uniform(-scale, scale, size=shape)
-
+def _param_layout(arch):
+    """(name, shape, fan_in) of every parameter block in draw order; biases have fan_in None."""
+    h, d, j, v = arch.hidden_dim, arch.decoder_dim, arch.joint_dim, arch.n_units + 1
+    layout = []
     for enc in arch.encoder_names:
-        in_dim = arch.input_dim
+        k = arch.input_dim
         for layer in range(arch.encoder_layers):
             p = f"{enc}.{layer}"
-            h = arch.hidden_dim
             if arch.encoder_mixing == "conv":
-                draw(f"{p}.w_prev", (in_dim, h), 3 * in_dim)
-                draw(f"{p}.w_cur", (in_dim, h), 3 * in_dim)
-                draw(f"{p}.w_next", (in_dim, h), 3 * in_dim)
+                layout += [(f"{p}.{w}", (k, h), 3 * k) for w in ("w_prev", "w_cur", "w_next")]
             else:
-                draw(f"{p}.w_in", (in_dim, h), in_dim)
-                draw(f"{p}.u", (h, h), h)
-            params[f"{p}.b_mix"] = np.zeros(h)
-            draw(f"{p}.w_ff", (h, h), h)
-            params[f"{p}.b_ff"] = np.zeros(h)
-            in_dim = h
-
+                layout += [(f"{p}.w_in", (k, h), k), (f"{p}.u", (h, h), h)]
+            layout += [(f"{p}.b_mix", (h,), None), (f"{p}.w_ff", (h, h), h)]
+            layout.append((f"{p}.b_ff", (h,), None))
+            k = h
     if arch.has_ctc_heads:
-        draw("head_m.w", (arch.hidden_dim, arch.n_m + 1), arch.hidden_dim)
-        params["head_m.b"] = np.zeros(arch.n_m + 1)
-        draw("head_e.w", (arch.hidden_dim, arch.n_e + 1), arch.hidden_dim)
-        params["head_e.b"] = np.zeros(arch.n_e + 1)
+        for head, n in (("head_m", arch.n_m), ("head_e", arch.n_e)):
+            layout += [(f"{head}.w", (h, n + 1), h), (f"{head}.b", (n + 1,), None)]
+    return layout + [
+        ("dec.embed", (v + 1, arch.embed_dim), arch.embed_dim),
+        ("dec.w_in", (arch.embed_dim, d), arch.embed_dim),
+        ("dec.u", (d, d), d),
+        ("dec.b", (d,), None),
+        ("joint.w_enc", (h, j), h),
+        ("joint.w_dec", (d, j), d),
+        ("joint.b", (j,), None),
+        ("joint.w_out", (j, v), j),
+        ("joint.b_out", (v,), None),
+    ]
 
-    draw("dec.embed", (arch.n_units + 2, arch.embed_dim), arch.embed_dim)
-    draw("dec.w_in", (arch.embed_dim, arch.decoder_dim), arch.embed_dim)
-    draw("dec.u", (arch.decoder_dim, arch.decoder_dim), arch.decoder_dim)
-    params["dec.b"] = np.zeros(arch.decoder_dim)
 
-    draw("joint.w_enc", (arch.hidden_dim, arch.joint_dim), arch.hidden_dim)
-    draw("joint.w_dec", (arch.decoder_dim, arch.joint_dim), arch.decoder_dim)
-    params["joint.b"] = np.zeros(arch.joint_dim)
-    draw("joint.w_out", (arch.joint_dim, arch.n_units + 1), arch.joint_dim)
-    params["joint.b_out"] = np.zeros(arch.n_units + 1)
-
+def init_params(arch, seed):
+    """Seeded parameter dict; draw order is the order of _param_layout."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape, fan_in in _param_layout(arch):
+        if fan_in is None:
+            params[name] = np.zeros(shape)
+        else:
+            scale = 1.0 / np.sqrt(max(1, fan_in))
+            params[name] = rng.uniform(-scale, scale, size=shape)
     return params
 
 
 def n_params(params):
     return sum(int(a.size) for a in params.values())
+
+
+def _recur(pre, u):
+    """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state.
+
+    The shared recurrence of the recurrent encoder and the prediction net;
+    `pre` holds each step's input projection with its bias already added.
+    """
+    state = ad.tanh(ad.index_select(pre, [0]))
+    rows = [state]
+    for t in range(1, pre.shape[0]):
+        state = ad.tanh(ad.add(ad.index_select(pre, [t]), ad.matmul(state, u)))
+        rows.append(state)
+    return ad.concat(rows) if len(rows) > 1 else state
 
 
 class Model:
@@ -193,12 +207,22 @@ class Model:
 
     def __init__(self, arch, params=None, seed=0):
         self.arch = arch
-        # Copy incoming arrays: training updates parameters in place, and a
-        # caller's checkpoint must stay untouched.
         if params is None:
             self.params = init_params(arch, seed)
-        else:
-            self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+            return
+        # A checkpoint's blocks come from outside; check them before any use.
+        layout = {name: shape for name, shape, _ in _param_layout(arch)}
+        for name in sorted(layout.keys() | params.keys()):
+            if name not in params:
+                raise CsrtError(f"parameter block {name!r} is missing")
+            if name not in layout:
+                raise CsrtError(f"unexpected parameter block {name!r}")
+            if np.shape(params[name]) != layout[name]:
+                raise CsrtError(f"parameter block {name!r} has shape {np.shape(params[name])},"
+                                f" expected {layout[name]}")
+        # Copy incoming arrays: training updates parameters in place, and a
+        # caller's checkpoint must stay untouched.
+        self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
 
     def bind(self, tape):
         """Attach every parameter to a tape (or wrap tape-free for inference)."""
@@ -223,21 +247,16 @@ class Model:
             p = f"{enc}.{layer}"
             if self.arch.encoder_mixing == "conv":
                 pad = Tensor(np.zeros((1, h.shape[1])))
-                prev = ad.concat([pad, ad.index_select(h, np.arange(T - 1))])
-                nxt = ad.concat([ad.index_select(h, np.arange(1, T)), pad])
+                padded = ad.concat([pad, h, pad])
+                prev = ad.index_select(padded, np.arange(T))
+                nxt = ad.index_select(padded, np.arange(2, T + 2))
                 mix = ad.matmul(prev, bound[f"{p}.w_prev"])
                 mix = ad.add(mix, ad.matmul(h, bound[f"{p}.w_cur"]))
                 mix = ad.add(mix, ad.matmul(nxt, bound[f"{p}.w_next"]))
                 mix = ad.tanh(ad.add(mix, bound[f"{p}.b_mix"]))
             else:
-                pre = ad.matmul(h, bound[f"{p}.w_in"])
-                state = Tensor(np.zeros((1, self.arch.hidden_dim)))
-                rows = []
-                for t in range(T):
-                    z = ad.add(ad.index_select(pre, [t]), ad.matmul(state, bound[f"{p}.u"]))
-                    state = ad.tanh(ad.add(z, bound[f"{p}.b_mix"]))
-                    rows.append(state)
-                mix = ad.concat(rows)
+                pre = ad.add(ad.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
+                mix = _recur(pre, bound[f"{p}.u"])
             h = ad.tanh(ad.add(ad.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
         return h
 
@@ -248,58 +267,43 @@ class Model:
         p = "head_m" if lang == "M" else "head_e"
         return ad.log_softmax(ad.add(ad.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
 
+    def subnet(self, bound, x, lang):
+        """One language's sub-net: its encoder and CTC head over a feature array."""
+        h = self.encode(bound, x, "enc_m" if lang == "M" else "enc_e")
+        return self.ctc_head(bound, h, lang)
+
     @staticmethod
-    def fuse(h_m, h_e, h_a=None):
+    def fuse(*hs):
         """Elementwise sum of the monolingual (and optional third) encodings."""
-        if h_m.shape != h_e.shape or (h_a is not None and h_a.shape != h_m.shape):
-            raise ShapeMismatchError(
-                f"fuse: shapes {h_m.shape}, {h_e.shape}"
-                + (f", {h_a.shape}" if h_a is not None else "")
-                + " differ"
-            )
-        out = ad.add(h_m, h_e)
-        if h_a is not None:
-            out = ad.add(out, h_a)
-        return out
+        if len({h.shape for h in hs}) > 1:
+            shapes = ", ".join(str(h.shape) for h in hs)
+            raise ShapeMismatchError(f"fuse: shapes {shapes} differ")
+        return functools.reduce(ad.add, hs)
 
     def encode_fused(self, bound, x):
         """Fused encoder sequence plus the per-language encodings (or Nones)."""
-        if self.arch.family == "single":
-            return self.encode(bound, x, "enc"), None, None
-        h_m = self.encode(bound, x, "enc_m")
-        h_e = self.encode(bound, x, "enc_e")
-        if self.arch.family == "triple":
-            h_a = self.encode(bound, x, "enc_a")
-            return self.fuse(h_m, h_e, h_a), h_m, h_e
-        return self.fuse(h_m, h_e), h_m, h_e
-
-    def decoder_step(self, bound, label_id, state):
-        """One prediction-network update; state is (1, decoder_dim) or None."""
-        if not 0 <= label_id <= self.arch.start_token:
-            raise CsrtError(f"invalid label id {label_id} for decoder")
-        if state is None:
-            state = Tensor(np.zeros((1, self.arch.decoder_dim)))
-        emb = ad.index_select(bound["dec.embed"], [label_id])
-        z = ad.add(ad.matmul(emb, bound["dec.w_in"]), ad.matmul(state, bound["dec.u"]))
-        return ad.tanh(ad.add(z, bound["dec.b"]))
+        hs = [self.encode(bound, x, enc) for enc in self.arch.encoder_names]
+        if len(hs) == 1:
+            return hs[0], None, None
+        return self.fuse(*hs), hs[0], hs[1]
 
     def predict(self, bound, y):
         """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""
-        state = None
-        rows = []
-        for label in (self.arch.start_token,) + tuple(y):
-            state = self.decoder_step(bound, label, state)
-            rows.append(state)
-        return ad.concat(rows) if len(rows) > 1 else rows[0]
+        labels = (self.arch.start_token,) + tuple(y)
+        for label in labels:
+            if not 0 <= label <= self.arch.start_token:
+                raise CsrtError(f"invalid label id {label} for decoder")
+        emb = ad.index_select(bound["dec.embed"], labels)
+        return _recur(ad.add(ad.matmul(emb, bound["dec.w_in"]), bound["dec.b"]), bound["dec.u"])
 
     def joint(self, bound, h_enc, h_dec):
         """Joint lattice (T, U, V+1) of log-distributions over units plus blank."""
         T = h_enc.shape[0]
         U = h_dec.shape[0]
         J = self.arch.joint_dim
-        e = ad.reshape(ad.matmul(h_enc, bound["joint.w_enc"]), (T, 1, J))
-        d = ad.reshape(ad.matmul(h_dec, bound["joint.w_dec"]), (1, U, J))
-        a = ad.tanh(ad.add(ad.add(e, d), bound["joint.b"]))
+        e = ad.add(ad.matmul(h_enc, bound["joint.w_enc"]), bound["joint.b"])
+        d = ad.matmul(h_dec, bound["joint.w_dec"])
+        a = ad.tanh(ad.add(ad.reshape(e, (T, 1, J)), ad.reshape(d, (1, U, J))))
         logits = ad.add(ad.matmul(ad.reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
         return ad.reshape(ad.log_softmax(logits, axis=1), (T, U, self.arch.n_units + 1))
 
@@ -418,7 +422,9 @@ def load_checkpoint(path, expect_fingerprint=None):
     for _ in range(u32()):
         name = text("block name")
         shape = tuple(u32() for _ in range(u32()))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(take(count * 8), dtype="<f8").astype(np.float64).reshape(shape)
-        blocks[name] = arr
+        payload = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").astype(np.float64)
+        try:
+            blocks[name] = payload.reshape(shape)
+        except ValueError:  # more dims than numpy allows, or a size it cannot index
+            raise CsrtError(f"{path}: block {name!r} has unusable shape {shape}")
     return Checkpoint(fingerprint=fingerprint, blocks=blocks)

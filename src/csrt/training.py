@@ -192,43 +192,37 @@ def _restore_state(checkpoint, phase):
 
 
 def _pretrain_loss(model, bound, vocab, utt, lang):
-    h = model.encode(bound, utt.features, "enc_m" if lang == "M" else "enc_e")
-    logp = model.ctc_head(bound, h, lang)
-    return ctc_loss(logp, _local_labels(vocab, utt.labels, lang))
+    return ctc_loss(model.subnet(bound, utt.features, lang), _local_labels(vocab, utt.labels, lang))
 
 
 def _finetune_loss(model, bound, vocab, utt, config):
     out = model.forward(bound, utt.features, utt.labels)
     l_rnnt = rnnt_loss(out["rnnt"], utt.labels)
-    parts = {"rnnt": l_rnnt.item(), "ctc_m": None, "ctc_e": None}
     if config.variant == "conditional-ls":
         l_m = ctc_loss(out["ctc_m"], _local_labels(vocab, mask_labels(utt.labels, "M", vocab), "M"))
         l_e = ctc_loss(out["ctc_e"], _local_labels(vocab, mask_labels(utt.labels, "E", vocab), "E"))
-        parts["ctc_m"], parts["ctc_e"] = l_m.item(), l_e.item()
+        parts = {"rnnt": l_rnnt.item(), "ctc_m": l_m.item(), "ctc_e": l_e.item()}
         return ls_loss(l_rnnt, l_m, l_e, config.lam), parts
-    return l_rnnt, parts
+    return l_rnnt, {"rnnt": l_rnnt.item()}
 
 
-def _run_batch(model, items, loss_fn, state, config, log, parts_seen):
+def _run_batch(model, items, loss_fn, state, config, log):
     tape = ad.Tape()
     bound = model.bind(tape)
     total = None
-    sums = {"rnnt": 0.0, "ctc_m": 0.0, "ctc_e": 0.0, "n": 0}
+    sums = {}  # loss_fn returns the components its phase and variant have
     for item in items:
         loss, parts = loss_fn(bound, item)
         total = loss if total is None else ad.add(total, loss)
-        for key in ("rnnt", "ctc_m", "ctc_e"):
-            if parts.get(key) is not None:
-                sums[key] += parts[key]
-                parts_seen.add(key)
-        sums["n"] += 1
+        for key, value in parts.items():
+            sums[key] = sums.get(key, 0.0) + value
     batch_loss = ad.mul(total, 1.0 / len(items))
     ad.backward(batch_loss)
     grads = {name: bound[name].grad for name in model.params}
     optimizer_step(model.params, grads, state, config)
     if log is not None:
         comp = " ".join(
-            f"{k}={sums[k] / sums['n']:.6f}" if k in parts_seen else f"{k}=-"
+            f"{k}={sums[k] / len(items):.6f}" if k in sums else f"{k}=-"
             for k in ("rnnt", "ctc_m", "ctc_e")
         )
         log(
@@ -345,7 +339,6 @@ def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
     best = initial = validate()
     if log is not None and dev_items:
         log(f"epoch={state.epoch} val_loss={initial:.6f} best={best:.6f}")
-    parts_seen = set()
     for epoch in range(state.epoch, config.epochs):
         state.epoch = epoch
         batches = schedule(epoch)
@@ -354,7 +347,7 @@ def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
         for bi, batch in enumerate(batches):
             if bi < start:
                 continue
-            _run_batch(model, batch, loss_fn, state, config, log, parts_seen)
+            _run_batch(model, batch, loss_fn, state, config, log)
             state.batch = bi + 1
             if stop_after_steps is not None and state.step >= stop_after_steps:
                 return _finish_checkpoint(model, state, phase)

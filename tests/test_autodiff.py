@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -84,6 +86,22 @@ def test_backward_rejects_non_scalar_and_reuse():
     backward(loss)
     with pytest.raises(TapeError):
         backward(loss)
+
+
+def test_backward_frees_the_pass_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(np.array([0.5, -1.0]))
+        y = ad.tanh(x)
+        activation = weakref.ref(y.data)
+        loss = sum_all(ad.mul(y, y))
+        backward(loss)
+        del y, loss
+        assert activation() is None
+        assert np.allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2))
+    finally:
+        gc.enable()
 
 
 def test_backward_requires_tape():

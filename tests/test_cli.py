@@ -5,7 +5,7 @@ import pytest
 
 from csrt import config
 from csrt.cli import run
-from csrt.model import load_checkpoint
+from csrt.model import load_checkpoint, save_checkpoint
 
 
 def gen_args(out, extra=()):
@@ -45,6 +45,25 @@ class TestUsage:
         code = run(["eval", "--model", str(tmp_path / "m"), "--data", str(tmp_path), "--beam", "0"])
         assert code == 1
         assert "usage error: bad value for 'beam'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["gen-data", "--seed", "-1", "--out", "{tmp}/d"], "seed"),
+            (["pretrain", "--seed", "-1", "--data", "{tmp}", "--out", "{tmp}/p"], "seed"),
+            (["gradcheck", "--seed", "-1"], "seed"),
+            (["gen-data", "--cs-spans-max", "0", "--out", "{tmp}/d"], "cs-spans-max"),
+            (["pretrain", "--embed-dim", "-1", "--data", "{tmp}", "--out", "{tmp}/p"], "embed-dim"),
+            (["pretrain", "--hidden-dim", "0", "--data", "{tmp}", "--out", "{tmp}/p"], "hidden-dim"),
+            (["oracle-check", "--trials", "0"], "trials"),
+            (["oracle-check", "--trials", "-3"], "trials"),
+        ],
+        ids=["gen-data-seed", "pretrain-seed", "gradcheck-seed", "cs-spans-max", "embed-dim",
+             "hidden-dim", "trials-zero", "trials-negative"],
+    )
+    def test_out_of_range_integer_flag_is_usage_error(self, tmp_path, capsys, argv, key):
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert f"usage error: bad value for '{key}'" in capsys.readouterr().err
 
 
 class TestRuntimeErrors:
@@ -244,6 +263,31 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "beam.cfg:1: bad value for 'beam'" in err
+
+    def test_config_out_of_range_integer_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "dims.cfg"
+        cfg.write_text("seed = 3\nhidden-dim = 0\n")
+        code = run(["pretrain", "--config", str(cfg), "--data", str(tmp_path),
+                    "--out", str(tmp_path / "p")])
+        assert code == 2
+        assert "dims.cfg:2: bad value for 'hidden-dim'" in capsys.readouterr().err
+
+    def test_non_utf8_config_names_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"seed = 3 # caf\xe9\n")
+        assert run(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err and "UTF-8" in err
+
+    def test_checkpoint_block_not_in_architecture_exit_2(self, workdir, tmp_path, capsys):
+        root, data = workdir
+        ck = load_checkpoint(root / "ft" / "checkpoint.csrt")
+        ck.blocks["joint.w_ouu"] = ck.blocks.pop("joint.w_out")
+        save_checkpoint(tmp_path / "renamed.csrt", ck)
+        for command in ("eval", "eval-ls"):
+            code = run([command, "--model", str(tmp_path / "renamed.csrt"), "--data", str(data)])
+            assert code == 2
+            assert "'joint.w_out' is missing" in capsys.readouterr().err
 
 
 class TestSelfChecks:

@@ -233,6 +233,53 @@ class TestLoading:
             load_corpus(root)
         assert f"{v}:3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "edits, line",
+        [
+            ({1: "2\tm1\tM", 2: "1\tm2\tM"}, 2),  # ids of m1 and m2 swapped
+            ({5: "5\te1\tE", 6: "6\tm5\tM"}, 7),  # an M unit after an E unit
+        ],
+        ids=["ids-swapped", "m-after-e"],
+    )
+    def test_vocab_ids_must_run_in_line_order(self, tmp_path, edits, line):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        v = root / "vocab.tsv"
+        lines = v.read_text().splitlines()
+        for i, text in edits.items():
+            lines[i] = text
+        v.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert f"{v}:{line}:" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "rel", ["vocab.tsv", "manifest.tsv", "train-cs/transcripts.tsv", "train-cs/spans.tsv"]
+    )
+    def test_non_utf8_text_names_file(self, tmp_path, rel):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        victim = root / rel
+        raw = victim.read_bytes()
+        victim.write_bytes(raw[:3] + b"\xff" + raw[4:])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(victim) in str(err.value) and "UTF-8" in str(err.value)
+
+    def test_manifest_naming_missing_transcripts_names_line(self, tmp_path):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        m = root / "manifest.tsv"
+        lines = m.read_text().splitlines()
+        lines[1] = lines[1].replace("/transcripts.tsv", "/nope.tsv")
+        m.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert f"{m}:2" in str(err.value) and "nope.tsv" in str(err.value)
+
     def test_empty_transcript_file_gives_empty_split(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
         root = tmp_path / "c"

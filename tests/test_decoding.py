@@ -28,12 +28,17 @@ def _joint_dist(model, bound, enc_t, h_dec):
     return model.joint(bound, enc_t, h_dec).data.reshape(-1)
 
 
+def _state(model, bound, prefix):
+    """Prediction-net state after `prefix`: the last row of Model.predict."""
+    return ad.index_select(model.predict(bound, prefix), [len(prefix)])
+
+
 def reference_greedy(model, x):
     """Independent greedy policy: emit while the argmax is non-blank."""
     bound = model.bind(None)
     h_enc, _, _ = model.encode_fused(bound, x)
-    h_dec = model.decoder_step(bound, model.arch.start_token, None)
     prefix = []
+    h_dec = _state(model, bound, ())
     score = 0.0
     for t in range(h_enc.shape[0]):
         enc_t = ad.index_select(h_enc, [t])
@@ -45,14 +50,15 @@ def reference_greedy(model, x):
                 break
             prefix.append(k)
             score += lp[k]
-            h_dec = model.decoder_step(bound, k, h_dec)
+            h_dec = _state(model, bound, tuple(prefix))
     return tuple(prefix), float(score)
 
 
 def reference_beam(model, x, beam):
     """Frame-synchronous beam search, one hypothesis at a time through Model.joint.
 
-    Within a frame every frontier hypothesis ends with blank into `done` or
+    Each hypothesis carries its prediction-net state, the last row of
+    Model.predict over its prefix. Within a frame every frontier hypothesis ends with blank into `done` or
     extends by one unit; `done` keeps the best `beam` by (-score, prefix), and
     only extensions above its worst entry survive. Like rnnt_decode, the
     result falls back to the greedy chain when that scores higher.
@@ -65,7 +71,7 @@ def reference_beam(model, x, beam):
     def top(hyps, k):
         return sorted(hyps, key=lambda h: (-h[1], h[0]))[:k]
 
-    hyps = [((), 0.0, model.decoder_step(bound, model.arch.start_token, None))]
+    hyps = [((), 0.0, _state(model, bound, ()))]
     for t in range(T):
         enc_t = ad.index_select(h_enc, [t])
         done = []
@@ -85,11 +91,8 @@ def reference_beam(model, x, beam):
                 for k in range(1, model.arch.n_units + 1):
                     s = score + float(lp[k])
                     if s > floor:
-                        ext.append((prefix + (k,), s, h_dec))
-            frontier = [
-                (prefix, s, model.decoder_step(bound, prefix[-1], h_dec))
-                for prefix, s, h_dec in top(ext, beam)
-            ]
+                        ext.append((prefix + (k,), s))
+            frontier = [(prefix, s, _state(model, bound, prefix)) for prefix, s in top(ext, beam)]
         hyps = done
     best = top(hyps, 1)[0][:2]
     greedy = reference_greedy(model, x)

@@ -1,0 +1,108 @@
+"""Seeded mutation fuzzing of every parser that reads input from outside.
+
+Each mutant of a well-formed file (a truncation, a few flipped bytes or two
+swapped fields) must either load or raise CsrtError, never another
+exception. The mutations use only the standard library's seeded `random`.
+"""
+
+import random
+import re
+
+import numpy as np
+import pytest
+
+from csrt import config
+from csrt.data import CorpusSpec, gen_corpus, load_corpus
+from csrt.errors import CsrtError
+from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
+
+MUTANTS = 300  # per file
+
+
+def truncate(rng, raw, binary):
+    return raw[: rng.randrange(len(raw))]
+
+
+def flip_bytes(rng, raw, binary):
+    out = bytearray(raw)
+    for _ in range(rng.randint(1, 4)):
+        out[rng.randrange(len(out))] ^= rng.randint(1, 255)
+    return bytes(out)
+
+
+def swap_fields(rng, raw, binary):
+    """Swap two 4-byte words of a binary file, or two delimited fields of a text file."""
+    if binary:
+        i, j = sorted(rng.sample(range(0, len(raw) - 3, 4), 2))
+        return raw[:i] + raw[j : j + 4] + raw[i + 4 : j] + raw[i : i + 4] + raw[j + 4 :]
+    parts = re.split(rb"([\t\n :=])", raw)
+    i, j = rng.sample(range(0, len(parts), 2), 2)
+    parts[i], parts[j] = parts[j], parts[i]
+    return b"".join(parts)
+
+
+MUTATIONS = (truncate, flip_bytes, swap_fields)
+
+
+def fuzz(path, load, seed, binary=False):
+    """Write MUTANTS mutants of `path` in turn, calling load() on each; restore it after."""
+    original = path.read_bytes()
+    rng = random.Random(seed)
+    try:
+        for i in range(MUTANTS):
+            mutate = MUTATIONS[i % len(MUTATIONS)]
+            path.write_bytes(mutate(rng, original, binary))
+            try:
+                load()
+            except CsrtError:
+                pass
+            except Exception as exc:
+                pytest.fail(f"{path.name} mutant {i} ({mutate.__name__}, seed {seed}): "
+                            f"{type(exc).__name__}: {exc}")
+    finally:
+        path.write_bytes(original)
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-corpus")
+    gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=4), root)
+    return root
+
+
+@pytest.mark.parametrize(
+    "seed, rel",
+    enumerate(
+        [
+            "vocab.tsv",
+            "manifest.tsv",
+            "train-cs/transcripts.tsv",
+            "train-cs/spans.tsv",
+            "train-cs/feats/train-cs-00000.csft",
+        ]
+    ),
+)
+def test_corpus_mutants_load_or_raise_csrt_error(corpus_dir, seed, rel):
+    fuzz(corpus_dir / rel, lambda: load_corpus(corpus_dir), seed, binary=rel.endswith(".csft"))
+
+
+def test_checkpoint_mutants_load_or_raise_csrt_error(tmp_path):
+    arch = Architecture(family="dual", input_dim=2, hidden_dim=2, encoder_layers=1,
+                        encoder_mixing="recurrent", embed_dim=2, decoder_dim=2, joint_dim=2,
+                        n_m=2, n_e=2)
+    blocks = dict(Model(arch, seed=0).params)
+    blocks["state.step"] = np.array(3.0)
+    path = tmp_path / "ck.csrt"
+    save_checkpoint(path, Checkpoint(arch.fingerprint(), blocks))
+
+    def load():
+        ck = load_checkpoint(path)
+        Model(ck.architecture(), params=ck.model_params())
+
+    fuzz(path, load, seed=10, binary=True)
+
+
+def test_config_mutants_load_or_raise_csrt_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(config.serialize_config(config.defaults()), encoding="utf-8")
+    fuzz(path, lambda: config.load_config(path), seed=20)

@@ -118,7 +118,7 @@ class TestDecoderAndJoint:
     def test_invalid_label(self):
         model = Model(small_arch(), seed=4)
         with pytest.raises(CsrtError):
-            model.decoder_step(model.bind(None), 99, None)
+            model.predict(model.bind(None), (1, 99))
 
     def test_joint_normalizes_and_dims(self):
         model = Model(small_arch(), seed=5)
@@ -281,6 +281,23 @@ class TestCheckpointIO:
         before = ck.blocks[key].copy()
         model.params[key] -= 1.0
         assert np.array_equal(ck.blocks[key], before)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda p: p.update({"joint.w_ouu": p.pop("joint.w_out")}), "'joint.w_out' is missing"),
+            (lambda p: p.update({"joint.w_extra": np.zeros(2)}), "'joint.w_extra'"),
+            (lambda p: p.update({"joint.w_out": np.zeros((4, 4))}), "'joint.w_out' has shape"),
+        ],
+        ids=["missing", "extra", "misshaped"],
+    )
+    def test_params_checked_against_architecture(self, edit, named):
+        arch = small_arch()
+        params = dict(Model(arch, seed=12).params)
+        edit(params)
+        with pytest.raises(CsrtError) as err:
+            Model(arch, params=params)
+        assert named in str(err.value)
 
     def test_decoder_state_continues_identically_after_reload(self, tmp_path):
         arch = small_arch()
