@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .alignments import Vocabulary, mask_labels, min_ctc_length
+from .alignments import Vocabulary, min_ctc_length
 from .autodiff import grad_check, log_softmax
-from .losses import ctc_loss, ctc_loss_oracle, ls_loss, rnnt_loss, rnnt_loss_oracle
+from .data import Utterance
+from .losses import ctc_loss, ctc_loss_oracle, rnnt_loss, rnnt_loss_oracle
 from .model import Architecture, Model
+from .training import TrainingConfig, _finetune_loss
 
 
 def random_log_dist(rng, shape):
@@ -98,17 +100,10 @@ def full_model_grad_check(lam=0.5, mixing="conv", epsilon=1e-5):
     """grad_check through the whole dual-encoder forward plus the LS loss."""
     model, vocab, x, y = tiny_setup(mixing)
     names = sorted(model.params)
-    y_m = tuple(vocab.to_local("M", u) for u in mask_labels(y, "M", vocab))
-    y_e = tuple(vocab.to_local("E", u) for u in mask_labels(y, "E", vocab))
+    utt = Utterance("grad-check", x, y)
+    cfg = TrainingConfig(lam=lam)
 
     def f(leaves):
-        bound = dict(zip(names, leaves))
-        out = model.forward(bound, x, y)
-        return ls_loss(
-            rnnt_loss(out["rnnt"], y),
-            ctc_loss(out["ctc_m"], y_m),
-            ctc_loss(out["ctc_e"], y_e),
-            lam,
-        )
+        return _finetune_loss(model, dict(zip(names, leaves)), vocab, utt, cfg)[0]
 
     return grad_check(f, [model.params[n] for n in names], epsilon=epsilon)

@@ -194,6 +194,8 @@ def cmd_gen_data(values):
 
 def cmd_pretrain(values):
     out = _require(values, "out", "pretrain")
+    if values["init"] and not values["resume"]:
+        raise UsageError("pretrain --init needs --resume (pretraining starts from scratch)")
     corpus, arch = _corpus_and_arch(values, "pretrain")
     run = RunDir(out, values, values["force"])
     tcfg = TrainingConfig.from_values(values)

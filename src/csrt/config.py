@@ -7,6 +7,8 @@ fixpoint, which the tests rely on.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigError
 
 
@@ -27,6 +29,20 @@ def _int_at_least(low):
         return value
 
     return convert
+
+
+def _float(rule="", ok=lambda value: True):
+    def convert(text):
+        value = float(text)
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"must be a finite number{rule}, got {text!r}")
+        return value
+
+    return convert
+
+
+_NON_NEGATIVE = _float(" >= 0", lambda v: v >= 0)
+_SMOOTHING = _float(" in [0, 1)", lambda v: 0 <= v < 1)
 
 
 def _choice(*options):
@@ -58,12 +74,12 @@ REGISTRY = {
     "feature-dim": (int, 8, "feature vector dimension"),
     "frames-min": (int, 2, "minimum frames per unit"),
     "frames-max": (int, 4, "maximum frames per unit"),
-    "noise-sigma": (float, 0.1, "per-frame Gaussian noise level"),
+    "noise-sigma": (_NON_NEGATIVE, 0.1, "per-frame Gaussian noise level"),
     "utt-units-min": (int, 4, "minimum units per utterance"),
     "utt-units-max": (int, 8, "maximum units per utterance"),
     "cs-spans-max": (_int_at_least(1), 2, "maximum embedded-language spans per CS utterance"),
-    "cs-matrix-fraction": (float, 0.7, "fraction of CS tokens in the matrix language"),
-    "cross-lingual-offset": (float, 0.0, "distance of each E prototype from its M twin (0 = independent)"),
+    "cs-matrix-fraction": (_float(), 0.7, "fraction of CS tokens in the matrix language"),
+    "cross-lingual-offset": (_NON_NEGATIVE, 0.0, "distance of each E prototype from its M twin (0 = independent)"),
     "train-count": (int, 500, "training utterances per corpus"),
     "dev-count": (int, 50, "dev utterances per corpus"),
     "test-count": (int, 100, "test utterances per corpus"),
@@ -81,18 +97,18 @@ REGISTRY = {
     "decoder-dim": (_int_at_least(1), 32, "prediction network hidden size"),
     "joint-dim": (_int_at_least(1), 32, "joint network hidden size"),
     # training
-    "lambda": (float, 0.5, "transducer weight in the language-separation loss"),
-    "learning-rate": (float, 0.004, "peak learning rate"),
+    "lambda": (_float(), 0.5, "transducer weight in the language-separation loss"),
+    "learning-rate": (_NON_NEGATIVE, 0.004, "peak learning rate"),
     "schedule": (_choice("constant", "warmup-inverse-sqrt"), "constant", "LR schedule"),
     "warmup-steps": (int, 200, "warmup length for warmup-inverse-sqrt"),
     "epochs": (int, 12, "training epochs"),
     "batch-size": (int, 8, "utterances per optimizer step"),
-    "beta1": (float, 0.9, "first-moment smoothing (0 disables)"),
-    "beta2": (float, 0.999, "second-moment smoothing (0 disables)"),
-    "moment-eps": (float, 1e-8, "denominator floor for second-moment scaling"),
-    "grad-clip": (float, 5.0, "global-norm gradient clip (0 disables)"),
+    "beta1": (_SMOOTHING, 0.9, "first-moment smoothing (0 disables)"),
+    "beta2": (_SMOOTHING, 0.999, "second-moment smoothing (0 disables)"),
+    "moment-eps": (_float(" > 0", lambda v: v > 0), 1e-8, "denominator floor for second-moment scaling"),
+    "grad-clip": (_NON_NEGATIVE, 5.0, "global-norm gradient clip (0 disables)"),
     "fine-tune-data": (_choice("cs-only", "cs+mono"), "cs+mono", "fine-tuning data mix"),
-    "mono-mix-ratio": (float, 2.0 / 3.0, "probability a fine-tuning batch is monolingual"),
+    "mono-mix-ratio": (_float(), 2.0 / 3.0, "probability a fine-tuning batch is monolingual"),
 }
 
 

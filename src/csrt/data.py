@@ -244,7 +244,10 @@ def read_features(path):
     body = raw[12:]
     if len(body) != T * D * 4:
         raise CorpusFormatError(f"{path}: expected {T}x{D} float32 payload, got {len(body)} bytes")
-    return np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(T, D)
+    frames = np.frombuffer(body, dtype="<f4")
+    if not np.isfinite(frames).all():
+        raise CorpusFormatError(f"{path}: non-finite feature value")
+    return frames.astype(np.float64).reshape(T, D)
 
 
 def _lines(path, where=""):

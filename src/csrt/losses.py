@@ -2,9 +2,11 @@
 
 Both losses run the standard log-space forward recursion and register a
 single hand-differentiated node on the tape: the gradient with respect to
-the input log-posteriors is the negative lattice occupancy, obtained from
-a forward-backward pass. The oracles below recompute the same quantities
-by exhaustive enumeration and exist purely to check the recursions.
+the input log-posteriors is the negative lattice occupancy alpha*beta/Z.
+Each lattice has one recursion: beta is the forward recursion run on the
+reversed lattice, flipped back. The oracles below recompute the same
+quantities by exhaustive enumeration and exist purely to check the
+recursions.
 
 Label arguments are column indices of the posterior matrix (blank is
 column 0), so the same code serves a monolingual head and the bilingual
@@ -39,8 +41,12 @@ def _extended_targets(y):
     return np.asarray(ext, dtype=np.intp)
 
 
-def _ctc_alpha(lp, ext):
-    """Forward lattice over augmented states; alpha[t, s] includes frame t's emission."""
+def _ctc_arrivals(lp, ext):
+    """Log mass arriving at each (t, s) before frame t's emission, and emit.
+
+    alpha = arrive + emit. On the reversed lattice (lp[::-1], ext[::-1]),
+    which has the same skip rule, the arrivals are beta flipped in t and s.
+    """
     T = lp.shape[0]
     S = ext.shape[0]
     emit = lp[:, ext]  # (T, S)
@@ -49,40 +55,15 @@ def _ctc_alpha(lp, ext):
     skip_ok = np.zeros(S, dtype=bool)
     if S > 2:
         skip_ok[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
-    alpha = np.full((T, S), NEG_INF)
-    alpha[0, 0] = emit[0, 0]
-    if S > 1:
-        alpha[0, 1] = emit[0, 1]
+    arrive = np.full((T, S), NEG_INF)
+    arrive[0, :2] = 0.0
     for t in range(1, T):
-        prev = alpha[t - 1]
-        stay = prev
+        prev = arrive[t - 1] + emit[t - 1]
         step = np.concatenate(([NEG_INF], prev))[:S]
-        acc = np.logaddexp(stay, step)
+        acc = np.logaddexp(prev, step)
         skip = np.concatenate(([NEG_INF, NEG_INF], prev))[:S]
-        acc = np.where(skip_ok, np.logaddexp(acc, skip), acc)
-        alpha[t] = acc + emit[t]
-    return alpha, emit, skip_ok
-
-
-def _ctc_beta(lp, ext, skip_ok):
-    """Backward lattice; beta[t, s] covers frames t+1..T (excludes frame t's emission)."""
-    T = lp.shape[0]
-    S = ext.shape[0]
-    beta = np.full((T, S), NEG_INF)
-    beta[T - 1, S - 1] = 0.0
-    if S > 1:
-        beta[T - 1, S - 2] = 0.0
-    for t in range(T - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1, ext]
-        stay = nxt
-        step = np.concatenate((nxt, [NEG_INF]))[1 : S + 1]
-        acc = np.logaddexp(stay, step)
-        skip = np.concatenate((nxt, [NEG_INF, NEG_INF]))[2 : S + 2]
-        skip_from = np.zeros(S, dtype=bool)
-        if S > 2:
-            skip_from[:-2] = skip_ok[2:]
-        beta[t] = np.where(skip_from, np.logaddexp(acc, skip), acc)
-    return beta
+        arrive[t] = np.where(skip_ok, np.logaddexp(acc, skip), acc)
+    return arrive, emit
 
 
 def ctc_loss(logp, y):
@@ -91,7 +72,8 @@ def ctc_loss(logp, y):
     Differentiable when logp is tape-recorded. Raises InfeasibleTargetError
     when T is shorter than the minimal alignment for y.
     """
-    lp = _as_array(logp)
+    logp = autodiff._lift(logp)
+    lp = logp.data
     y = tuple(int(u) for u in y)
     if lp.ndim != 2:
         raise ShapeMismatchError(f"ctc_loss: posteriors must be 2-d, got {lp.shape}")
@@ -104,43 +86,38 @@ def ctc_loss(logp, y):
         )
     ext = _extended_targets(y)
     S = ext.shape[0]
-    alpha, emit, skip_ok = _ctc_alpha(lp, ext)
+    arrive, emit = _ctc_arrivals(lp, ext)
+    alpha = arrive + emit
     log_total = alpha[T - 1, S - 1]
     if S > 1:
         log_total = np.logaddexp(log_total, alpha[T - 1, S - 2])
-    loss = np.asarray(-log_total)
-
-    if not isinstance(logp, Tensor) or logp.tape is None:
-        return Tensor(loss)
 
     def grad_fn(g):
-        beta = _ctc_beta(lp, ext, skip_ok)
+        # beta[t, s] covers frames t+1..T-1: frame t's emission is in alpha.
+        beta = _ctc_arrivals(lp[::-1], ext[::-1])[0][::-1, ::-1]
         occupancy = np.exp(alpha + beta - log_total)  # (T, S)
         grad = np.zeros_like(lp)
         rows = np.arange(T)[:, None]
         np.add.at(grad, (rows, ext[None, :]), occupancy)
         return (-grad * g,)
 
-    return autodiff.record_custom(loss, (logp,), grad_fn)
+    return autodiff.record_custom(np.asarray(-log_total), (logp,), grad_fn)
 
 
-def _rnnt_lattice(lp, y):
-    lab = np.asarray(y, dtype=np.intp)
-    T, U, V1 = lp.shape
-    blank = lp[:, :, BLANK]  # (T, U)
-    emit = lp[:, np.arange(U - 1), lab] if U > 1 else np.zeros((T, 0))  # (T, L)
-    return blank, emit
+def _rnnt_alpha(down_w, emit, start=0.0):
+    """Log mass reaching each (t, u), with `start` entering at (0, 0).
 
-
-def _rnnt_alpha(blank, emit):
-    T, U = blank.shape
-    alpha = np.full((T, U), NEG_INF)
+    down_w[t] weighs the blank edges from frame t to t+1. On the lattice
+    reversed in t and u, with the final blank as `start`, it yields beta
+    flipped in t and u.
+    """
+    T, L = emit.shape
+    alpha = np.full((T, L + 1), NEG_INF)
+    down = np.full(L + 1, NEG_INF)
+    down[0] = start
     for t in range(T):
-        if t == 0:
-            down = np.full(U, NEG_INF)
-            down[0] = 0.0
-        else:
-            down = alpha[t - 1] + blank[t - 1]
+        if t:
+            down = alpha[t - 1] + down_w[t - 1]
         # Within a frame only emissions move right; fold them with a
         # prefix log-sum-exp: alpha[t,u] = c[u] + LSE_{k<=u}(down[k] - c[k]),
         # where c is the cumulative emission score.
@@ -149,27 +126,14 @@ def _rnnt_alpha(blank, emit):
     return alpha
 
 
-def _rnnt_beta(blank, emit):
-    T, U = blank.shape
-    beta = np.full((T, U), NEG_INF)
-    for t in range(T - 1, -1, -1):
-        if t == T - 1:
-            up = np.full(U, NEG_INF)
-            up[U - 1] = blank[t, U - 1]
-        else:
-            up = blank[t] + beta[t + 1]
-        rc = np.concatenate(([0.0], np.cumsum(emit[t][::-1])))
-        beta[t] = (rc + np.logaddexp.accumulate(up[::-1] - rc))[::-1]
-    return beta
-
-
 def rnnt_loss(logp, y):
     """Negative log-likelihood of y under a (T x L+1 x V+1) joint lattice.
 
     Every y is feasible for T >= 1. Differentiable when logp is
     tape-recorded.
     """
-    lp = _as_array(logp)
+    logp = autodiff._lift(logp)
+    lp = logp.data
     y = tuple(int(u) for u in y)
     if lp.ndim != 3:
         raise ShapeMismatchError(f"rnnt_loss: lattice must be 3-d, got {lp.shape}")
@@ -178,16 +142,15 @@ def rnnt_loss(logp, y):
         raise ShapeMismatchError(f"rnnt_loss: lattice U={U} does not fit L={len(y)} labels")
     if any(not 1 <= u < V1 for u in y):
         raise CsrtError(f"rnnt_loss: label outside columns 1..{V1 - 1}: {y}")
-    blank, emit = _rnnt_lattice(lp, y)
-    alpha = _rnnt_alpha(blank, emit)
+    lab = np.asarray(y, dtype=np.intp)
+    blank = lp[:, :, BLANK]  # (T, U)
+    emit = lp[:, np.arange(U - 1), lab]  # (T, L)
+    alpha = _rnnt_alpha(blank[:-1], emit)
     log_total = alpha[T - 1, U - 1] + blank[T - 1, U - 1]
-    loss = np.asarray(-log_total)
-
-    if not isinstance(logp, Tensor) or logp.tape is None:
-        return Tensor(loss)
 
     def grad_fn(g):
-        beta = _rnnt_beta(blank, emit)
+        # beta[t, u] is the log mass from (t, u) to the end, final blank included.
+        beta = _rnnt_alpha(blank[-2::-1, ::-1], emit[::-1, ::-1], blank[-1, -1])[::-1, ::-1]
         grad = np.zeros_like(lp)
         # Blank edge (t,u) -> (t+1,u); at the top-right corner it terminates.
         beta_after_blank = np.full((T, U), NEG_INF)
@@ -199,11 +162,10 @@ def rnnt_loss(logp, y):
             occ_emit = np.exp(alpha[:, :-1] + emit + beta[:, 1:] - log_total)
             rows = np.arange(T)[:, None]
             cols = np.arange(U - 1)[None, :]
-            lab = np.asarray(y, dtype=np.intp)[None, :]
-            grad[rows, cols, lab] -= occ_emit
+            grad[rows, cols, lab[None, :]] -= occ_emit
         return (grad * g,)
 
-    return autodiff.record_custom(loss, (logp,), grad_fn)
+    return autodiff.record_custom(np.asarray(-log_total), (logp,), grad_fn)
 
 
 def ctc_loss_oracle(logp, y):

@@ -65,6 +65,30 @@ class TestUsage:
         assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
         assert f"usage error: bad value for '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["gen-data", "--noise-sigma", "nan", "--out", "{tmp}/d"], "noise-sigma"),
+            (["pretrain", "--grad-clip", "nan", "--data", "{tmp}", "--out", "{tmp}/p"], "grad-clip"),
+            (["pretrain", "--beta1", "nan", "--data", "{tmp}", "--out", "{tmp}/p"], "beta1"),
+            (["pretrain", "--moment-eps", "0", "--data", "{tmp}", "--out", "{tmp}/p"], "moment-eps"),
+            (["pretrain", "--beta1", "1", "--data", "{tmp}", "--out", "{tmp}/p"], "beta1"),
+        ],
+        ids=["noise-sigma-nan", "grad-clip-nan", "beta1-nan", "moment-eps-zero", "beta1-one"],
+    )
+    def test_bad_float_flag_is_usage_error(self, tmp_path, capsys, argv, key):
+        assert run([arg.format(tmp=tmp_path) for arg in argv]) == 1
+        assert f"usage error: bad value for '{key}'" in capsys.readouterr().err
+
+    def test_pretrain_init_without_resume_is_usage_error(self, workdir, tmp_path, capsys):
+        _, data = workdir
+        code = run(["pretrain", "--init", str(tmp_path / "nonexistent"), "--data", str(data),
+                    "--out", str(tmp_path / "p"), "--epochs", "1", "--hidden-dim", "8"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--init" in err and "--resume" in err
+        assert not (tmp_path / "p").exists()
+
 
 class TestRuntimeErrors:
     def test_missing_corpus_exit_2(self, tmp_path, capsys):
@@ -271,6 +295,25 @@ class TestPipeline:
                     "--out", str(tmp_path / "p")])
         assert code == 2
         assert "dims.cfg:2: bad value for 'hidden-dim'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["gen-data", "--out", "{tmp}/d"], "noise-sigma = nan"),
+            (["pretrain", "--data", "{tmp}", "--out", "{tmp}/p"], "grad-clip = nan"),
+            (["pretrain", "--data", "{tmp}", "--out", "{tmp}/p"], "beta1 = nan"),
+            (["pretrain", "--data", "{tmp}", "--out", "{tmp}/p"], "moment-eps = 0"),
+            (["pretrain", "--data", "{tmp}", "--out", "{tmp}/p"], "beta1 = 1"),
+        ],
+        ids=["noise-sigma-nan", "grad-clip-nan", "beta1-nan", "moment-eps-zero", "beta1-one"],
+    )
+    def test_config_bad_float_names_line(self, tmp_path, capsys, argv, line):
+        cfg = tmp_path / "floats.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        code = run([arg.format(tmp=tmp_path) for arg in argv] + ["--config", str(cfg)])
+        assert code == 2
+        key = line.split(" = ")[0]
+        assert f"floats.cfg:2: bad value for '{key}'" in capsys.readouterr().err
 
     def test_non_utf8_config_names_file(self, tmp_path, capsys):
         cfg = tmp_path / "latin.cfg"

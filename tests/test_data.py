@@ -152,6 +152,16 @@ class TestFeatureFiles:
         with pytest.raises(CorpusFormatError):
             read_features(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, tmp_path, bad):
+        p = tmp_path / "nan.csft"
+        x = np.zeros((3, 4))
+        x[1, 2] = bad
+        write_features(p, x)
+        with pytest.raises(CorpusFormatError) as err:
+            read_features(p)
+        assert str(p) in str(err.value) and "non-finite" in str(err.value)
+
     def test_zero_frames_rejected(self, tmp_path):
         p = tmp_path / "empty.csft"
         write_features(p, np.zeros((0, 4)))

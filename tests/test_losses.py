@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_log_rows
 from csrt import autodiff as ad
-from csrt.alignments import min_ctc_length
+from csrt.alignments import BLANK, min_ctc_length
 from csrt.autodiff import Tape, Tensor, backward, grad_check
 from csrt.checks import oracle_sweep, random_ctc_instance, random_rnnt_instance
 from csrt.errors import CsrtError, InfeasibleTargetError, ShapeMismatchError
@@ -69,6 +69,24 @@ class TestCtcLoss:
         backward(ctc_loss(leaf, y))
         assert np.allclose(leaf.grad.sum(axis=1), -1.0, atol=1e-9)
 
+    def test_gradient_rows_sum_to_minus_one_at_training_sizes(self):
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            lp, y = random_ctc_instance(rng, max_t=100, max_l=25, max_v=10)
+            tape = Tape()
+            leaf = tape.leaf(lp)
+            backward(ctc_loss(leaf, y))
+            assert np.allclose(leaf.grad.sum(axis=1), -1.0, rtol=0.0, atol=1e-12)
+
+    def test_minus_inf_entry_has_zero_gradient(self):
+        lp = np.log([[0.5, 0.5], [1.0, 1.0], [0.5, 0.5]])
+        lp[1, 1] = -np.inf
+        tape = Tape()
+        leaf = tape.leaf(lp)
+        backward(ctc_loss(leaf, (1,)))
+        assert leaf.grad[1, 1] == 0.0 and np.isfinite(leaf.grad).all()
+        assert np.allclose(leaf.grad, [[-0.5, -0.5], [-1.0, 0.0], [-0.5, -0.5]], rtol=0.0, atol=1e-15)
+
 
 class TestRnntLoss:
     def test_t1_l1_uniform(self):
@@ -112,6 +130,30 @@ class TestRnntLoss:
             backward(rnnt_loss(leaf, y))
             expect = -(lp.shape[0] + len(y))
             assert leaf.grad.sum() == pytest.approx(expect, abs=1e-9)
+
+    def test_each_anti_diagonal_carries_unit_occupancy(self):
+        # every path leaves each diagonal t + u = k (k < T + L) on exactly one edge
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            lp, y = random_rnnt_instance(rng, max_t=100, max_l=25, max_v=10)
+            tape = Tape()
+            leaf = tape.leaf(lp)
+            backward(rnnt_loss(leaf, y))
+            T, U = lp.shape[:2]
+            per_node = leaf.grad.sum(axis=2)
+            t, u = np.indices((T, U))
+            per_diag = np.bincount((t + u).ravel(), weights=per_node.ravel())
+            assert np.allclose(per_diag, -1.0, rtol=0.0, atol=1e-12)
+
+    def test_minus_inf_blank_has_zero_gradient(self):
+        lp = np.full((3, 2, 2), math.log(0.5))
+        lp[1, 0, BLANK] = -np.inf
+        tape = Tape()
+        leaf = tape.leaf(lp)
+        loss = rnnt_loss(leaf, (1,))
+        backward(loss)
+        assert loss.item() == pytest.approx(math.log(8), abs=1e-12)
+        assert leaf.grad[1, 0, BLANK] == 0.0 and np.isfinite(leaf.grad).all()
 
 
 class TestOracles:

@@ -147,6 +147,18 @@ class TestPretrain:
         with pytest.raises(CsrtError):
             pretrain([], [], tcfg(variant="vanilla"), arch1, vocab=vocab)
 
+    def test_resume_matches_uninterrupted(self, world, pretrained):
+        # `pretrained` is the uninterrupted two-epoch run; stop inside epoch 1
+        corpus, vocab, arch = world
+        m, e = corpus.split("train-mono-m"), corpus.split("train-mono-e")
+        part = pretrain(m, e, tcfg(epochs=2), arch, vocab=vocab, stop_after_steps=9)
+        assert int(part.blocks["state.epoch"]) == 1
+        resumed = pretrain(m, e, tcfg(epochs=2), arch, vocab=vocab, resume_from=part)
+        assert sorted(resumed.blocks) == sorted(pretrained.blocks)
+        assert all(
+            pretrained.blocks[k].tobytes() == resumed.blocks[k].tobytes() for k in pretrained.blocks
+        )
+
     def test_validation_logged_and_improves(self, world):
         corpus, vocab, arch = world
         lines = []
