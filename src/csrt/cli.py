@@ -4,9 +4,10 @@ One process per command: corpus generation, the two training stages,
 decoding, evaluation, the language-separation ablation, posterior dumps,
 and the oracle/gradient self-checks. Every flag mirrors a config-file key
 (see config.REGISTRY); explicit flags override the file, which overrides
-the defaults. Commands that create an output directory refuse to reuse a
-non-empty one unless --force is given, and always write the resolved
-config there plus an append-only plain-text log.
+the defaults. Every value is range-checked, and every input loaded, before
+a command creates or writes anything. Commands that create an output
+directory refuse to reuse a non-empty one unless --force is given, and
+always write the resolved config there plus an append-only plain-text log.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -79,10 +80,10 @@ COMMAND_KEYS = {
     + ("data", "init", "resume", "lambda", "fine-tune-data", "mono-mix-ratio")
     + _MODEL_KEYS
     + _TRAIN_KEYS,
-    "decode": _COMMON + ("data", "model", "split", "beam"),
-    "eval": _COMMON + ("data", "model", "split", "beam"),
-    "eval-ls": _COMMON + ("data", "model", "split"),
-    "dump-posteriors": _COMMON + ("data", "model", "utt"),
+    "decode": ("out", "force", "data", "model", "split", "beam"),
+    "eval": ("out", "force", "data", "model", "split", "beam"),
+    "eval-ls": ("out", "force", "data", "model", "split"),
+    "dump-posteriors": ("out", "data", "model", "utt"),
     "gradcheck": ("seed",),
     "oracle-check": ("seed", "trials"),
 }
@@ -169,23 +170,8 @@ def _corpus_and_arch(values, command):
 
 def cmd_gen_data(values):
     out = _require(values, "out", "gen-data")
+    spec = CorpusSpec.from_values(values)
     run = RunDir(out, values, values["force"])
-    spec = CorpusSpec(
-        units_per_language=values["units-per-language"],
-        feature_dim=values["feature-dim"],
-        frames_min=values["frames-min"],
-        frames_max=values["frames-max"],
-        noise_sigma=values["noise-sigma"],
-        utt_units_min=values["utt-units-min"],
-        utt_units_max=values["utt-units-max"],
-        cs_spans_max=values["cs-spans-max"],
-        cs_matrix_fraction=values["cs-matrix-fraction"],
-        cross_lingual_offset=values["cross-lingual-offset"],
-        train_count=values["train-count"],
-        dev_count=values["dev-count"],
-        test_count=values["test-count"],
-        seed=values["seed"],
-    )
     corpus = gen_corpus(spec, run.path)
     for split, utts in sorted(corpus.splits.items()):
         run.log(f"split={split} utterances={len(utts)}")
@@ -197,18 +183,20 @@ def cmd_pretrain(values):
     if values["init"] and not values["resume"]:
         raise UsageError("pretrain --init needs --resume (pretraining starts from scratch)")
     corpus, arch = _corpus_and_arch(values, "pretrain")
-    run = RunDir(out, values, values["force"])
     tcfg = TrainingConfig.from_values(values)
+    names = ("train-mono-m", "train-mono-e", "dev-mono-m", "dev-mono-e")
+    train_m, train_e, dev_m, dev_e = map(corpus.split, names)
     resume_from = None
     if values["resume"]:
         resume_from = load_checkpoint(_checkpoint_path(_require(values, "init", "pretrain")))
+    run = RunDir(out, values, values["force"])
     ck = pretrain(
-        corpus.split("train-mono-m"),
-        corpus.split("train-mono-e"),
+        train_m,
+        train_e,
         tcfg,
         arch,
-        dev_m=corpus.split("dev-mono-m"),
-        dev_e=corpus.split("dev-mono-e"),
+        dev_m=dev_m,
+        dev_e=dev_e,
         vocab=corpus.vocab,
         log=run.log,
         resume_from=resume_from,
@@ -222,19 +210,16 @@ def cmd_finetune(values):
     out = _require(values, "out", "finetune")
     corpus, arch = _corpus_and_arch(values, "finetune")
     init = load_checkpoint(_checkpoint_path(_require(values, "init", "finetune")))
-    run = RunDir(out, values, values["force"])
     tcfg = TrainingConfig.from_values(values)
-    corpora = {
-        "cs": corpus.split("train-cs"),
-        "mono-m": corpus.split("train-mono-m"),
-        "mono-e": corpus.split("train-mono-e"),
-    }
+    corpora = {part: corpus.split(f"train-{part}") for part in ("cs", "mono-m", "mono-e")}
+    dev = corpus.split("dev-cs")
+    run = RunDir(out, values, values["force"])
     ck = finetune(
         corpora,
         init,
         tcfg,
         arch,
-        dev=corpus.split("dev-cs"),
+        dev=dev,
         vocab=corpus.vocab,
         log=run.log,
         resume=values["resume"],

@@ -3,10 +3,15 @@
 Every command-line flag has a key here, commands read the subset they
 need, and unknown keys are rejected. parse -> serialize -> parse is a
 fixpoint, which the tests rely on.
+
+REGISTRY is the one place that states a setting's type and range. The
+settings dataclasses name each field after its key (`_` for `-`), are
+built by `from_values` and check their fields with the same converters.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from .errors import ConfigError
@@ -31,7 +36,7 @@ def _int_at_least(low):
     return convert
 
 
-def _float(rule="", ok=lambda value: True):
+def _float(rule, ok):
     def convert(text):
         value = float(text)
         if not (math.isfinite(value) and ok(value)):
@@ -43,6 +48,7 @@ def _float(rule="", ok=lambda value: True):
 
 _NON_NEGATIVE = _float(" >= 0", lambda v: v >= 0)
 _SMOOTHING = _float(" in [0, 1)", lambda v: 0 <= v < 1)
+_UNIT = _float(" in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def _choice(*options):
@@ -70,19 +76,19 @@ REGISTRY = {
     "resume": (_bool, False, "continue training from the init checkpoint's saved state"),
     "trials": (_int_at_least(1), 200, "number of random instances for oracle/gradient sweeps"),
     # corpus generation
-    "units-per-language": (int, 5, "units in each of V^M and V^E"),
-    "feature-dim": (int, 8, "feature vector dimension"),
-    "frames-min": (int, 2, "minimum frames per unit"),
-    "frames-max": (int, 4, "maximum frames per unit"),
+    "units-per-language": (_int_at_least(2), 5, "units in each of V^M and V^E"),
+    "feature-dim": (_int_at_least(1), 8, "feature vector dimension"),
+    "frames-min": (_int_at_least(1), 2, "minimum frames per unit"),
+    "frames-max": (_int_at_least(1), 4, "maximum frames per unit"),
     "noise-sigma": (_NON_NEGATIVE, 0.1, "per-frame Gaussian noise level"),
-    "utt-units-min": (int, 4, "minimum units per utterance"),
-    "utt-units-max": (int, 8, "maximum units per utterance"),
+    "utt-units-min": (_int_at_least(1), 4, "minimum units per utterance"),
+    "utt-units-max": (_int_at_least(1), 8, "maximum units per utterance"),
     "cs-spans-max": (_int_at_least(1), 2, "maximum embedded-language spans per CS utterance"),
-    "cs-matrix-fraction": (_float(), 0.7, "fraction of CS tokens in the matrix language"),
+    "cs-matrix-fraction": (_float(" in (0, 1)", lambda v: 0 < v < 1), 0.7, "fraction of CS tokens in the matrix language"),
     "cross-lingual-offset": (_NON_NEGATIVE, 0.0, "distance of each E prototype from its M twin (0 = independent)"),
-    "train-count": (int, 500, "training utterances per corpus"),
-    "dev-count": (int, 50, "dev utterances per corpus"),
-    "test-count": (int, 100, "test utterances per corpus"),
+    "train-count": (_int_at_least(1), 500, "training utterances per corpus"),
+    "dev-count": (_int_at_least(1), 50, "dev utterances per corpus"),
+    "test-count": (_int_at_least(1), 100, "test utterances per corpus"),
     # model dimensions
     "variant": (
         _choice("conditional", "conditional-ls", "three-encoder", "vanilla"),
@@ -97,18 +103,18 @@ REGISTRY = {
     "decoder-dim": (_int_at_least(1), 32, "prediction network hidden size"),
     "joint-dim": (_int_at_least(1), 32, "joint network hidden size"),
     # training
-    "lambda": (_float(), 0.5, "transducer weight in the language-separation loss"),
+    "lambda": (_UNIT, 0.5, "transducer weight in the language-separation loss"),
     "learning-rate": (_NON_NEGATIVE, 0.004, "peak learning rate"),
     "schedule": (_choice("constant", "warmup-inverse-sqrt"), "constant", "LR schedule"),
-    "warmup-steps": (int, 200, "warmup length for warmup-inverse-sqrt"),
-    "epochs": (int, 12, "training epochs"),
-    "batch-size": (int, 8, "utterances per optimizer step"),
+    "warmup-steps": (_int_at_least(1), 200, "warmup length for warmup-inverse-sqrt"),
+    "epochs": (_int_at_least(0), 12, "training epochs"),
+    "batch-size": (_int_at_least(1), 8, "utterances per optimizer step"),
     "beta1": (_SMOOTHING, 0.9, "first-moment smoothing (0 disables)"),
     "beta2": (_SMOOTHING, 0.999, "second-moment smoothing (0 disables)"),
     "moment-eps": (_float(" > 0", lambda v: v > 0), 1e-8, "denominator floor for second-moment scaling"),
     "grad-clip": (_NON_NEGATIVE, 5.0, "global-norm gradient clip (0 disables)"),
     "fine-tune-data": (_choice("cs-only", "cs+mono"), "cs+mono", "fine-tuning data mix"),
-    "mono-mix-ratio": (_float(), 2.0 / 3.0, "probability a fine-tuning batch is monolingual"),
+    "mono-mix-ratio": (_UNIT, 2.0 / 3.0, "probability a fine-tuning batch is monolingual"),
 }
 
 
@@ -168,6 +174,27 @@ def serialize_config(values):
             raise ConfigError(f"unknown config key {key!r}")
         lines.append(f"{key} = {_format_value(values[key])}")
     return "\n".join(lines) + "\n"
+
+
+_FIELD_KEYS = {"lam": "lambda", "n_m": "units-m", "n_e": "units-e"}
+
+
+def key_of(name):
+    """A settings-dataclass field's key: its name with `-` for `_`, unless _FIELD_KEYS has it."""
+    return _FIELD_KEYS.get(name, name.replace("_", "-"))
+
+
+def from_values(cls, values, **given):
+    """Build dataclass `cls` from resolved values; `given` fields bypass the keys."""
+    taken = {f.name: values[key_of(f.name)] for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**taken, **given)
+
+
+def check_fields(obj):
+    """Run each field's registry converter on its value; fields without a key pass."""
+    for f in dataclasses.fields(obj):
+        if key_of(f.name) in REGISTRY:
+            convert(key_of(f.name), getattr(obj, f.name))
 
 
 def resolved(file_values=None, overrides=None):

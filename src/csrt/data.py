@@ -4,7 +4,9 @@ Each vocabulary unit gets a fixed prototype vector; a frame is its unit's
 prototype plus iid Gaussian noise. Utterances are unit sequences, either
 monolingual or code-switched (matrix language M with one or two contiguous
 embedded E spans). Everything is a pure function of the CorpusSpec, so a
-seed reproduces a corpus byte for byte.
+seed reproduces a corpus byte for byte. The spec's fields are the
+corpus-generation keys of config.REGISTRY, which states their ranges;
+constructing a CorpusSpec applies the same checks.
 
 On-disk layout under the corpus directory:
 
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import config
 from .alignments import Vocabulary
 from .errors import CorpusFormatError, CsrtError
 
@@ -61,19 +64,16 @@ class CorpusSpec:
     test_count: int = 100
     seed: int = 0
 
+    from_values = classmethod(config.from_values)
+
     def __post_init__(self):
-        if self.units_per_language < 2 or self.feature_dim < 1:
-            raise CsrtError("corpus spec: need >= 2 units per language and >= 1 feature dim")
-        if not (0 < self.frames_min <= self.frames_max):
-            raise CsrtError("corpus spec: empty frames-per-unit range")
-        if not (0 < self.utt_units_min <= self.utt_units_max):
-            raise CsrtError("corpus spec: empty utterance length range")
-        if self.noise_sigma < 0 or not 0 < self.cs_matrix_fraction < 1:
-            raise CsrtError("corpus spec: sigma must be >= 0 and matrix fraction in (0, 1)")
-        if self.cross_lingual_offset < 0:
-            raise CsrtError("corpus spec: cross-lingual offset must be >= 0")
-        if min(self.train_count, self.dev_count, self.test_count) <= 0:
-            raise CsrtError("corpus spec: split counts must be positive")
+        config.check_fields(self)
+        if self.frames_min > self.frames_max:
+            raise CsrtError(f"frames-min {self.frames_min} > frames-max {self.frames_max}")
+        if self.utt_units_min > self.utt_units_max:
+            raise CsrtError(
+                f"utt-units-min {self.utt_units_min} > utt-units-max {self.utt_units_max}"
+            )
 
 
 @dataclass

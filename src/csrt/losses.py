@@ -115,14 +115,22 @@ def _rnnt_alpha(down_w, emit, start=0.0):
     alpha = np.full((T, L + 1), NEG_INF)
     down = np.full(L + 1, NEG_INF)
     down[0] = start
+    # Within a frame only emissions move right; fold them with a prefix
+    # log-sum-exp: alpha[t,u] = c[u] + LSE_{k<=u}(down[k] - c[k]), where c is
+    # the cumulative emission score. A -inf emission counts as 0 in c and
+    # restarts the prefix after its edge, so down - c never takes -inf - -inf.
+    blocked = emit == NEG_INF
+    c = np.zeros((T, L + 1))
+    np.cumsum(np.where(blocked, 0.0, emit), axis=1, out=c[:, 1:])
+    starts = [[0] for _ in range(T)]
+    for t, u in zip(*np.nonzero(blocked)):
+        starts[t].append(u + 1)
     for t in range(T):
         if t:
             down = alpha[t - 1] + down_w[t - 1]
-        # Within a frame only emissions move right; fold them with a
-        # prefix log-sum-exp: alpha[t,u] = c[u] + LSE_{k<=u}(down[k] - c[k]),
-        # where c is the cumulative emission score.
-        c = np.concatenate(([0.0], np.cumsum(emit[t])))
-        alpha[t] = c + np.logaddexp.accumulate(down - c)
+        x = down - c[t]
+        for lo, hi in zip(starts[t], starts[t][1:] + [L + 1]):
+            alpha[t, lo:hi] = c[t, lo:hi] + np.logaddexp.accumulate(x[lo:hi])
     return alpha
 
 

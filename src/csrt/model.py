@@ -25,12 +25,13 @@ import functools
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
+from . import config
 from .autodiff import Tensor
 from .errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
 
@@ -65,10 +66,9 @@ class Architecture:
     n_e: int
 
     def __post_init__(self):
+        config.check_fields(self)
         if self.family not in ("single", "dual", "triple"):
             raise CsrtError(f"unknown architecture family {self.family!r}")
-        if self.encoder_mixing not in ("conv", "recurrent"):
-            raise CsrtError(f"unknown encoder mixing {self.encoder_mixing!r}")
 
     @property
     def n_units(self):
@@ -92,39 +92,18 @@ class Architecture:
 
     def fingerprint(self):
         """Canonical text of this architecture; stored in every checkpoint."""
-        items = [
-            ("family", self.family),
-            ("input-dim", self.input_dim),
-            ("hidden-dim", self.hidden_dim),
-            ("encoder-layers", self.encoder_layers),
-            ("encoder-mixing", self.encoder_mixing),
-            ("embed-dim", self.embed_dim),
-            ("decoder-dim", self.decoder_dim),
-            ("joint-dim", self.joint_dim),
-            ("units-m", self.n_m),
-            ("units-e", self.n_e),
-        ]
+        items = [(config.key_of(f.name), getattr(self, f.name)) for f in fields(self)]
         return "".join(f"{k} = {v}\n" for k, v in sorted(items))
 
     @staticmethod
     def from_fingerprint(text):
-        fields = {}
+        parsed = {}
         for line in text.splitlines():
             key, _, value = line.partition("=")
-            fields[key.strip()] = value.strip()
+            parsed[key.strip()] = value.strip()
         try:
-            return Architecture(
-                family=fields["family"],
-                input_dim=int(fields["input-dim"]),
-                hidden_dim=int(fields["hidden-dim"]),
-                encoder_layers=int(fields["encoder-layers"]),
-                encoder_mixing=fields["encoder-mixing"],
-                embed_dim=int(fields["embed-dim"]),
-                decoder_dim=int(fields["decoder-dim"]),
-                joint_dim=int(fields["joint-dim"]),
-                n_m=int(fields["units-m"]),
-                n_e=int(fields["units-e"]),
-            )
+            raw = [(f, parsed[config.key_of(f.name)]) for f in fields(Architecture)]
+            return Architecture(**{f.name: int(v) if f.type == "int" else v for f, v in raw})
         except (KeyError, ValueError) as exc:
             raise CsrtError(f"unparseable architecture fingerprint: {exc}")
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import config
 from .alignments import mask_labels
 from .errors import CsrtError, FingerprintMismatchError, OptimizerError
 from .losses import ctc_loss, ls_loss, rnnt_loss
@@ -41,49 +42,17 @@ class TrainingConfig:
     moment_eps: float = 1e-8
     grad_clip: float = 5.0
 
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise CsrtError(f"lambda {self.lam} outside [0, 1]")
-        if not 0.0 <= self.mono_mix_ratio <= 1.0:
-            raise CsrtError(f"mono-mix-ratio {self.mono_mix_ratio} outside [0, 1]")
-        if self.epochs < 0 or self.batch_size < 1 or self.learning_rate < 0:
-            raise CsrtError("epochs, batch-size, learning-rate must be non-negative/positive")
+    from_values = classmethod(config.from_values)
 
-    @staticmethod
-    def from_values(values):
-        return TrainingConfig(
-            lam=values["lambda"],
-            learning_rate=values["learning-rate"],
-            schedule=values["schedule"],
-            warmup_steps=values["warmup-steps"],
-            epochs=values["epochs"],
-            batch_size=values["batch-size"],
-            seed=values["seed"],
-            variant=values["variant"],
-            fine_tune_data=values["fine-tune-data"],
-            mono_mix_ratio=values["mono-mix-ratio"],
-            beta1=values["beta1"],
-            beta2=values["beta2"],
-            moment_eps=values["moment-eps"],
-            grad_clip=values["grad-clip"],
-        )
+    def __post_init__(self):
+        config.check_fields(self)
 
 
 def arch_for(variant, values, vocab, input_dim):
     """Architecture for a variant; vanilla gets its own (wider) encoder width."""
     hidden = values["vanilla-hidden-dim"] if variant == "vanilla" else values["hidden-dim"]
-    return Architecture(
-        family=variant_family(variant),
-        input_dim=input_dim,
-        hidden_dim=hidden,
-        encoder_layers=values["encoder-layers"],
-        encoder_mixing=values["encoder-mixing"],
-        embed_dim=values["embed-dim"],
-        decoder_dim=values["decoder-dim"],
-        joint_dim=values["joint-dim"],
-        n_m=vocab.n_m,
-        n_e=vocab.n_e,
-    )
+    return config.from_values(Architecture, values, family=variant_family(variant),
+                              input_dim=input_dim, hidden_dim=hidden, n_m=vocab.n_m, n_e=vocab.n_e)
 
 
 @dataclass
@@ -99,7 +68,7 @@ def schedule_lr(config, step):
     """Learning rate at 1-based optimizer step."""
     if config.schedule == "constant":
         return config.learning_rate
-    w = max(1, config.warmup_steps)
+    w = config.warmup_steps
     return config.learning_rate * min(step / w, np.sqrt(w / step))
 
 

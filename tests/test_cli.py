@@ -5,7 +5,9 @@ import pytest
 
 from csrt import config
 from csrt.cli import run
+from csrt.data import CorpusSpec
 from csrt.model import load_checkpoint, save_checkpoint
+from csrt.training import TrainingConfig
 
 
 def gen_args(out, extra=()):
@@ -333,6 +335,87 @@ class TestPipeline:
             assert "'joint.w_out' is missing" in capsys.readouterr().err
 
 
+class TestCheckBeforeWrite:
+    """A bad value fails before any output directory is created."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--units-per-language", "0"],
+            ["--train-count", "-3"],
+            ["--cs-matrix-fraction", "1.5"],
+        ],
+        ids=["units-per-language", "train-count", "cs-matrix-fraction"],
+    )
+    def test_gen_data_bad_flag_exit_1(self, tmp_path, capsys, extra):
+        assert run(gen_args(tmp_path / "d", extra)) == 1
+        assert f"usage error: bad value for '{extra[0][2:]}'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_gen_data_empty_frame_range_exit_2(self, tmp_path, capsys):
+        assert run(gen_args(tmp_path / "d", ["--frames-min", "5", "--frames-max", "2"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "frames-min" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--batch-size", "0"], ["--epochs", "-1"], ["--warmup-steps", "-5"]],
+        ids=["batch-size", "epochs", "warmup-steps"],
+    )
+    def test_pretrain_bad_flag_exit_1(self, workdir, tmp_path, capsys, extra):
+        _, data = workdir
+        fast = ["--epochs", "1", "--hidden-dim", "8", "--schedule", "warmup-inverse-sqrt"]
+        code = run(["pretrain", "--data", str(data), "--out", str(tmp_path / "p")] + fast + extra)
+        assert code == 1
+        assert f"usage error: bad value for '{extra[0][2:]}'" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "extra", [["--lambda", "2"], ["--mono-mix-ratio", "-1"]], ids=["lambda", "mono-mix-ratio"]
+    )
+    def test_finetune_bad_flag_exit_1(self, workdir, tmp_path, capsys, extra):
+        root, data = workdir
+        fast = ["--epochs", "1", "--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+        code = run(["finetune", "--init", str(root / "pre"), "--data", str(data),
+                    "--out", str(tmp_path / "f")] + fast + extra)
+        assert code == 1
+        assert f"usage error: bad value for '{extra[0][2:]}'" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
+    def test_config_batch_size_names_line(self, workdir, tmp_path, capsys):
+        _, data = workdir
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 1\nbatch-size = 0\n")
+        code = run(["pretrain", "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "p")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "train.cfg:2: bad value for 'batch-size'" in err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decode", "--split", "test-cs", "--beam", "1", "--out", "{tmp}/x", "--seed", "3"],
+            ["eval", "--beam", "1", "--seed", "3"],
+            ["eval-ls", "--seed", "3"],
+            ["dump-posteriors", "--utt", "dev-cs-00000", "--out", "{tmp}/x", "--seed", "3"],
+            ["dump-posteriors", "--utt", "dev-cs-00000", "--out", "{tmp}/x", "--force"],
+        ],
+        ids=["decode-seed", "eval-seed", "eval-ls-seed", "dump-posteriors-seed",
+             "dump-posteriors-force"],
+    )
+    def test_unread_flag_is_usage_error(self, workdir, tmp_path, capsys, argv):
+        root, data = workdir
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code = run(argv + ["--model", str(root / "ft"), "--data", str(data)])
+        assert code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
 class TestSelfChecks:
     def test_oracle_check_command(self, capsys):
         assert run(["oracle-check", "--trials", "40"]) == 0
@@ -355,6 +438,10 @@ class TestConfigRoundtrip:
         text = config.serialize_config(values)
         assert config.parse_config_text(text) == values
         assert config.serialize_config(config.parse_config_text(text)) == text
+
+    def test_dataclass_defaults_match_registry(self):
+        assert CorpusSpec.from_values(config.defaults()) == CorpusSpec()
+        assert TrainingConfig.from_values(config.defaults()) == TrainingConfig()
 
     def test_every_registry_key_roundtrips(self):
         text = config.serialize_config(config.defaults())

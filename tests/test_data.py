@@ -32,6 +32,15 @@ class TestSpecValidation:
         with pytest.raises(CsrtError):
             CorpusSpec(cross_lingual_offset=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [("cs_spans_max", 0, "cs-spans-max"), ("noise_sigma", float("nan"), "noise-sigma"),
+         ("seed", -1, "seed")],
+    )
+    def test_registry_ranges_apply(self, field, value, key):
+        with pytest.raises(CsrtError, match=key):
+            CorpusSpec(**{field: value})
+
 
 class TestGeneration:
     def test_all_splits_present_with_counts(self, tiny_corpus):

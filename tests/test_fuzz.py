@@ -2,7 +2,9 @@
 
 Each mutant of a well-formed file (a truncation, a few flipped bytes or two
 swapped fields) must either load or raise CsrtError, never another
-exception. The mutations use only the standard library's seeded `random`.
+exception. Each bad flag or config-file value must fail the command with
+its one-line diagnostic before it creates an output directory. The draws
+use only the standard library's seeded `random`.
 """
 
 import random
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 from csrt import config
+from csrt.cli import COMMAND_KEYS, run
 from csrt.data import CorpusSpec, gen_corpus, load_corpus
 from csrt.errors import CsrtError
 from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
@@ -106,3 +109,72 @@ def test_config_mutants_load_or_raise_csrt_error(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(config.serialize_config(config.defaults()), encoding="utf-8")
     fuzz(path, lambda: config.load_config(path), seed=20)
+
+
+FLAG_DRAWS = 200
+# Bad texts by kind of key: non-numeric, non-integer, below range (every
+# numeric range starts at 0 or above), non-finite, empty, not a choice.
+INT_TEXTS = ("x", "1O", "1.5", "-1", "-5", "nan", "inf", "")
+FLOAT_TEXTS = ("x", "-1", "-5", "nan", "inf", "-inf", "")
+CHOICE_TEXTS = ("bogus", "")
+
+
+def bad_texts(key):
+    convert, default, _ = config.REGISTRY[key]
+    if isinstance(default, bool):  # a switch takes no value
+        return ()
+    if isinstance(default, int):
+        return INT_TEXTS
+    if isinstance(default, float):
+        return FLOAT_TEXTS
+    return () if convert is str else CHOICE_TEXTS  # free text (a path or a name) takes anything
+
+
+@pytest.fixture(scope="module")
+def run_inputs(tmp_path_factory):
+    """A corpus and a pretrained checkpoint the fuzzed commands could otherwise run on."""
+    root = tmp_path_factory.mktemp("flag-fuzz")
+    small = ["--epochs", "1", "--hidden-dim", "4", "--embed-dim", "4", "--decoder-dim", "4",
+             "--joint-dim", "4"]
+    assert run(["gen-data", "--out", str(root / "data"), "--train-count", "2", "--dev-count", "1",
+                "--test-count", "1"]) == 0
+    assert run(["pretrain", "--data", str(root / "data"), "--out", str(root / "pre")] + small) == 0
+    valid = {
+        "gen-data": ["--train-count", "2", "--dev-count", "1", "--test-count", "1"],
+        "pretrain": ["--data", str(root / "data")] + small,
+        "finetune": ["--data", str(root / "data"), "--init", str(root / "pre")] + small,
+    }
+    for command in ("decode", "eval", "eval-ls"):
+        valid[command] = ["--data", str(root / "data"), "--model", str(root / "pre")]
+    return valid
+
+
+def test_bad_flag_values_fail_before_writing(run_inputs, tmp_path, capsys):
+    rng = random.Random(30)
+    draws = {c: [k for k in keys if bad_texts(k)] for c, keys in COMMAND_KEYS.items()}
+    draws = {c: keys for c, keys in draws.items() if keys}
+    for i in range(FLAG_DRAWS):
+        command = rng.choice(sorted(draws))
+        key = rng.choice(draws[command])
+        text = rng.choice(bad_texts(key))
+        out = tmp_path / f"out{i}"
+        argv = [command] + run_inputs.get(command, [])
+        if "out" in COMMAND_KEYS[command]:
+            argv += ["--out", str(out)]
+        in_file = rng.random() < 0.5
+        if in_file:
+            cfg = tmp_path / f"run{i}.cfg"
+            cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(f"--{key}={text}")
+        code = run(argv)
+        err = capsys.readouterr().err.splitlines()
+        where = f"draw {i}: {command} {key} = {text!r} ({'config file' if in_file else 'flag'})"
+        if in_file:
+            assert code == 2 and len(err) == 1, f"{where}: exit {code}, stderr {err}"
+            assert err[0].startswith(f"error: {cfg}:1: bad value for '{key}'"), f"{where}: {err}"
+        else:
+            assert code == 1 and err, f"{where}: exit {code}, stderr {err}"
+            assert err[0].startswith(f"usage error: bad value for '{key}'"), f"{where}: {err}"
+        assert not out.exists(), f"{where}: created {out}"

@@ -156,6 +156,27 @@ class TestRnntLoss:
         assert leaf.grad[1, 0, BLANK] == 0.0 and np.isfinite(leaf.grad).all()
 
 
+    def test_minus_inf_label_entry_matches_oracle(self):
+        lp = np.full((3, 2, 2), math.log(0.5))
+        lp[1, 0, 1] = -np.inf
+        assert rnnt_loss(lp, (1,)).item() == pytest.approx(math.log(8), abs=1e-12)
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 40:
+            lp, y = random_rnnt_instance(rng)
+            lp = np.where(rng.random(lp.shape) < 0.15, -np.inf, lp)
+            want = rnnt_loss_oracle(lp, y)
+            if not math.isfinite(want):
+                continue
+            tape = Tape()
+            leaf = tape.leaf(lp)
+            loss = rnnt_loss(leaf, y)
+            backward(loss)
+            assert loss.item() == pytest.approx(want, abs=1e-12)
+            assert np.isfinite(leaf.grad).all()
+            checked += 1
+
+
 class TestOracles:
     def test_empty_target_exact(self):
         lp = random_log_rows(np.random.default_rng(1), 3, 2)

@@ -265,6 +265,24 @@ class TestCheckpointIO:
         arch = small_arch(mixing="recurrent", family="triple")
         assert Architecture.from_fingerprint(arch.fingerprint()) == arch
 
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_fingerprint_roundtrip_every_family(self, family, mixing):
+        arch = small_arch(family=family, mixing=mixing)
+        assert Architecture.from_fingerprint(arch.fingerprint()) == arch
+
+    def test_fingerprint_golden_text(self):
+        # Checkpoints store this text; changing it orphans every saved model.
+        assert small_arch(n_e=3).fingerprint() == (
+            "decoder-dim = 4\nembed-dim = 3\nencoder-layers = 2\nencoder-mixing = conv\n"
+            "family = dual\nhidden-dim = 4\ninput-dim = 3\njoint-dim = 4\nunits-e = 3\n"
+            "units-m = 2\n"
+        )
+
+    def test_out_of_range_dimension_rejected(self):
+        with pytest.raises(CsrtError, match="hidden-dim"):
+            small_arch(hidden_dim=0)
+
     def test_byte_identical_across_saves(self, tmp_path):
         arch = small_arch()
         ck = Checkpoint(arch.fingerprint(), dict(Model(arch, seed=9).params))

@@ -272,6 +272,14 @@ class TestConfigValidation:
         with pytest.raises(CsrtError):
             tcfg(mono_mix_ratio=-0.1)
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [("warmup_steps", -5, "warmup-steps"), ("beta1", 1.0, "beta1")],
+    )
+    def test_registry_ranges_apply(self, field, value, key):
+        with pytest.raises(CsrtError, match=key):
+            TrainingConfig(**{field: value})
+
 
 def test_pretrained_subnet_greedy_cer_under_10pct(world):
     from csrt.decoding import greedy_ctc_decode
