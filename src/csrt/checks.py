@@ -46,10 +46,10 @@ def oracle_sweep(trials=200, seed=1234, max_t=6, max_l=3, max_v=4):
     worst = {"ctc": 0.0, "rnnt": 0.0}
     for _ in range(trials):
         lp, y = random_ctc_instance(rng, max_t, max_l, max_v)
-        diff = abs(ctc_loss(lp, y).item() - ctc_loss_oracle(lp, y))
+        diff = abs(ctc_loss([lp], [y]).item() - ctc_loss_oracle(lp, y))
         worst["ctc"] = max(worst["ctc"], diff)
         lp, y = random_rnnt_instance(rng, max_t, max_l, max_v)
-        diff = abs(rnnt_loss(lp, y).item() - rnnt_loss_oracle(lp, y))
+        diff = abs(rnnt_loss([lp], [y]).item() - rnnt_loss_oracle(lp, y))
         worst["rnnt"] = max(worst["rnnt"], diff)
     return worst
 
@@ -62,13 +62,13 @@ def loss_grad_sweep(trials=20, seed=99):
         lp, y = random_ctc_instance(rng, max_t=4, max_l=2, max_v=3)
 
         def f_ctc(leaves):
-            return ctc_loss(log_softmax(leaves[0], axis=-1), y)
+            return ctc_loss([log_softmax(leaves[0], axis=-1)], [y])
 
         worst["ctc"] = max(worst["ctc"], grad_check(f_ctc, [rng.standard_normal(lp.shape)]))
         lp, y = random_rnnt_instance(rng, max_t=3, max_l=2, max_v=3)
 
         def f_rnnt(leaves):
-            return rnnt_loss(log_softmax(leaves[0], axis=-1), y)
+            return rnnt_loss([log_softmax(leaves[0], axis=-1)], [y])
 
         worst["rnnt"] = max(worst["rnnt"], grad_check(f_rnnt, [rng.standard_normal(lp.shape)]))
     return worst
@@ -104,6 +104,6 @@ def full_model_grad_check(lam=0.5, mixing="conv", epsilon=1e-5):
     cfg = TrainingConfig(lam=lam)
 
     def f(leaves):
-        return _finetune_loss(model, dict(zip(names, leaves)), vocab, utt, cfg)[0]
+        return _finetune_loss(model, dict(zip(names, leaves)), vocab, [utt], cfg)[0]
 
     return grad_check(f, [model.params[n] for n in names], epsilon=epsilon)

@@ -30,7 +30,7 @@ from .metrics import (
     format_split_report,
 )
 from .model import Model, load_checkpoint, save_checkpoint, write_atomic
-from .training import TrainingConfig, arch_for, finetune, pretrain
+from .training import TrainingConfig, arch_for, finetune, pretrain, start_from
 
 CHECKPOINT_NAME = "checkpoint.csrt"
 
@@ -189,18 +189,10 @@ def cmd_pretrain(values):
     resume_from = None
     if values["resume"]:
         resume_from = load_checkpoint(_checkpoint_path(_require(values, "init", "pretrain")))
+        start_from(resume_from, arch, "pretrain", resume=True)
     run = RunDir(out, values, values["force"])
-    ck = pretrain(
-        train_m,
-        train_e,
-        tcfg,
-        arch,
-        dev_m=dev_m,
-        dev_e=dev_e,
-        vocab=corpus.vocab,
-        log=run.log,
-        resume_from=resume_from,
-    )
+    ck = pretrain(train_m, train_e, tcfg, arch, dev_m=dev_m, dev_e=dev_e, vocab=corpus.vocab,
+                  log=run.log, resume_from=resume_from)
     save_checkpoint(run.path / CHECKPOINT_NAME, ck)
     run.log(f"saved {run.path / CHECKPOINT_NAME}")
     return 0
@@ -213,17 +205,10 @@ def cmd_finetune(values):
     tcfg = TrainingConfig.from_values(values)
     corpora = {part: corpus.split(f"train-{part}") for part in ("cs", "mono-m", "mono-e")}
     dev = corpus.split("dev-cs")
+    start_from(init, arch, "finetune", values["resume"])
     run = RunDir(out, values, values["force"])
-    ck = finetune(
-        corpora,
-        init,
-        tcfg,
-        arch,
-        dev=dev,
-        vocab=corpus.vocab,
-        log=run.log,
-        resume=values["resume"],
-    )
+    ck = finetune(corpora, init, tcfg, arch, dev=dev, vocab=corpus.vocab, log=run.log,
+                  resume=values["resume"])
     save_checkpoint(run.path / CHECKPOINT_NAME, ck)
     run.log(f"saved {run.path / CHECKPOINT_NAME}")
     return 0

@@ -143,7 +143,16 @@ def _finish_checkpoint(model, state, phase):
     return Checkpoint(fingerprint=model.arch.fingerprint(), blocks=blocks)
 
 
-def _restore_state(checkpoint, phase):
+def start_from(checkpoint, arch, phase, resume):
+    """Model and TrainState of a `phase` run from `checkpoint`, checked against `arch`
+    (and, when resuming, for that phase's state); the CLI calls it before writing."""
+    if checkpoint.fingerprint != arch.fingerprint():
+        raise FingerprintMismatchError(
+            "checkpoint fingerprint does not match the configured variant/dimensions"
+        )
+    model = Model(arch, params=checkpoint.model_params())
+    if not resume:
+        return model, TrainState()
     blocks = checkpoint.blocks
     if "state.phase" not in blocks or _PHASES[int(blocks["state.phase"])] != phase:
         raise CsrtError(f"checkpoint has no resumable {phase} state")
@@ -157,34 +166,33 @@ def _restore_state(checkpoint, phase):
             state.m[name[6:]] = arr.copy()
         elif name.startswith("opt.v."):
             state.v[name[6:]] = arr.copy()
-    return state
+    return model, state
 
 
-def _pretrain_loss(model, bound, vocab, utt, lang):
-    return ctc_loss(model.subnet(bound, utt.features, lang), _local_labels(vocab, utt.labels, lang))
+def _pretrain_loss(model, bound, vocab, items):
+    """Summed CTC loss of (lang, utt) items: one node over both languages' heads."""
+    logps = [model.subnet(bound, utt.features, lang) for lang, utt in items]
+    return ctc_loss(logps, [_local_labels(vocab, utt.labels, lang) for lang, utt in items])
 
 
-def _finetune_loss(model, bound, vocab, utt, config):
-    out = model.forward(bound, utt.features, utt.labels)
-    l_rnnt = rnnt_loss(out["rnnt"], utt.labels)
-    if config.variant == "conditional-ls":
-        l_m = ctc_loss(out["ctc_m"], _local_labels(vocab, mask_labels(utt.labels, "M", vocab), "M"))
-        l_e = ctc_loss(out["ctc_e"], _local_labels(vocab, mask_labels(utt.labels, "E", vocab), "E"))
-        parts = {"rnnt": l_rnnt.item(), "ctc_m": l_m.item(), "ctc_e": l_e.item()}
-        return ls_loss(l_rnnt, l_m, l_e, config.lam), parts
-    return l_rnnt, {"rnnt": l_rnnt.item()}
+def _finetune_loss(model, bound, vocab, utts, config):
+    """Summed transducer or LS loss of utts, one node per loss term, and the term sums."""
+    outs = [model.forward(bound, utt.features, utt.labels) for utt in utts]
+    l_rnnt = rnnt_loss([out["rnnt"] for out in outs], [utt.labels for utt in utts])
+    if config.variant != "conditional-ls":
+        return l_rnnt, {"rnnt": l_rnnt.item()}
+    l_m, l_e = (
+        ctc_loss([out[key] for out in outs],
+                 [_local_labels(vocab, mask_labels(utt.labels, lang, vocab), lang) for utt in utts])
+        for key, lang in (("ctc_m", "M"), ("ctc_e", "E"))
+    )
+    parts = {"rnnt": l_rnnt.item(), "ctc_m": l_m.item(), "ctc_e": l_e.item()}
+    return ls_loss(l_rnnt, l_m, l_e, config.lam), parts
 
 
 def _run_batch(model, items, loss_fn, state, config, log):
-    tape = ad.Tape()
-    bound = model.bind(tape)
-    total = None
-    sums = {}  # loss_fn returns the components its phase and variant have
-    for item in items:
-        loss, parts = loss_fn(bound, item)
-        total = loss if total is None else ad.add(total, loss)
-        for key, value in parts.items():
-            sums[key] = sums.get(key, 0.0) + value
+    bound = model.bind(ad.Tape())
+    total, sums = loss_fn(bound, items)  # sums: the loss terms its phase and variant have
     batch_loss = ad.mul(total, 1.0 / len(items))
     ad.backward(batch_loss)
     grads = {name: bound[name].grad for name in model.params}
@@ -201,11 +209,12 @@ def _run_batch(model, items, loss_fn, state, config, log):
     return batch_loss.item()
 
 
-def _validate(model, loss_fn, utts):
-    if not utts:
+def _validate(model, loss_fn, items, size):
+    """Mean loss over items, run in batches of `size` without a tape."""
+    if not items:
         return float("nan")
     bound = model.bind(None)
-    return sum(loss_fn(bound, u)[0].item() for u in utts) / len(utts)
+    return sum(loss_fn(bound, chunk)[0].item() for chunk in _chunks(items, size)) / len(items)
 
 
 def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, log=None,
@@ -222,20 +231,16 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, l
     _check_monolingual(corpus_m, "M", vocab)
     _check_monolingual(corpus_e, "E", vocab)
 
-    model = Model(arch, seed=config.seed)
-    state = TrainState()
-    if resume_from is not None:
-        if resume_from.fingerprint != arch.fingerprint():
-            raise FingerprintMismatchError("resume checkpoint does not match the architecture")
-        model = Model(arch, params=resume_from.model_params())
-        state = _restore_state(resume_from, "pretrain")
+    if resume_from is None:
+        model, state = Model(arch, seed=config.seed), TrainState()
+    else:
+        model, state = start_from(resume_from, arch, "pretrain", resume=True)
 
     items = [("M", u) for u in corpus_m] + [("E", u) for u in corpus_e]
     dev_items = [("M", u) for u in dev_m] + [("E", u) for u in dev_e]
 
-    def loss_fn(bound, item):
-        lang, utt = item
-        return _pretrain_loss(model, bound, vocab, utt, lang), {}
+    def loss_fn(bound, batch):
+        return _pretrain_loss(model, bound, vocab, batch), {}
 
     def schedule(epoch):
         perm = _epoch_rng(config.seed, 11, epoch).permutation(len(items)).tolist()
@@ -257,12 +262,7 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
     """
     if vocab is None:
         raise CsrtError("finetune requires the corpus vocabulary")
-    if init.fingerprint != arch.fingerprint():
-        raise FingerprintMismatchError(
-            "init checkpoint fingerprint does not match the configured variant/dimensions"
-        )
-    model = Model(arch, params=init.model_params())
-    state = _restore_state(init, "finetune") if resume else TrainState()
+    model, state = start_from(init, arch, "finetune", resume)
 
     sources = {"cs": list(corpora.get("cs", ()))}
     if config.fine_tune_data == "cs+mono":
@@ -272,8 +272,8 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
     if not sources["cs"]:
         raise CsrtError("finetune requires code-switched training data")
 
-    def loss_fn(bound, utt):
-        return _finetune_loss(model, bound, vocab, utt, config)
+    def loss_fn(bound, batch):
+        return _finetune_loss(model, bound, vocab, batch, config)
 
     def schedule(epoch):
         rng = _epoch_rng(config.seed, 13, epoch)
@@ -303,7 +303,7 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
 def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
                 stop_after_steps):
     def validate():
-        return _validate(model, loss_fn, dev_items)
+        return _validate(model, loss_fn, dev_items, config.batch_size)
 
     best = initial = validate()
     if log is not None and dev_items:

@@ -185,7 +185,7 @@ def test_criterion_4_total_probability():
     for length in range(5):
         for y in itertools.product((1, 2), repeat=length):
             if min_ctc_length(y) <= 4:
-                total += math.exp(-ctc_loss(lp, y).item())
+                total += math.exp(-ctc_loss([lp], [y]).item())
     elapsed = time.time() - t0
     ok = abs(total - 1.0) < 1e-6
     report(4, ok, f"sum over all label sequences T=4 |V|=2: {total:.9f} (1 +- 1e-6), {elapsed:.1f}s")

@@ -140,6 +140,23 @@ def test_index_select_and_concat_gradients():
     assert np.array_equal(table.grad, [[2.0, 2.0], [0.0, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize(
+    "indices",
+    [[3], list(range(7)), [1, 2, 5, 6], [5, 0, 3], [0, 2, 0], [4, 4, 4, 1], [6, 1, 6, 2, 1]],
+    ids=["single", "arange", "increasing", "unique-unsorted", "dup", "dup-run", "dup-mixed"],
+)
+def test_index_select_gradient_bitwise_equals_add_at(indices):
+    rng = np.random.default_rng(len(indices))
+    tape = Tape()
+    table = tape.leaf(rng.standard_normal((7, 3)))
+    picked = ad.index_select(table, indices)
+    g = rng.standard_normal(picked.shape)
+    backward(sum_all(ad.mul(picked, Tensor(g))))
+    want = np.zeros((7, 3))
+    np.add.at(want, np.asarray(indices), g)
+    assert table.grad.tobytes() == want.tobytes()
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 4))

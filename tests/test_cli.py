@@ -396,6 +396,28 @@ class TestCheckBeforeWrite:
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["finetune", "--variant", "three-encoder", "--init", "{root}/pre"], "fingerprint"),
+            (["finetune", "--resume", "--init", "{root}/pre"], "no resumable finetune state"),
+            (["pretrain", "--resume", "--init", "{root}/pre", "--encoder-mixing", "recurrent"],
+             "fingerprint"),
+            (["pretrain", "--resume", "--init", "{root}/ft"], "no resumable pretrain state"),
+        ],
+        ids=["finetune-fingerprint", "finetune-no-state", "pretrain-fingerprint",
+             "pretrain-no-state"],
+    )
+    def test_unusable_start_checkpoint_exit_2(self, workdir, tmp_path, capsys, argv, message):
+        root, data = workdir
+        fast = ["--epochs", "1", "--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+        argv = [arg.format(root=root) for arg in argv]
+        code = run(argv + fast + ["--data", str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["decode", "--split", "test-cs", "--beam", "1", "--out", "{tmp}/x", "--seed", "3"],

@@ -135,7 +135,7 @@ class TestDecoderAndJoint:
         tape = Tape()
         bound = model.bind(tape)
         out = model.forward(bound, np.random.default_rng(3).standard_normal((3, 3)), (1, 3))
-        loss = rnnt_loss(out["rnnt"], (1, 3))
+        loss = rnnt_loss([out["rnnt"]], [(1, 3)])
         backward(loss)
         assert np.isfinite(loss.item())
 

@@ -1,6 +1,41 @@
+import sys
+
 import csrt
+from csrt import checks, losses, training
+from csrt.data import Utterance
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in csrt.__all__ if not hasattr(csrt, name)]
     assert missing == []
+
+
+def test_training_and_checks_call_the_loss_objects_the_benchmark_times(monkeypatch):
+    # perfbench/tracer.py times the lattice losses by rebinding every csrt
+    # name bound to losses.ctc_loss / losses.rnnt_loss; a call through any
+    # other object would leave its per-layer loss spans reading 0.
+    calls = {"ctc_loss": 0, "rnnt_loss": 0}
+    for name in calls:
+        orig = getattr(losses, name)
+
+        def counted(*args, _name=name, _orig=orig):
+            calls[_name] += 1
+            return _orig(*args)
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").partition(".")[0] == "csrt":
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counted)
+    model, vocab, x, y = checks.tiny_setup()
+    bound = model.bind(None)
+    utts = [Utterance("a", x, y), Utterance("b", x[:2], y[:1])]
+    cfg = training.TrainingConfig(variant="conditional-ls")
+    training._finetune_loss(model, bound, vocab, utts, cfg)
+    assert calls == {"ctc_loss": 2, "rnnt_loss": 1}
+    training._pretrain_loss(model, bound, vocab, [("M", utts[1]), ("E", Utterance("c", x, (3,)))])
+    assert calls == {"ctc_loss": 3, "rnnt_loss": 1}
+    checks.oracle_sweep(trials=2, seed=5)
+    assert calls == {"ctc_loss": 5, "rnnt_loss": 3}
+    checks.loss_grad_sweep(trials=1, seed=6)  # grad_check re-evaluates each loss
+    assert calls["ctc_loss"] > 5 and calls["rnnt_loss"] > 3

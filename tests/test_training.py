@@ -315,6 +315,6 @@ def test_ls_finetune_handles_empty_masked_targets(world, pretrained):
     model = Model(arch, params=pretrained.model_params())
     bound = model.bind(None)
     mono_m = corpus.split("train-mono-m")[0]
-    loss, parts = _finetune_loss(model, bound, vocab, mono_m, cfg)
+    loss, parts = _finetune_loss(model, bound, vocab, [mono_m], cfg)
     assert np.isfinite(loss.item())
     assert parts["ctc_e"] is not None  # empty-target CTC term still evaluated
