@@ -5,11 +5,16 @@ records operations in execution order (a Wengert list); backward() walks
 the list once in reverse, accumulating gradients into every recorded
 tensor. Tapes are single-use: one forward pass, one backward pass.
 
+A tensor's first gradient is borrowed as given (a grad_fn may hand out
+views of its `g`) and never written in place; a second contribution makes
+an owned buffer (grad + g), later ones add into it. Leaves own zero-filled
+buffers, so their gradients are bitwise those of zero-fill-and-add.
+
 The op set is what the model and losses record: add, mul, matmul, tanh,
-log_softmax, index_select, concat and reshape, plus record_custom for
-hand-differentiated ops (the lattice losses). An op records itself on a
-tape whenever at least one input is attached to it; with no tape it only
-computes. Mixing tensors from two different live tapes is an error.
+log_softmax, index_select and concat, plus record_custom for hand-
+differentiated ops (the lattice losses, the joint). An op records itself
+on a tape whenever at least one input is attached to it; with no tape it
+only computes. Mixing tensors from two different live tapes is an error.
 """
 
 from __future__ import annotations
@@ -27,12 +32,13 @@ from .errors import (
 class Tensor:
     """Dense float64 array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "tape")
+    __slots__ = ("data", "grad", "tape", "owns_grad")
 
     def __init__(self, data, tape=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.tape = tape
+        self.owns_grad = False
 
     @property
     def shape(self):
@@ -45,8 +51,11 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g  # borrowed: never written in place
+        elif self.owns_grad:
+            self.grad += g
+        else:
+            self.grad, self.owns_grad = self.grad + g, True
 
 
 class Tape:
@@ -61,7 +70,7 @@ class Tape:
     def leaf(self, data):
         """Attach an array as a differentiable leaf; its grad starts at zero."""
         t = Tensor(data, tape=self)
-        t.grad = np.zeros_like(t.data)
+        t.grad, t.owns_grad = np.zeros_like(t.data), True
         return t
 
     def __len__(self):
@@ -209,24 +218,11 @@ def concat(tensors, axis=0):
     return _emit(out, tuple(tensors), grad_fn)
 
 
-def reshape(x, shape):
-    x = _lift(x)
-    shape = tuple(shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.data.size:
-        raise ShapeMismatchError(f"reshape: {x.shape} incompatible with {shape}")
-    out = x.data.reshape(shape)
-
-    def grad_fn(g):
-        return (g.reshape(x.shape),)
-
-    return _emit(out, (x,), grad_fn)
-
-
 def record_custom(out_data, inputs, grad_fn):
-    """Record a hand-differentiated operation (used by the lattice losses).
+    """Record a hand-differentiated operation (the lattice losses, the joint).
 
     `grad_fn(g)` must return one gradient array per input, already in the
-    input's shape.
+    input's shape, and write into no array it did not create, `g` included.
     """
     return _emit(out_data, tuple(inputs), grad_fn)
 
@@ -294,6 +290,5 @@ def grad_check(f, params, epsilon=1e-5):
             flat[j] = orig
             numeric = (fp - fm) / (2.0 * epsilon)
             err = abs(analytic[j] - numeric) / max(1e-8, abs(analytic[j]) + abs(numeric))
-            if err > max_err:
-                max_err = err
+            max_err = max(max_err, err)
     return max_err

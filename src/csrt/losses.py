@@ -108,7 +108,8 @@ def ctc_loss(logps, ys):
 
     Differentiable when the posteriors are tape-recorded. Raises
     InfeasibleTargetError, naming the utterance, when a T_b is shorter than
-    the minimal alignment for its labels.
+    the minimal alignment for its labels, or on a tape when every path
+    crosses a -inf entry (without a tape, that loss is +inf).
     """
     logps, ys, need_grad = _batch("ctc_loss", logps, ys, 2)
     for b, (lp, y) in enumerate(zip(logps, ys)):
@@ -127,6 +128,8 @@ def ctc_loss(logps, ys):
             log_total = np.logaddexp(log_total, alpha[T - 1, S - 2])
         nlls.append(-log_total)
         if need_grad:
+            if log_total == NEG_INF:
+                raise InfeasibleTargetError(f"ctc_loss: utterance {b}: {ys[b]} has probability 0")
             # beta[t, s] covers frames t+1..T-1: frame t's emission is in alpha.
             beta = arrive[T - 1 :: -1, len(ys) + b, S - 1 :: -1]
             occupancy = np.exp(alpha + beta - log_total)  # (T, S)
@@ -173,7 +176,8 @@ def rnnt_loss(logps, ys):
     """Summed negative log-likelihood of each ys[b] under logps[b] (T_b x L_b+1 x V_b+1).
 
     Every y is feasible for T_b >= 1. Differentiable when the lattices are
-    tape-recorded.
+    tape-recorded; there, as in ctc_loss, a y whose every path crosses a -inf
+    entry raises InfeasibleTargetError (without a tape, its loss is +inf).
     """
     logps, ys, need_grad = _batch("rnnt_loss", logps, ys, 3)
     for b, (lp, y) in enumerate(zip(logps, ys)):
@@ -195,6 +199,8 @@ def rnnt_loss(logps, ys):
         nlls.append(-log_total)
         if not need_grad:
             continue
+        if log_total == NEG_INF:
+            raise InfeasibleTargetError(f"rnnt_loss: utterance {b}: {ys[b]} has probability 0")
         # beta[t, u] is the log mass from (t, u) to the end, final blank included.
         beta = reach[T - 1 :: -1, len(ys) + b, U - 1 :: -1]
         grad = np.zeros_like(lp.data)

@@ -7,9 +7,11 @@ pass binds that dict onto a tape (Model.bind) and threads the bound
 tensors through the tensor ops. Training runs that path taped; bound
 with tape=None it computes the same values without recording, which is
 how inference runs the encoders and CTC heads. The recurrent encoder and
-the prediction net share one recurrence (`_recur`). Transducer search does
-not use the Tensor path for the prediction and joint networks: it reads
-their arrays from `params` directly (see decoding.py), and `predict` and
+the prediction net share one recurrence (`_recur`). The joint and its
+log-softmax are one hand-differentiated node, bitwise equal to the op-by-op
+graph, that keeps only the tanh lattice and the log-probs. Transducer search
+does not use the Tensor path for the prediction and joint networks: it
+reads their arrays from `params` directly (see decoding.py); `predict` and
 `joint` stay the reference that search is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
@@ -277,14 +279,27 @@ class Model:
 
     def joint(self, bound, h_enc, h_dec):
         """Joint lattice (T, U, V+1) of log-distributions over units plus blank."""
-        T = h_enc.shape[0]
-        U = h_dec.shape[0]
-        J = self.arch.joint_dim
-        e = ad.add(ad.matmul(h_enc, bound["joint.w_enc"]), bound["joint.b"])
-        d = ad.matmul(h_dec, bound["joint.w_dec"])
-        a = ad.tanh(ad.add(ad.reshape(e, (T, 1, J)), ad.reshape(d, (1, U, J))))
-        logits = ad.add(ad.matmul(ad.reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
-        return ad.reshape(ad.log_softmax(logits, axis=1), (T, U, self.arch.n_units + 1))
+        ws = [bound[f"joint.{k}"] for k in ("w_enc", "b", "w_dec", "w_out", "b_out")]
+        w_enc, b, w_dec, w_out, b_out = ws
+        for h, w in ((h_enc, w_enc), (h_dec, w_dec)):
+            if h.data.ndim != 2 or h.shape[1] != w.shape[0]:
+                raise ShapeMismatchError(f"joint: shapes {h.shape} and {w.shape} do not conform")
+        (T, _), (U, _), (J, V) = h_enc.shape, h_dec.shape, w_out.shape
+        a = (h_enc.data @ w_enc.data + b.data)[:, None, :] + (h_dec.data @ w_dec.data)[None, :, :]
+        a = np.tanh(a, out=a).reshape(T * U, J)
+        logits = a @ w_out.data + b_out.data
+        logits -= logits.max(axis=1, keepdims=True)
+        y = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+        def grad_fn(g):
+            g = g.reshape(T * U, V)
+            g_logits = g - np.exp(y) * g.sum(axis=1, keepdims=True)
+            g_a = (g_logits @ w_out.data.T) * (1.0 - a * a)
+            g_e, g_d = (g_a.reshape(T, U, J).sum(axis=k) for k in (1, 0))
+            return (g_e @ w_enc.data.T, g_d @ w_dec.data.T, h_enc.data.T @ g_e, g_e.sum(axis=0),
+                    h_dec.data.T @ g_d, a.T @ g_logits, g_logits.sum(axis=0))
+
+        return ad.record_custom(y.reshape(T, U, V), (h_enc, h_dec, *ws), grad_fn)
 
     def forward(self, bound, x, y):
         """All heads for one utterance on one tape.

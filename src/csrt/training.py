@@ -11,6 +11,7 @@ batch schedule is regenerated from its seed on resume.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,20 +74,19 @@ def schedule_lr(config, step):
 
 
 def optimizer_step(params, grads, state, config):
-    """One in-place update of every parameter block.
+    """One in-place update of every parameter block; returns (grad norm, clipped).
 
     Plain gradient descent, optionally smoothed by first/second moments
     (bias-corrected). Gradients are clipped to a global norm first; any
-    non-finite gradient aborts, naming the block.
+    non-finite gradient aborts, naming the block. The returned norm is the
+    global norm before clipping, and `clipped` whether it was scaled down.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise OptimizerError(f"non-finite gradient in parameter block {name!r}")
-    scale = 1.0
-    if config.grad_clip > 0:
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if norm > config.grad_clip:
-            scale = config.grad_clip / norm
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    clipped = 0 < config.grad_clip < norm
+    scale = config.grad_clip / norm if clipped else 1.0
     state.step += 1
     lr = schedule_lr(config, state.step)
     for name, arr in params.items():
@@ -105,7 +105,7 @@ def optimizer_step(params, grads, state, config):
             vhat = v / (1.0 - config.beta2**state.step)
             update = update / (np.sqrt(vhat) + config.moment_eps)
         arr -= lr * update
-    return state
+    return norm, clipped
 
 
 def _epoch_rng(seed, tag, epoch):
@@ -156,11 +156,7 @@ def start_from(checkpoint, arch, phase, resume):
     blocks = checkpoint.blocks
     if "state.phase" not in blocks or _PHASES[int(blocks["state.phase"])] != phase:
         raise CsrtError(f"checkpoint has no resumable {phase} state")
-    state = TrainState(
-        step=int(blocks["state.step"]),
-        epoch=int(blocks["state.epoch"]),
-        batch=int(blocks["state.batch"]),
-    )
+    state = TrainState(**{k: int(blocks[f"state.{k}"]) for k in ("step", "epoch", "batch")})
     for name, arr in blocks.items():
         if name.startswith("opt.m."):
             state.m[name[6:]] = arr.copy()
@@ -191,21 +187,20 @@ def _finetune_loss(model, bound, vocab, utts, config):
 
 
 def _run_batch(model, items, loss_fn, state, config, log):
+    start = time.perf_counter()
     bound = model.bind(ad.Tape())
     total, sums = loss_fn(bound, items)  # sums: the loss terms its phase and variant have
     batch_loss = ad.mul(total, 1.0 / len(items))
     ad.backward(batch_loss)
     grads = {name: bound[name].grad for name in model.params}
-    optimizer_step(model.params, grads, state, config)
+    norm, clipped = optimizer_step(model.params, grads, state, config)
     if log is not None:
-        comp = " ".join(
-            f"{k}={sums[k] / len(items):.6f}" if k in sums else f"{k}=-"
-            for k in ("rnnt", "ctc_m", "ctc_e")
-        )
-        log(
-            f"step={state.step} epoch={state.epoch} loss={batch_loss.item():.6f} "
-            f"{comp} lr={schedule_lr(config, state.step):.6g}"
-        )
+        step_ms = (time.perf_counter() - start) * 1e3
+        comp = " ".join(f"{k}={sums[k] / len(items):.6f}" if k in sums else f"{k}=-"
+                        for k in ("rnnt", "ctc_m", "ctc_e"))
+        log(f"step={state.step} epoch={state.epoch} loss={batch_loss.item():.6f} {comp} "
+            f"lr={schedule_lr(config, state.step):.6g} grad_norm={norm:.6g} "
+            f"clipped={int(clipped)} step_ms={step_ms:.3f}")
     return batch_loss.item()
 
 
@@ -302,12 +297,13 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
 
 def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
                 stop_after_steps):
-    def validate():
-        return _validate(model, loss_fn, dev_items, config.batch_size)
+    def validate():  # mean dev loss, seconds taken
+        start = time.perf_counter()
+        return _validate(model, loss_fn, dev_items, config.batch_size), time.perf_counter() - start
 
-    best = initial = validate()
+    best, val_s = validate()
     if log is not None and dev_items:
-        log(f"epoch={state.epoch} val_loss={initial:.6f} best={best:.6f}")
+        log(f"epoch={state.epoch} val_loss={best:.6f} best={best:.6f} val_s={val_s:.3f}")
     for epoch in range(state.epoch, config.epochs):
         state.epoch = epoch
         batches = schedule(epoch)
@@ -323,8 +319,8 @@ def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
         state.batch = 0
         state.epoch = epoch + 1
         if dev_items:
-            val = validate()
+            val, val_s = validate()
             best = min(best, val)
             if log is not None:
-                log(f"epoch={epoch + 1} val_loss={val:.6f} best={best:.6f}")
+                log(f"epoch={epoch + 1} val_loss={val:.6f} best={best:.6f} val_s={val_s:.3f}")
     return _finish_checkpoint(model, state, phase)

@@ -34,6 +34,20 @@ def random_log_rows(rng, t, v1):
 
 
 def sum_all(x):
-    """Sum of every entry of a Tensor as a 0-d Tensor, built from recorded ops."""
+    """Sum of every entry of a Tensor as a 0-d Tensor, recorded as one custom node.
+
+    The value is the row-times-ones product; the gradient broadcasts `g` back
+    to x's shape as a read-only view, so a write into a borrowed gradient
+    fails loudly.
+    """
+    x = ad._lift(x)
     n = x.data.size
-    return ad.reshape(ad.matmul(ad.reshape(x, (1, n)), ad.Tensor(np.ones((n, 1)))), ())
+    total = (x.data.reshape(1, n) @ np.ones((n, 1))).reshape(())
+    return ad.record_custom(total, [x], lambda g: (np.broadcast_to(g, x.shape),))
+
+
+def zero_fill_accumulate(self, g):
+    """Tensor._accumulate as if every first gradient were a zero-filled copy."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g

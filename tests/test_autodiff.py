@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import sum_all
+from conftest import sum_all, zero_fill_accumulate
 from csrt import autodiff as ad
 from csrt.autodiff import Tape, Tensor, backward, grad_check
 from csrt.errors import (
@@ -14,6 +14,7 @@ from csrt.errors import (
     ShapeMismatchError,
     TapeError,
 )
+from csrt.model import Architecture, Model
 
 
 def test_matmul_identity():
@@ -165,6 +166,9 @@ def test_forward_determinism():
     assert a.tobytes() == b.tobytes()
 
 
+JOINT_PARAMS = ("w_enc", "b", "w_dec", "w_out", "b_out")
+
+
 def _op_instances(rng):
     """Random small instances covering every differentiable op."""
     t, d, k = 3, 4, 2
@@ -187,9 +191,22 @@ def _op_instances(rng):
     yield "index-select", lambda p: sum_all(ad.tanh(ad.index_select(p[0], [0, 2, 0]))), [
         rng.standard_normal((t, d))
     ]
-    yield "concat-reshape", lambda p: sum_all(
-        ad.tanh(ad.reshape(ad.concat([p[0], p[1]], axis=0), (2 * t * d,)))
-    ), [rng.standard_normal((t, d)), rng.standard_normal((t, d))]
+    yield "concat", lambda p: sum_all(ad.tanh(ad.concat([p[0], p[1]], axis=0))), [
+        rng.standard_normal((t, d)),
+        rng.standard_normal((t, d)),
+    ]
+    model = Model(Architecture(family="single", input_dim=1, hidden_dim=d, encoder_layers=1,
+                               encoder_mixing="conv", embed_dim=1, decoder_dim=k, joint_dim=3,
+                               n_m=2, n_e=1))
+    u, v = 2, model.arch.n_units + 1
+    lattice_weights = Tensor(rng.standard_normal((t, u, v)))
+
+    def joint(p):
+        bound = {f"joint.{name}": w for name, w in zip(JOINT_PARAMS, p[2:])}
+        return sum_all(ad.mul(model.joint(bound, p[0], p[1]), lattice_weights))
+
+    yield "joint", joint, [rng.standard_normal(shape) * 0.5 for shape in
+                           ((t, d), (u, k), (d, 3), (3,), (k, 3), (3, v), (v,))]
 
 
 def test_every_op_gradient_vs_finite_differences():
@@ -222,3 +239,90 @@ def test_grad_check_epsilon_range():
 def test_grad_check_square_tight():
     err = grad_check(lambda p: ad.mul(p[0], p[0]), [np.array(3.0)], epsilon=1e-5)
     assert err < 1e-7
+
+
+def _ownership_cases(rng):
+    """(name, loss builder over leaves, leaf arrays): graphs whose gradients share memory."""
+    w = Tensor(rng.standard_normal((3, 4)))
+    m = Tensor(rng.standard_normal((4, 2)))
+
+    # In each graph a tensor's first gradient is memory another tensor also
+    # reads later in the backward pass, and a second contribution follows.
+    def add_self(p):
+        # add(h, h) hands h two views of s's gradient, itself a view shared with k's.
+        k = ad.tanh(p[1])
+        h = ad.tanh(p[0])
+        s = ad.add(h, h)
+        return sum_all(ad.mul(ad.add(s, k), w))
+
+    def one_array_two_tensors(p):
+        # add(h, q) hands views of one array to h and q.
+        h, q = ad.tanh(p[0]), ad.tanh(p[1])
+        z = ad.mul(h, w)
+        y = ad.add(h, q)
+        return sum_all(ad.mul(ad.add(y, z), w))
+
+    def three_consumers(p):
+        # h's gradient: a view k also borrows, then an owned sum, then added into.
+        k = ad.tanh(p[1])
+        h = ad.tanh(p[0])
+        c3 = ad.matmul(h, m)
+        c2 = ad.mul(h, w)
+        c1 = ad.add(h, k)
+        return ad.add(sum_all(ad.mul(ad.add(c1, c2), w)), sum_all(c3))
+
+    def concat_views(p):
+        # h's first gradient is a split view of u's gradient, which k also borrows.
+        k = ad.tanh(ad.concat([p[1], p[0]]))
+        h = ad.tanh(p[0])
+        z = ad.mul(h, w)
+        u = ad.add(ad.concat([h, ad.tanh(p[1])]), k)
+        return ad.add(sum_all(ad.mul(u, ad.concat([w, w]))), sum_all(z))
+
+    def custom_returns(p):
+        # The custom node returns one array for both inputs; h is consumed again.
+        h, q = ad.tanh(p[0]), ad.tanh(p[1])
+        z = ad.mul(h, w)
+        out = ad.record_custom(h.data + q.data, (h, q), lambda g: (g * 1.0,) * 2)
+        return sum_all(ad.mul(ad.add(out, z), w))
+
+    leaves = [rng.standard_normal((3, 4)), rng.standard_normal((3, 4))]
+    yield "add-self", add_self, leaves
+    yield "one-array-two-tensors", one_array_two_tensors, leaves
+    yield "three-consumers", three_consumers, leaves
+    yield "concat-views", concat_views, leaves
+    yield "custom-returns", custom_returns, leaves
+
+
+def _leaf_grads(build, arrays):
+    tape = Tape()
+    leaves = [tape.leaf(a.copy()) for a in arrays]
+    backward(build(leaves))
+    return [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("case", ["add-self", "one-array-two-tensors", "three-consumers",
+                                  "concat-views", "custom-returns"])
+def test_borrowed_gradients_bitwise_equal_zero_fill_accumulation(case, monkeypatch):
+    for seed in range(5):
+        cases = {name: (build, arrays) for name, build, arrays in
+                 _ownership_cases(np.random.default_rng(seed))}
+        build, arrays = cases[case]
+        got = _leaf_grads(build, arrays)
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "_accumulate", zero_fill_accumulate)
+            want = _leaf_grads(build, arrays)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_first_gradient_is_borrowed_and_never_written():
+    tape = Tape()
+    a = tape.leaf(np.array([0.5, -1.0]))
+    h = ad.tanh(a)
+    square = sum_all(ad.mul(h, h))
+    returned = np.array([2.0, 3.0])
+    kept = returned.copy()
+    out = ad.record_custom(h.data.copy(), (h,), lambda g: (returned,))
+    backward(ad.add(sum_all(out), square))  # h borrows `returned` first, then gets 2h
+    assert returned.tobytes() == kept.tobytes()
+    assert np.allclose(a.grad, (kept + 2.0 * h.data) * (1.0 - h.data**2), rtol=1e-15, atol=0)

@@ -325,6 +325,25 @@ class TestBatches:
         with pytest.raises(InfeasibleTargetError, match="utterance 2"):
             ctc_loss(lps, [(1,), (1, 2), (1, 1)])
 
+    @pytest.mark.parametrize("kind", ["ctc", "rnnt"])
+    def test_zero_probability_target_alone_and_in_a_batch(self, kind):
+        # Feasible lengths, but every path crosses the -inf column of label 1.
+        loss_fn, oracle, shape = {
+            "ctc": (ctc_loss, ctc_loss_oracle, (3, 2)),
+            "rnnt": (rnnt_loss, rnnt_loss_oracle, (2, 2, 2)),
+        }[kind]
+        dead = np.log(np.full(shape, 0.5))
+        dead[..., 1] = -np.inf
+        rng = np.random.default_rng(41)
+        normal = [_sweep_utterance(rng, kind) for _ in range(3)]
+        for at in (None, 0, 2, 3):
+            batch = [(dead, (1,))] if at is None else normal[:at] + [(dead, (1,))] + normal[at:]
+            lps, ys = [lp for lp, _ in batch], [y for _, y in batch]
+            assert loss_fn(lps, ys).item() == math.inf == oracle(dead, (1,))
+            tape = Tape()
+            with pytest.raises(InfeasibleTargetError, match=f"utterance {at or 0}:"):
+                loss_fn([tape.leaf(lp) for lp in lps], ys)
+
     def test_label_out_of_range_in_one_utterance(self):
         with pytest.raises(CsrtError, match="utterance 1"):
             ctc_loss([uniform_log((3, 3)), uniform_log((3, 2))], [(2,), (2,)])

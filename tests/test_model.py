@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import sum_all
+from conftest import sum_all, zero_fill_accumulate
+from csrt import autodiff as ad
 from csrt.autodiff import Tape, Tensor, backward
 from csrt.checks import full_model_grad_check, tiny_setup
 from csrt.config import defaults
@@ -36,6 +37,23 @@ def small_arch(family="dual", mixing="conv", **kw):
     )
     base.update(kw)
     return Architecture(**base)
+
+
+def _reshape(x, shape):
+    """The reshape op the joint was once recorded with, as a test-side custom node."""
+    return ad.record_custom(x.data.reshape(shape), [x], lambda g: (g.reshape(x.shape),))
+
+
+def reference_joint(model, bound, h_enc, h_dec):
+    """Model.joint recorded op by op, as it was before it became one node."""
+    T = h_enc.shape[0]
+    U = h_dec.shape[0]
+    J = model.arch.joint_dim
+    e = ad.add(ad.matmul(h_enc, bound["joint.w_enc"]), bound["joint.b"])
+    d = ad.matmul(h_dec, bound["joint.w_dec"])
+    a = ad.tanh(ad.add(_reshape(e, (T, 1, J)), _reshape(d, (1, U, J))))
+    logits = ad.add(ad.matmul(_reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
+    return _reshape(ad.log_softmax(logits, axis=1), (T, U, model.arch.n_units + 1))
 
 
 class TestEncoder:
@@ -129,6 +147,37 @@ class TestDecoderAndJoint:
         assert lat.shape == (3, 2, 5)  # V^M + V^E + blank = 5
         sums = np.exp(lat.data).sum(axis=2)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
+
+    @pytest.mark.parametrize("T,U", [(1, 1), (1, 4), (5, 1), (2, 3), (7, 5)])
+    def test_joint_node_bitwise_equals_reference(self, T, U, monkeypatch):
+        model = Model(small_arch(hidden_dim=5, decoder_dim=3, joint_dim=6), seed=9)
+        rng = np.random.default_rng(10 * T + U)
+        names = [f"joint.{k}" for k in ("w_enc", "b", "w_dec", "w_out", "b_out")]
+        arrays = [rng.standard_normal((T, 5)), rng.standard_normal((U, 3))]
+        arrays += [rng.standard_normal(model.params[n].shape) for n in names]
+        upstream = rng.standard_normal((T, U, model.arch.n_units + 1))
+
+        def run(joint):
+            tape = Tape()
+            h_enc, h_dec, *params = [tape.leaf(a.copy()) for a in arrays]
+            lattice = joint(model, dict(zip(names, params)), h_enc, h_dec)
+            backward(sum_all(ad.mul(lattice, Tensor(upstream))))
+            return lattice.data, [leaf.grad for leaf in (h_enc, h_dec, *params)]
+
+        value, grads = run(Model.joint)
+        with monkeypatch.context() as patch:  # the reference under zero-fill accumulation
+            patch.setattr(Tensor, "_accumulate", zero_fill_accumulate)
+            want_value, want_grads = run(reference_joint)
+        assert value.shape == (T, U, 5) and value.tobytes() == want_value.tobytes()
+        assert [g.tobytes() for g in grads] == [w.tobytes() for w in want_grads]
+
+    def test_joint_shape_errors(self):
+        model = Model(small_arch(), seed=5)
+        bound = model.bind(None)
+        with pytest.raises(ShapeMismatchError, match=r"\(3, 5\)"):
+            model.joint(bound, Tensor(np.zeros((3, 5))), Tensor(np.zeros((2, 4))))
+        with pytest.raises(ShapeMismatchError):
+            model.joint(bound, Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)))
 
     def test_lattice_feeds_rnnt_loss(self):
         model = Model(small_arch(), seed=5)

@@ -1,7 +1,7 @@
 import sys
 
 import csrt
-from csrt import checks, losses, training
+from csrt import autodiff, checks, losses, training
 from csrt.data import Utterance
 
 
@@ -39,3 +39,21 @@ def test_training_and_checks_call_the_loss_objects_the_benchmark_times(monkeypat
     assert calls == {"ctc_loss": 5, "rnnt_loss": 3}
     checks.loss_grad_sweep(trials=1, seed=6)  # grad_check re-evaluates each loss
     assert calls["ctc_loss"] > 5 and calls["rnnt_loss"] > 3
+
+
+def test_model_joint_records_through_autodiff_record_custom(monkeypatch):
+    # perfbench/tracer.py times hand-written grad functions by rebinding
+    # autodiff.record_custom; the joint must look it up at call time.
+    recorded = []
+    orig = autodiff.record_custom
+
+    def spy(out_data, inputs, grad_fn):
+        recorded.append(len(inputs))
+        return orig(out_data, inputs, grad_fn)
+
+    monkeypatch.setattr(autodiff, "record_custom", spy)
+    model, _, x, y = checks.tiny_setup()
+    bound = model.bind(autodiff.Tape())
+    h_enc, _, _ = model.encode_fused(bound, x)
+    model.joint(bound, h_enc, model.predict(bound, y))
+    assert recorded == [7]

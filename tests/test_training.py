@@ -84,6 +84,13 @@ class TestOptimizerStep:
             optimizer_step(params, {"enc.w": np.array(np.nan)}, TrainState(), tcfg())
         assert "enc.w" in str(err.value)
 
+    def test_returns_norm_before_clipping(self):
+        grads = {"a": np.full(4, 100.0), "b": np.array(0.0)}
+        for clip, clipped in ((1.0, True), (200.0, False), (0.0, False)):
+            params = {"a": np.zeros(4), "b": np.array(1.0)}
+            norm, did_clip = optimizer_step(params, grads, TrainState(), tcfg(grad_clip=clip))
+            assert norm == pytest.approx(200.0) and did_clip is clipped
+
     def test_clipping_bounds_update(self):
         params = {"w": np.zeros(4)}
         cfg = tcfg(learning_rate=1.0, beta1=0.0, beta2=0.0, grad_clip=1.0)
@@ -261,6 +268,22 @@ class TestFinetune:
         step_lines = [l for l in lines if l.startswith("step=")]
         assert step_lines
         assert all("rnnt=" in l and "ctc_m=" in l and "ctc_e=" in l and "lr=" in l for l in step_lines)
+
+
+    def test_log_fields_present_and_parse(self, world, pretrained):
+        corpus, vocab, arch = world
+        lines = []
+        finetune(corpora_of(corpus), pretrained, tcfg(epochs=1), arch, dev=corpus.split("dev-cs"),
+                 vocab=vocab, log=lines.append, stop_after_steps=3)
+        fields = [dict(f.split("=", 1) for f in line.split()) for line in lines]
+        steps = [f for f in fields if "step" in f]
+        assert len(steps) == 3 and all(next(iter(f)) == "step" for f in steps)
+        for f in steps:
+            assert float(f["loss"]) > 0 and float(f["grad_norm"]) > 0
+            assert f["clipped"] in ("0", "1") and float(f["step_ms"]) >= 0
+        epochs = [f for f in fields if "val_loss" in f]
+        assert len(epochs) == 1 and float(epochs[0]["val_loss"]) > 0
+        assert float(epochs[0]["val_s"]) >= 0
 
 
 class TestConfigValidation:
