@@ -11,8 +11,9 @@ an owned buffer (grad + g), later ones add into it. Leaves own zero-filled
 buffers, so their gradients are bitwise those of zero-fill-and-add.
 
 The op set is what the model and losses record: add, mul, matmul, tanh,
-log_softmax, index_select and concat, plus record_custom for hand-
-differentiated ops (the lattice losses, the joint). An op records itself
+log_softmax, rows (a read-only view of a row range), index_select (a row
+gather whose gradient accumulates repeats), concat, and record_custom for
+hand-differentiated ops (the lattice losses, the joint). An op records itself
 on a tape whenever at least one input is attached to it; with no tape it
 only computes. Mixing tensors from two different live tapes is an error.
 """
@@ -81,20 +82,17 @@ def _lift(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _result_tape(inputs):
+def _emit(out_data, inputs, grad_fn):
+    """Wrap an op's freshly made result as is and record it on its inputs' tape, if any."""
     tape = None
     for t in inputs:
-        if t.tape is not None:
-            if tape is None:
-                tape = t.tape
-            elif tape is not t.tape:
+        if t.tape is not None and t.tape is not tape:
+            if tape is not None:
                 raise TapeError("operation mixes tensors from two different tapes")
-    return tape
-
-
-def _emit(out_data, inputs, grad_fn):
-    tape = _result_tape(inputs)
-    out = Tensor(out_data, tape=tape)
+            tape = t.tape
+    out = object.__new__(Tensor)  # 0-d operands give a numpy scalar, the only non-array
+    out.data = out_data if type(out_data) is np.ndarray else np.asarray(out_data, dtype=np.float64)
+    out.grad, out.tape, out.owns_grad = None, tape, False
     if tape is not None:
         if tape.consumed:
             raise TapeError("tape already consumed by backward()")
@@ -104,6 +102,8 @@ def _emit(out_data, inputs, grad_fn):
 
 def _unbroadcast(g, shape):
     """Sum a broadcast gradient back down to the original operand shape."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -176,6 +176,22 @@ def log_softmax(x, axis):
     return _emit(y, (x,), grad_fn)
 
 
+def rows(x, start, stop):
+    """Rows start..stop-1 (axis 0) as a read-only view; the gradient fills them into zeros."""
+    x = _lift(x)
+    if not 0 <= start <= stop <= x.shape[0]:
+        raise ShapeMismatchError(f"rows: [{start}, {stop}) out of range for {x.shape[0]} rows")
+    out = x.data[start:stop]
+    out.flags.writeable = False
+
+    def grad_fn(g):
+        gx = np.zeros_like(x.data)
+        gx[start:stop] = g
+        return (gx,)
+
+    return _emit(out, (x,), grad_fn)
+
+
 def index_select(x, indices):
     """Gather rows (axis 0). Duplicate indices accumulate in the gradient."""
     x = _lift(x)
@@ -186,11 +202,7 @@ def index_select(x, indices):
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        flat = idx.ravel()
-        if (flat[1:] > flat[:-1]).all():  # increasing, hence unique: assign
-            gx[idx] = g
-        else:
-            np.add.at(gx, idx, g)
+        np.add.at(gx, idx, g)
         return (gx,)
 
     return _emit(out, (x,), grad_fn)
@@ -224,7 +236,7 @@ def record_custom(out_data, inputs, grad_fn):
     `grad_fn(g)` must return one gradient array per input, already in the
     input's shape, and write into no array it did not create, `g` included.
     """
-    return _emit(out_data, tuple(inputs), grad_fn)
+    return _emit(np.asarray(out_data, dtype=np.float64), tuple(inputs), grad_fn)
 
 
 def backward(loss):

@@ -48,6 +48,8 @@ def _batch(name, logps, ys, ndim):
         if lp.data.ndim != ndim:
             raise ShapeMismatchError(f"{name}: utterance {b}: posteriors must be {ndim}-d, "
                                      f"got {lp.shape}")
+        if lp.shape[0] == 0:
+            raise ShapeMismatchError(f"{name}: utterance {b}: posteriors have zero frames")
         if any(not 1 <= u < lp.shape[-1] for u in y):
             raise CsrtError(f"{name}: utterance {b}: label outside columns "
                             f"1..{lp.shape[-1] - 1}: {y}")

@@ -171,10 +171,10 @@ def _recur(pre, u):
     The shared recurrence of the recurrent encoder and the prediction net;
     `pre` holds each step's input projection with its bias already added.
     """
-    state = ad.tanh(ad.index_select(pre, [0]))
+    state = ad.tanh(ad.rows(pre, 0, 1))
     rows = [state]
     for t in range(1, pre.shape[0]):
-        state = ad.tanh(ad.add(ad.index_select(pre, [t]), ad.matmul(state, u)))
+        state = ad.tanh(ad.add(ad.rows(pre, t, t + 1), ad.matmul(state, u)))
         rows.append(state)
     return ad.concat(rows) if len(rows) > 1 else state
 
@@ -229,8 +229,7 @@ class Model:
             if self.arch.encoder_mixing == "conv":
                 pad = Tensor(np.zeros((1, h.shape[1])))
                 padded = ad.concat([pad, h, pad])
-                prev = ad.index_select(padded, np.arange(T))
-                nxt = ad.index_select(padded, np.arange(2, T + 2))
+                prev, nxt = ad.rows(padded, 0, T), ad.rows(padded, 2, T + 2)
                 mix = ad.matmul(prev, bound[f"{p}.w_prev"])
                 mix = ad.add(mix, ad.matmul(h, bound[f"{p}.w_cur"]))
                 mix = ad.add(mix, ad.matmul(nxt, bound[f"{p}.w_next"]))
@@ -294,10 +293,12 @@ class Model:
         def grad_fn(g):
             g = g.reshape(T * U, V)
             g_logits = g - np.exp(y) * g.sum(axis=1, keepdims=True)
-            g_a = (g_logits @ w_out.data.T) * (1.0 - a * a)
+            g_w_out = a.T @ g_logits  # first: the tape is single-use, so a becomes 1 - a*a
+            g_a = g_logits @ w_out.data.T
+            g_a *= np.subtract(1.0, np.multiply(a, a, out=a), out=a)
             g_e, g_d = (g_a.reshape(T, U, J).sum(axis=k) for k in (1, 0))
             return (g_e @ w_enc.data.T, g_d @ w_dec.data.T, h_enc.data.T @ g_e, g_e.sum(axis=0),
-                    h_dec.data.T @ g_d, a.T @ g_logits, g_logits.sum(axis=0))
+                    h_dec.data.T @ g_d, g_w_out, g_logits.sum(axis=0))
 
         return ad.record_custom(y.reshape(T, U, V), (h_enc, h_dec, *ws), grad_fn)
 

@@ -61,8 +61,9 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     batch: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: dict = field(default_factory=dict)  # per-block moments; after a step, views of
+    v: dict = field(default_factory=dict)  # the flat vectors flat["m"] and flat["v"]
+    flat: dict = field(default_factory=dict, repr=False)
 
 
 def schedule_lr(config, step):
@@ -77,34 +78,46 @@ def optimizer_step(params, grads, state, config):
     """One in-place update of every parameter block; returns (grad norm, clipped).
 
     Plain gradient descent, optionally smoothed by first/second moments
-    (bias-corrected). Gradients are clipped to a global norm first; any
-    non-finite gradient aborts, naming the block. The returned norm is the
-    global norm before clipping, and `clipped` whether it was scaled down.
+    (bias-corrected), over all blocks at once. Gradients are clipped to a global
+    norm first; any non-finite gradient aborts, naming the block. The returned
+    norm is the global norm before clipping, and `clipped` whether it was scaled.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise OptimizerError(f"non-finite gradient in parameter block {name!r}")
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    g = np.concatenate([grads[name].ravel() for name in params])
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise OptimizerError(f"non-finite gradient in parameter block {bad!r}")
+    bounds = np.cumsum([0] + [arr.size for arr in params.values()]).tolist()
+    for key, beta in (("m", config.beta1), ("v", config.beta2)):
+        if beta > 0 and key not in state.flat:  # first step: blocks become views of one vector
+            blocks = getattr(state, key)
+            flat = state.flat[key] = np.concatenate([blocks.get(n, np.zeros(a.size)).ravel()
+                                                     for n, a in params.items()])
+            for (n, a), lo, hi in zip(params.items(), bounds, bounds[1:]):
+                blocks[n] = flat[lo:hi].reshape(a.shape)
+    sq = g * g  # the norm sums block by block, as per-block arrays would
+    norm = float(np.sqrt(sum(float(sq[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:]))))
     clipped = 0 < config.grad_clip < norm
-    scale = config.grad_clip / norm if clipped else 1.0
+    g *= config.grad_clip / norm if clipped else 1.0
     state.step += 1
-    lr = schedule_lr(config, state.step)
-    for name, arr in params.items():
-        g = grads[name] * scale
-        if config.beta1 > 0:
-            m = state.m.setdefault(name, np.zeros_like(arr))
-            m *= config.beta1
-            m += (1.0 - config.beta1) * g
-            update = m / (1.0 - config.beta1**state.step)
-        else:
-            update = g
-        if config.beta2 > 0:
-            v = state.v.setdefault(name, np.zeros_like(arr))
-            v *= config.beta2
-            v += (1.0 - config.beta2) * g * g
-            vhat = v / (1.0 - config.beta2**state.step)
-            update = update / (np.sqrt(vhat) + config.moment_eps)
-        arr -= lr * update
+    # From here sq is a spare buffer, and g turns into the update once the moments used it;
+    # each in-place op is an op of the block-by-block update, so the bits stay the same.
+    if config.beta1 > 0:
+        m = state.flat["m"]
+        m *= config.beta1
+        m += np.multiply(1.0 - config.beta1, g, out=sq)
+    if config.beta2 > 0:
+        v = state.flat["v"]
+        v *= config.beta2
+        v += np.multiply(np.multiply(1.0 - config.beta2, g, out=sq), g, out=sq)
+    update = g
+    if config.beta1 > 0:
+        np.divide(m, 1.0 - config.beta1**state.step, out=update)
+    if config.beta2 > 0:
+        vhat = np.divide(v, 1.0 - config.beta2**state.step, out=sq)
+        update /= np.add(np.sqrt(vhat, out=vhat), config.moment_eps, out=vhat)
+    update *= schedule_lr(config, state.step)
+    for arr, lo, hi in zip(params.values(), bounds, bounds[1:]):
+        arr -= update[lo:hi].reshape(arr.shape)
     return norm, clipped
 
 
@@ -132,13 +145,10 @@ def _check_monolingual(utts, lang, vocab):
 
 def _finish_checkpoint(model, state, phase):
     blocks = {k: v.copy() for k, v in model.params.items()}
-    for k, arr in state.m.items():
-        blocks[f"opt.m.{k}"] = arr.copy()
-    for k, arr in state.v.items():
-        blocks[f"opt.v.{k}"] = arr.copy()
-    blocks["state.step"] = np.array(float(state.step))
-    blocks["state.epoch"] = np.array(float(state.epoch))
-    blocks["state.batch"] = np.array(float(state.batch))
+    for key in ("m", "v"):  # copies: the moments are views of the optimizer's flat vectors
+        blocks.update({f"opt.{key}.{k}": arr.copy() for k, arr in getattr(state, key).items()})
+    for k in ("step", "epoch", "batch"):
+        blocks[f"state.{k}"] = np.array(float(getattr(state, k)))
     blocks["state.phase"] = np.array(float(_PHASES.index(phase)))
     return Checkpoint(fingerprint=model.arch.fingerprint(), blocks=blocks)
 
@@ -158,10 +168,10 @@ def start_from(checkpoint, arch, phase, resume):
         raise CsrtError(f"checkpoint has no resumable {phase} state")
     state = TrainState(**{k: int(blocks[f"state.{k}"]) for k in ("step", "epoch", "batch")})
     for name, arr in blocks.items():
-        if name.startswith("opt.m."):
-            state.m[name[6:]] = arr.copy()
-        elif name.startswith("opt.v."):
-            state.v[name[6:]] = arr.copy()
+        if name.startswith(("opt.m.", "opt.v.")):
+            if name[6:] not in model.params or arr.shape != model.params[name[6:]].shape:
+                raise CsrtError(f"optimizer block {name!r} does not fit a parameter block")
+            (state.m if name[4] == "m" else state.v)[name[6:]] = arr.copy()
     return model, state
 
 

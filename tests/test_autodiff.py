@@ -158,6 +158,37 @@ def test_index_select_gradient_bitwise_equals_add_at(indices):
     assert table.grad.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("start,stop", [(0, 1), (3, 4), (6, 7), (0, 7), (2, 5), (4, 4)])
+def test_rows_bitwise_equals_index_select_of_the_range(start, stop):
+    rng = np.random.default_rng(10 * start + stop)
+    data = rng.standard_normal((7, 3))
+    g = rng.standard_normal((stop - start, 3))
+    results = []
+    for op in (lambda x: ad.rows(x, start, stop), lambda x: ad.index_select(x, range(start, stop))):
+        tape = Tape()
+        table = tape.leaf(data.copy())
+        picked = op(table)
+        value = picked.data.tobytes()
+        backward(sum_all(ad.mul(picked, Tensor(g))))
+        results.append((value, table.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_rows_forward_is_a_read_only_view():
+    x = Tensor(np.arange(12.0).reshape(4, 3))
+    out = ad.rows(x, 1, 3)
+    assert np.shares_memory(out.data, x.data) and not out.data.flags.writeable
+    with pytest.raises(ValueError):
+        out.data[0, 0] = 5.0
+    assert x.data.flags.writeable and x.data[1, 0] == 3.0
+
+
+@pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 5), (5, 5), (4, 6)])
+def test_rows_out_of_range(start, stop):
+    with pytest.raises(ShapeMismatchError, match=r"rows: .* 4 rows"):
+        ad.rows(Tensor(np.zeros((4, 3))), start, stop)
+
+
 def test_forward_determinism():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((4, 4))
@@ -191,6 +222,7 @@ def _op_instances(rng):
     yield "index-select", lambda p: sum_all(ad.tanh(ad.index_select(p[0], [0, 2, 0]))), [
         rng.standard_normal((t, d))
     ]
+    yield "rows", lambda p: sum_all(ad.tanh(ad.rows(p[0], 1, 3))), [rng.standard_normal((t, d))]
     yield "concat", lambda p: sum_all(ad.tanh(ad.concat([p[0], p[1]], axis=0))), [
         rng.standard_normal((t, d)),
         rng.standard_normal((t, d)),

@@ -357,3 +357,14 @@ class TestBatches:
             rnnt_loss([], [])
         with pytest.raises(ShapeMismatchError, match="utterance 1"):
             rnnt_loss([uniform_log((2, 2, 2)), uniform_log((2, 3, 2))], [(1,), (1,)])
+
+    @pytest.mark.parametrize("kind", ["ctc", "rnnt"])
+    def test_zero_frame_posterior_alone_and_in_a_batch(self, kind):
+        loss_fn, empty, normal = {
+            "ctc": (ctc_loss, np.zeros((0, 3)), uniform_log((2, 3))),
+            "rnnt": (rnnt_loss, np.zeros((0, 1, 3)), uniform_log((2, 2, 3))),
+        }[kind]
+        with pytest.raises(ShapeMismatchError, match="utterance 0: posteriors have zero frames"):
+            loss_fn([empty], [()])
+        with pytest.raises(ShapeMismatchError, match="utterance 1: posteriors have zero frames"):
+            loss_fn([normal, empty], [(1,), ()])

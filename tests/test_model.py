@@ -161,7 +161,9 @@ class TestDecoderAndJoint:
             tape = Tape()
             h_enc, h_dec, *params = [tape.leaf(a.copy()) for a in arrays]
             lattice = joint(model, dict(zip(names, params)), h_enc, h_dec)
+            kept = lattice.data.copy()
             backward(sum_all(ad.mul(lattice, Tensor(upstream))))
+            assert lattice.data.tobytes() == kept.tobytes()  # backward leaves the loss input as is
             return lattice.data, [leaf.grad for leaf in (h_enc, h_dec, *params)]
 
         value, grads = run(Model.joint)

@@ -3,15 +3,17 @@ import pytest
 
 from csrt.config import defaults
 from csrt.errors import CsrtError, FingerprintMismatchError, OptimizerError
-from csrt.model import Model, init_params
+from csrt.model import Architecture, Model, init_params
 from csrt.training import (
     TrainingConfig,
     TrainState,
+    _finish_checkpoint,
     arch_for,
     finetune,
     optimizer_step,
     pretrain,
     schedule_lr,
+    start_from,
 )
 
 
@@ -53,6 +55,48 @@ def corpora_of(corpus):
     }
 
 
+def reference_optimizer_step(params, grads, state, config):
+    """optimizer_step as it was before the flat update: every block on its own."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise OptimizerError(f"non-finite gradient in parameter block {name!r}")
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    clipped = 0 < config.grad_clip < norm
+    scale = config.grad_clip / norm if clipped else 1.0
+    state.step += 1
+    lr = schedule_lr(config, state.step)
+    for name, arr in params.items():
+        g = grads[name] * scale
+        if config.beta1 > 0:
+            m = state.m.setdefault(name, np.zeros_like(arr))
+            m *= config.beta1
+            m += (1.0 - config.beta1) * g
+            update = m / (1.0 - config.beta1**state.step)
+        else:
+            update = g
+        if config.beta2 > 0:
+            v = state.v.setdefault(name, np.zeros_like(arr))
+            v *= config.beta2
+            v += (1.0 - config.beta2) * g * g
+            vhat = v / (1.0 - config.beta2**state.step)
+            update = update / (np.sqrt(vhat) + config.moment_eps)
+        arr -= lr * update
+    return norm, clipped
+
+
+def _blocks(rng):
+    return {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(4), "c": np.array(0.5),
+            "d": rng.standard_normal((2, 2, 2))}
+
+
+def _bits(blocks):
+    return {k: (np.shape(v), np.asarray(v).tobytes()) for k, v in blocks.items()}
+
+
+def _state_bits(params, state):
+    return _bits(params), _bits(state.m), _bits(state.v), state.step
+
+
 class TestSchedules:
     def test_constant(self):
         c = tcfg(schedule="constant", learning_rate=0.01)
@@ -90,6 +134,76 @@ class TestOptimizerStep:
             params = {"a": np.zeros(4), "b": np.array(1.0)}
             norm, did_clip = optimizer_step(params, grads, TrainState(), tcfg(grad_clip=clip))
             assert norm == pytest.approx(200.0) and did_clip is clipped
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"grad_clip": 0.5}, {"grad_clip": 1000.0}, {"grad_clip": 0.0}, {"beta1": 0.0},
+        {"beta2": 0.0}, {"beta1": 0.0, "beta2": 0.0},
+        {"schedule": "warmup-inverse-sqrt", "warmup_steps": 2},
+    ], ids=["default", "clipped", "clip-unreached", "clip-off", "beta1-0", "beta2-0",
+            "plain-descent", "warmup"])
+    def test_bitwise_equals_block_by_block_reference(self, overrides):
+        cfg = tcfg(**overrides)
+        rng = np.random.default_rng(5)
+        start = _blocks(rng)
+        grads = [{k: 3.0 * rng.standard_normal(np.shape(v)) for k, v in start.items()}
+                 for _ in range(4)]
+        runs = []
+        for step in (optimizer_step, reference_optimizer_step):
+            params, state = {k: v.copy() for k, v in start.items()}, TrainState()
+            returns = [step(params, g, state, cfg) for g in grads]
+            runs.append((returns, _state_bits(params, state)))
+        assert runs[0] == runs[1]
+        assert any(clipped for _, clipped in runs[0][0]) == (cfg.grad_clip not in (0.0, 1000.0))
+
+    def test_resumed_moments_bitwise_equal_reference(self):
+        arch = Architecture(family="dual", input_dim=3, hidden_dim=4, encoder_layers=1,
+                            encoder_mixing="conv", embed_dim=3, decoder_dim=4, joint_dim=4,
+                            n_m=2, n_e=2)
+        model, state, cfg = Model(arch, seed=3), TrainState(), tcfg()
+        rng = np.random.default_rng(8)
+
+        def grads():
+            return {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
+
+        for _ in range(2):
+            optimizer_step(model.params, grads(), state, cfg)
+        ck = _finish_checkpoint(model, state, "finetune")
+        del ck.blocks["opt.v.joint.b"]  # a block without a kept moment starts from zeros
+        kept = _bits(ck.blocks)
+        later = [grads() for _ in range(3)]
+        runs = []
+        for step in (optimizer_step, reference_optimizer_step):
+            resumed, st = start_from(ck, arch, "finetune", resume=True)
+            returns = [step(resumed.params, g, st, cfg) for g in later]
+            runs.append((returns, _bits(_finish_checkpoint(resumed, st, "finetune").blocks)))
+        assert runs[0] == runs[1]
+        assert _bits(ck.blocks) == kept
+
+    def test_resume_rejects_misfit_moment_blocks(self):
+        arch = Architecture(family="single", input_dim=2, hidden_dim=3, encoder_layers=1,
+                            encoder_mixing="conv", embed_dim=2, decoder_dim=3, joint_dim=3,
+                            n_m=1, n_e=1)
+        model, state = Model(arch, seed=1), TrainState()
+        optimizer_step(model.params, {k: np.ones(v.shape) for k, v in model.params.items()},
+                       state, tcfg())
+        ck = _finish_checkpoint(model, state, "finetune")
+        for name, arr in (("opt.m.joint.w_out", np.zeros((4, 3))), ("opt.v.nope", np.zeros(2))):
+            bad = type(ck)(ck.fingerprint, {**ck.blocks, name: arr})
+            with pytest.raises(CsrtError, match=f"optimizer block '{name}'"):
+                start_from(bad, arch, "finetune", resume=True)
+
+    def test_non_finite_middle_block_changes_nothing(self):
+        rng = np.random.default_rng(6)
+        params, state, cfg = _blocks(rng), TrainState(), tcfg()
+        optimizer_step(params, {k: rng.standard_normal(np.shape(v)) for k, v in params.items()},
+                       state, cfg)
+        before = _state_bits(params, state)
+        for bad_value in (np.nan, np.inf):
+            grads = {k: rng.standard_normal(np.shape(v)) for k, v in params.items()}
+            grads["b"][2] = bad_value
+            with pytest.raises(OptimizerError, match="block 'b'"):
+                optimizer_step(params, grads, state, cfg)
+            assert _state_bits(params, state) == before
 
     def test_clipping_bounds_update(self):
         params = {"w": np.zeros(4)}
