@@ -166,6 +166,11 @@ def min_ctc_length(y):
     return len(y) + repeats
 
 
+def ctc_states(y):
+    """The CTC state sequence of y: blank, y1, blank, y2, ..., yL, blank."""
+    return (BLANK,) + tuple(s for u in y for s in (u, BLANK))
+
+
 def _check_caps(T, L):
     if T > MAX_ORACLE_T or L > MAX_ORACLE_L:
         raise CapExceededError(
@@ -216,9 +221,7 @@ def ctc_alignment_count(y, T):
     y = tuple(y)
     if T < min_ctc_length(y):
         return 0
-    ext = [BLANK]
-    for u in y:
-        ext.extend((u, BLANK))
+    ext = ctc_states(y)
     S = len(ext)
     counts = [0] * S
     counts[0] = 1

@@ -11,11 +11,11 @@ an owned buffer (grad + g), later ones add into it. Leaves own zero-filled
 buffers, so their gradients are bitwise those of zero-fill-and-add.
 
 The op set is what the model and losses record: add, mul, matmul, tanh,
-log_softmax, rows (a read-only view of a row range), index_select (a row
-gather whose gradient accumulates repeats), concat, and record_custom for
-hand-differentiated ops (the lattice losses, the joint). An op records itself
-on a tape whenever at least one input is attached to it; with no tape it
-only computes. Mixing tensors from two different live tapes is an error.
+log_softmax (its numpy forward and vjp also serve the joint, search and the
+checks), rows (a read-only row-range view), index_select (a row gather that
+accumulates repeats), concat, and record_custom for hand-differentiated ops
+(the lattice losses, the joint). An op records itself on a tape whenever an
+input is on one; with no tape it only computes. Mixing two live tapes is an error.
 """
 
 from __future__ import annotations
@@ -162,18 +162,24 @@ def tanh(x):
     return _emit(y, (x,), grad_fn)
 
 
+def log_softmax_array(x, axis):
+    """Log of softmax along `axis` of a numpy array, shifted by its max first."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def log_softmax_vjp(y, g, axis):
+    """Gradient at the input of a log-softmax with output `y`, given `g` at its output."""
+    return g - np.exp(y) * g.sum(axis=axis, keepdims=True)
+
+
 def log_softmax(x, axis):
     """Log of softmax along `axis`; rows exponentiate-and-sum to one."""
     x = _lift(x)
     if not -x.data.ndim <= axis < x.data.ndim:
         raise AxisOutOfRangeError(f"log-softmax axis {axis} out of range for rank {x.data.ndim}")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def grad_fn(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-
-    return _emit(y, (x,), grad_fn)
+    y = log_softmax_array(x.data, axis)
+    return _emit(y, (x,), lambda g: (log_softmax_vjp(y, g, axis),))
 
 
 def rows(x, start, stop):

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alignments import Vocabulary, min_ctc_length
-from .autodiff import grad_check, log_softmax
+from .autodiff import grad_check, log_softmax, log_softmax_array
 from .data import Utterance
 from .losses import ctc_loss, ctc_loss_oracle, rnnt_loss, rnnt_loss_oracle
 from .model import Architecture, Model
@@ -16,41 +16,40 @@ from .training import TrainingConfig, _finetune_loss
 
 
 def random_log_dist(rng, shape):
-    logits = rng.standard_normal(shape)
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - m - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+    return log_softmax_array(rng.standard_normal(shape), axis=-1)
+
+
+def _random_target(rng, max_t, max_l, max_v):
+    """T, V and a label sequence over units 1..V, drawn in that order (L before y)."""
+    T = int(rng.integers(1, max_t + 1))
+    V = int(rng.integers(1, max_v + 1))
+    L = int(rng.integers(0, max_l + 1))
+    return T, V, tuple(int(rng.integers(1, V + 1)) for _ in range(L))
 
 
 def random_ctc_instance(rng, max_t=6, max_l=3, max_v=4):
     """Feasible (logp, y) pair with T, L, |V| within the oracle caps."""
     while True:
-        T = int(rng.integers(1, max_t + 1))
-        V = int(rng.integers(1, max_v + 1))
-        L = int(rng.integers(0, max_l + 1))
-        y = tuple(int(rng.integers(1, V + 1)) for _ in range(L))
+        T, V, y = _random_target(rng, max_t, max_l, max_v)
         if min_ctc_length(y) <= T:
             return random_log_dist(rng, (T, V + 1)), y
 
 
 def random_rnnt_instance(rng, max_t=6, max_l=3, max_v=4):
-    T = int(rng.integers(1, max_t + 1))
-    V = int(rng.integers(1, max_v + 1))
-    L = int(rng.integers(0, max_l + 1))
-    y = tuple(int(rng.integers(1, V + 1)) for _ in range(L))
-    return random_log_dist(rng, (T, L + 1, V + 1)), y
+    T, V, y = _random_target(rng, max_t, max_l, max_v)
+    return random_log_dist(rng, (T, len(y) + 1, V + 1)), y
 
 
 def oracle_sweep(trials=200, seed=1234, max_t=6, max_l=3, max_v=4):
     """Max |dp loss - enumeration loss| over random instances, per loss."""
     rng = np.random.default_rng(seed)
     worst = {"ctc": 0.0, "rnnt": 0.0}
+    cases = (("ctc", random_ctc_instance, ctc_loss, ctc_loss_oracle),
+             ("rnnt", random_rnnt_instance, rnnt_loss, rnnt_loss_oracle))
     for _ in range(trials):
-        lp, y = random_ctc_instance(rng, max_t, max_l, max_v)
-        diff = abs(ctc_loss([lp], [y]).item() - ctc_loss_oracle(lp, y))
-        worst["ctc"] = max(worst["ctc"], diff)
-        lp, y = random_rnnt_instance(rng, max_t, max_l, max_v)
-        diff = abs(rnnt_loss([lp], [y]).item() - rnnt_loss_oracle(lp, y))
-        worst["rnnt"] = max(worst["rnnt"], diff)
+        for name, draw, loss, oracle in cases:
+            lp, y = draw(rng, max_t, max_l, max_v)
+            worst[name] = max(worst[name], abs(loss([lp], [y]).item() - oracle(lp, y)))
     return worst
 
 
@@ -59,18 +58,14 @@ def loss_grad_sweep(trials=20, seed=99):
     rng = np.random.default_rng(seed)
     worst = {"ctc": 0.0, "rnnt": 0.0}
     for _ in range(trials):
-        lp, y = random_ctc_instance(rng, max_t=4, max_l=2, max_v=3)
+        for name, draw, loss, max_t in (("ctc", random_ctc_instance, ctc_loss, 4),
+                                        ("rnnt", random_rnnt_instance, rnnt_loss, 3)):
+            lp, y = draw(rng, max_t=max_t, max_l=2, max_v=3)
 
-        def f_ctc(leaves):
-            return ctc_loss([log_softmax(leaves[0], axis=-1)], [y])
+            def f(leaves, loss=loss, y=y):
+                return loss([log_softmax(leaves[0], axis=-1)], [y])
 
-        worst["ctc"] = max(worst["ctc"], grad_check(f_ctc, [rng.standard_normal(lp.shape)]))
-        lp, y = random_rnnt_instance(rng, max_t=3, max_l=2, max_v=3)
-
-        def f_rnnt(leaves):
-            return rnnt_loss([log_softmax(leaves[0], axis=-1)], [y])
-
-        worst["rnnt"] = max(worst["rnnt"], grad_check(f_rnnt, [rng.standard_normal(lp.shape)]))
+            worst[name] = max(worst[name], grad_check(f, [rng.standard_normal(lp.shape)]))
     return worst
 
 

@@ -155,9 +155,11 @@ def _checkpoint_path(path):
     return p / CHECKPOINT_NAME if p.is_dir() else p
 
 
-def _load_model(path):
-    ck = load_checkpoint(_checkpoint_path(path))
-    return Model(ck.architecture(), params=ck.model_params())
+def _model_and_corpus(values, command):
+    """The --model checkpoint's Model and the --data corpus, both required."""
+    ck = load_checkpoint(_checkpoint_path(_require(values, "model", command)))
+    model = Model(ck.architecture(), params=ck.model_params())
+    return model, load_corpus(_require(values, "data", command))
 
 
 def _corpus_and_arch(values, command):
@@ -225,8 +227,7 @@ def _hyps_text(hyps, vocab):
 
 
 def cmd_decode(values):
-    model = _load_model(_require(values, "model", "decode"))
-    corpus = load_corpus(_require(values, "data", "decode"))
+    model, corpus = _model_and_corpus(values, "decode")
     utts = corpus.split(values["split"])
     out = _require(values, "out", "decode")
     run = RunDir(out, values, values["force"])
@@ -239,37 +240,35 @@ def cmd_decode(values):
     return 0
 
 
-def cmd_eval(values):
-    model = _load_model(_require(values, "model", "eval"))
-    corpus = load_corpus(_require(values, "data", "eval"))
-    utts = corpus.split(values["split"])
-    report, hyps = evaluate_split(model, utts, corpus.vocab, beam=values["beam"])
-    text = format_split_report(values["split"], report)
+def _report(run, text, files=()):
+    """Print a report; with a run directory, also write `files` and report.txt there."""
     print(text)
-    if values["out"]:
-        run = RunDir(values["out"], values, values["force"])
-        _write_text(run.path / "hyps.tsv", _hyps_text(hyps.items(), corpus.vocab))
-        _write_text(run.path / "report.txt", text + "\n")
+    if run is not None:
+        for name, content in (*files, ("report.txt", text + "\n")):
+            _write_text(run.path / name, content)
         run.log(text.splitlines()[-1])
+
+
+def cmd_eval(values):
+    model, corpus = _model_and_corpus(values, "eval")
+    utts = corpus.split(values["split"])
+    run = RunDir(values["out"], values, values["force"]) if values["out"] else None
+    report, hyps = evaluate_split(model, utts, corpus.vocab, beam=values["beam"])
+    _report(run, format_split_report(values["split"], report),
+            [("hyps.tsv", _hyps_text(hyps.items(), corpus.vocab))])
     return 0
 
 
 def cmd_eval_ls(values):
-    model = _load_model(_require(values, "model", "eval-ls"))
-    corpus = load_corpus(_require(values, "data", "eval-ls"))
-    results = eval_language_separation(model, corpus.split(values["split"]), corpus.vocab)
-    text = format_separation_report(results)
-    print(text)
-    if values["out"]:
-        run = RunDir(values["out"], values, values["force"])
-        _write_text(run.path / "report.txt", text + "\n")
-        run.log(text.splitlines()[-1])
+    model, corpus = _model_and_corpus(values, "eval-ls")
+    utts = corpus.split(values["split"])
+    run = RunDir(values["out"], values, values["force"]) if values["out"] else None
+    _report(run, format_separation_report(eval_language_separation(model, utts, corpus.vocab)))
     return 0
 
 
 def cmd_dump_posteriors(values):
-    model = _load_model(_require(values, "model", "dump-posteriors"))
-    corpus = load_corpus(_require(values, "data", "dump-posteriors"))
+    model, corpus = _model_and_corpus(values, "dump-posteriors")
     uid = _require(values, "utt", "dump-posteriors")
     out = _require(values, "out", "dump-posteriors")
     for utts in corpus.splits.values():
@@ -281,28 +280,24 @@ def cmd_dump_posteriors(values):
     raise CsrtError(f"utterance {uid!r} not found in corpus")
 
 
+def _check_table(worst, width, column, bound, failure):
+    """Print an ok/FAIL line per check, by name; raise `failure` if any error reached `bound`."""
+    for name, err in sorted(worst.items()):
+        print(f"{name:<{width}} {column}={err:.3e} {'ok' if err < bound else 'FAIL'}")
+    if not all(err < bound for err in worst.values()):
+        raise CsrtError(failure)
+
+
 def cmd_gradcheck(values):
     worst = checks.loss_grad_sweep(trials=10, seed=values["seed"])
     worst["full-model"] = checks.full_model_grad_check()
-    failed = False
-    for name, err in sorted(worst.items()):
-        ok = err < 1e-4
-        failed = failed or not ok
-        print(f"{name:<12} max-rel-err={err:.3e} {'ok' if ok else 'FAIL'}")
-    if failed:
-        raise CsrtError("gradient check exceeded 1e-4")
+    _check_table(worst, 12, "max-rel-err", 1e-4, "gradient check exceeded 1e-4")
     return 0
 
 
 def cmd_oracle_check(values):
     worst = checks.oracle_sweep(trials=values["trials"], seed=values["seed"])
-    failed = False
-    for name, err in sorted(worst.items()):
-        ok = err < 1e-6
-        failed = failed or not ok
-        print(f"{name:<6} max-abs-diff={err:.3e} {'ok' if ok else 'FAIL'}")
-    if failed:
-        raise CsrtError("oracle equivalence exceeded 1e-6")
+    _check_table(worst, 6, "max-abs-diff", 1e-6, "oracle equivalence exceeded 1e-6")
     return 0
 
 

@@ -37,8 +37,7 @@ MAX_EMITS_PER_FRAME_FACTOR = 3
 
 def greedy_ctc_decode(logp):
     """Per-frame argmax, then collapse. Returns label ids in column space."""
-    arr = logp.data if isinstance(logp, ad.Tensor) else np.asarray(logp)
-    return collapse(tuple(int(k) for k in arr.argmax(axis=1)))
+    return collapse(tuple(int(k) for k in ad._lift(logp).data.argmax(axis=1)))
 
 
 class _Scorer:
@@ -69,9 +68,7 @@ class _Scorer:
     def log_probs(self, t, prefixes):
         """(len(prefixes), V+1) log-distributions at frame t, one row per prefix."""
         d = np.array([self._projection(prefix) for prefix in prefixes])
-        logits = np.tanh(self.enc[t] + d) @ self.w_out + self.b_out
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return ad.log_softmax_array(np.tanh(self.enc[t] + d) @ self.w_out + self.b_out, axis=1)
 
 
 def _greedy(scorer, T, cap):

@@ -22,6 +22,7 @@ from . import autodiff
 from .alignments import (
     BLANK,
     MAX_ORACLE_V,
+    ctc_states,
     enumerate_ctc_alignments,
     enumerate_rnnt_paths,
     min_ctc_length,
@@ -29,13 +30,6 @@ from .alignments import (
 from .errors import CsrtError, InfeasibleTargetError, ShapeMismatchError
 
 NEG_INF = -np.inf
-
-
-def _extended_targets(y):
-    ext = [BLANK]
-    for u in y:
-        ext.extend((u, BLANK))
-    return np.asarray(ext, dtype=np.intp)
 
 
 def _batch(name, logps, ys, ndim):
@@ -118,7 +112,7 @@ def ctc_loss(logps, ys):
         if lp.shape[0] < min_ctc_length(y):
             raise InfeasibleTargetError(f"ctc_loss: utterance {b}: no length-{lp.shape[0]} "
                                         f"alignment exists for {y} (needs {min_ctc_length(y)})")
-    exts = [_extended_targets(y) for y in ys]
+    exts = [np.asarray(ctc_states(y), dtype=np.intp) for y in ys]
     emit = _stacked([lp.data[:, ext] for lp, ext in zip(logps, exts)], NEG_INF, need_grad)
     arrive = _ctc_arrivals(emit, _stacked([ext[None] for ext in exts], BLANK, need_grad)[0])
     nlls, grads = [], []
@@ -219,9 +213,7 @@ def rnnt_loss(logps, ys):
 
 def ctc_loss_oracle(logp, y):
     """Brute-force -log sum over all enumerated alignments. No gradient."""
-    lp = autodiff._lift(logp).data
-    y = tuple(int(u) for u in y)
-    _check_oracle_vocab(lp.shape[-1])
+    lp, y = _oracle_input(logp, y)
     terms = []
     for z in enumerate_ctc_alignments(y, lp.shape[0]):
         terms.append(sum(lp[t, s] for t, s in enumerate(z)))
@@ -230,9 +222,7 @@ def ctc_loss_oracle(logp, y):
 
 def rnnt_loss_oracle(logp, y):
     """Brute-force -log sum over all enumerated transducer paths. No gradient."""
-    lp = autodiff._lift(logp).data
-    y = tuple(int(u) for u in y)
-    _check_oracle_vocab(lp.shape[-1])
+    lp, y = _oracle_input(logp, y)
     T = lp.shape[0]
     terms = []
     for path in enumerate_rnnt_paths(y, T):
@@ -249,9 +239,11 @@ def rnnt_loss_oracle(logp, y):
     return -_logsumexp(terms)
 
 
-def _check_oracle_vocab(v1):
-    if v1 - 1 > MAX_ORACLE_V:
-        raise CsrtError(f"oracle capped at |V| <= {MAX_ORACLE_V}, got {v1 - 1}")
+def _oracle_input(logp, y):
+    lp = autodiff._lift(logp).data
+    if lp.shape[-1] - 1 > MAX_ORACLE_V:
+        raise CsrtError(f"oracle capped at |V| <= {MAX_ORACLE_V}, got {lp.shape[-1] - 1}")
+    return lp, tuple(int(u) for u in y)
 
 
 def _logsumexp(values):

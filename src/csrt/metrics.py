@@ -18,6 +18,7 @@ import numpy as np
 from .alignments import mask_labels
 from .decoding import decode_ctc_subnet, rnnt_decode
 from .errors import CsrtError
+from .model import write_atomic
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def eval_language_separation(model, cs_utts, vocab):
 def dump_frame_posteriors(model, x, out_path, vocab):
     """Write one CSV row per frame: blank mass, unit mass, top unit, per language.
 
-    Plot-ready view of the two monolingual heads over one utterance.
+    Plot-ready view of the two monolingual heads over one utterance, written atomically.
     """
     if not model.arch.has_ctc_heads:
         raise CsrtError("posterior dump needs a variant with CTC heads")
@@ -182,8 +183,8 @@ def dump_frame_posteriors(model, x, out_path, vocab):
                 ]
             )
         lines.append(",".join(cells))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    write_atomic(out_path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
     return out_path
 
 

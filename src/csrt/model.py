@@ -2,9 +2,10 @@
 recurrent prediction network, and the joint network, assembled into the
 single-, dual-, and triple-encoder architectures.
 
-All parameters live in one flat name -> float64 array dict. A forward
-pass binds that dict onto a tape (Model.bind) and threads the bound
-tensors through the tensor ops. Training runs that path taped; bound
+All parameters live in one name -> float64 array dict in `_param_layout`
+order, however a checkpoint stored them. A forward pass binds that dict
+onto a tape (Model.bind) and threads the bound tensors through the
+tensor ops. Training runs that path taped; bound
 with tape=None it computes the same values without recording, which is
 how inference runs the encoders and CTC heads. The recurrent encoder and
 the prediction net share one recurrence (`_recur`). The joint and its
@@ -161,10 +162,6 @@ def init_params(arch, seed):
     return params
 
 
-def n_params(params):
-    return sum(int(a.size) for a in params.values())
-
-
 def _recur(pre, u):
     """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state.
 
@@ -201,9 +198,9 @@ class Model:
             if np.shape(params[name]) != layout[name]:
                 raise CsrtError(f"parameter block {name!r} has shape {np.shape(params[name])},"
                                 f" expected {layout[name]}")
-        # Copy incoming arrays: training updates parameters in place, and a
-        # caller's checkpoint must stay untouched.
-        self.params = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
+        # Copy incoming arrays, in layout order (the optimizer's flat order): training
+        # updates parameters in place, and a caller's checkpoint must stay untouched.
+        self.params = {name: np.array(params[name], dtype=np.float64) for name in layout}
 
     def bind(self, tape):
         """Attach every parameter to a tape (or wrap tape-free for inference)."""
@@ -252,20 +249,12 @@ class Model:
         h = self.encode(bound, x, "enc_m" if lang == "M" else "enc_e")
         return self.ctc_head(bound, h, lang)
 
-    @staticmethod
-    def fuse(*hs):
-        """Elementwise sum of the monolingual (and optional third) encodings."""
-        if len({h.shape for h in hs}) > 1:
-            shapes = ", ".join(str(h.shape) for h in hs)
-            raise ShapeMismatchError(f"fuse: shapes {shapes} differ")
-        return functools.reduce(ad.add, hs)
-
     def encode_fused(self, bound, x):
-        """Fused encoder sequence plus the per-language encodings (or Nones)."""
+        """Sum of the encoders' (equal-shape) outputs, plus the per-language encodings or Nones."""
         hs = [self.encode(bound, x, enc) for enc in self.arch.encoder_names]
         if len(hs) == 1:
             return hs[0], None, None
-        return self.fuse(*hs), hs[0], hs[1]
+        return functools.reduce(ad.add, hs), hs[0], hs[1]
 
     def predict(self, bound, y):
         """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""
@@ -286,13 +275,10 @@ class Model:
         (T, _), (U, _), (J, V) = h_enc.shape, h_dec.shape, w_out.shape
         a = (h_enc.data @ w_enc.data + b.data)[:, None, :] + (h_dec.data @ w_dec.data)[None, :, :]
         a = np.tanh(a, out=a).reshape(T * U, J)
-        logits = a @ w_out.data + b_out.data
-        logits -= logits.max(axis=1, keepdims=True)
-        y = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        y = ad.log_softmax_array(a @ w_out.data + b_out.data, axis=1)
 
         def grad_fn(g):
-            g = g.reshape(T * U, V)
-            g_logits = g - np.exp(y) * g.sum(axis=1, keepdims=True)
+            g_logits = ad.log_softmax_vjp(y, g.reshape(T * U, V), axis=1)
             g_w_out = a.T @ g_logits  # first: the tape is single-use, so a becomes 1 - a*a
             g_a = g_logits @ w_out.data.T
             g_a *= np.subtract(1.0, np.multiply(a, a, out=a), out=a)
@@ -321,7 +307,7 @@ class Model:
 
     @property
     def n_params(self):
-        return n_params(self.params)
+        return sum(int(a.size) for a in self.params.values())
 
 
 # --- checkpoint serialization -------------------------------------------

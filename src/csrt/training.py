@@ -2,17 +2,17 @@
 language-separation fine-tuning on a seeded mixture of code-switched and
 monolingual batches.
 
-Everything stochastic is derived from (seed, phase tag, epoch), never from
-ambient RNG state, so a fixed seed yields bit-identical checkpoints and a
-run saved mid-epoch resumes step-for-step: the saved state is just
-(epoch, batch index, step count) plus optimizer moments, and the epoch's
-batch schedule is regenerated from its seed on resume.
+Everything stochastic comes from (seed, phase tag, epoch), never ambient
+RNG state, so a fixed seed gives bit-identical checkpoints, and a run saved
+mid-epoch resumes step-for-step, through a checkpoint file too: the state
+is (epoch, batch, step) plus the Adam moments, flat vectors in the model's
+`_param_layout` order, and the epoch's batch schedule is re-derived.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +61,9 @@ class TrainState:
     step: int = 0
     epoch: int = 0
     batch: int = 0
-    m: dict = field(default_factory=dict)  # per-block moments; after a step, views of
-    v: dict = field(default_factory=dict)  # the flat vectors flat["m"] and flat["v"]
-    flat: dict = field(default_factory=dict, repr=False)
+    # Flat moments over the blocks in _param_layout order; None until a step or a resume.
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def schedule_lr(config, step):
@@ -72,6 +72,11 @@ def schedule_lr(config, step):
         return config.learning_rate
     w = config.warmup_steps
     return config.learning_rate * min(step / w, np.sqrt(w / step))
+
+
+def _bounds(params):
+    """Offsets of each block in a flat vector over `params`, in the dict's order."""
+    return np.cumsum([0] + [arr.size for arr in params.values()]).tolist()
 
 
 def optimizer_step(params, grads, state, config):
@@ -86,14 +91,7 @@ def optimizer_step(params, grads, state, config):
     if not np.isfinite(g).all():
         bad = next(name for name in params if not np.isfinite(grads[name]).all())
         raise OptimizerError(f"non-finite gradient in parameter block {bad!r}")
-    bounds = np.cumsum([0] + [arr.size for arr in params.values()]).tolist()
-    for key, beta in (("m", config.beta1), ("v", config.beta2)):
-        if beta > 0 and key not in state.flat:  # first step: blocks become views of one vector
-            blocks = getattr(state, key)
-            flat = state.flat[key] = np.concatenate([blocks.get(n, np.zeros(a.size)).ravel()
-                                                     for n, a in params.items()])
-            for (n, a), lo, hi in zip(params.items(), bounds, bounds[1:]):
-                blocks[n] = flat[lo:hi].reshape(a.shape)
+    bounds = _bounds(params)
     sq = g * g  # the norm sums block by block, as per-block arrays would
     norm = float(np.sqrt(sum(float(sq[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:]))))
     clipped = 0 < config.grad_clip < norm
@@ -102,11 +100,11 @@ def optimizer_step(params, grads, state, config):
     # From here sq is a spare buffer, and g turns into the update once the moments used it;
     # each in-place op is an op of the block-by-block update, so the bits stay the same.
     if config.beta1 > 0:
-        m = state.flat["m"]
+        m = state.m = np.zeros(g.size) if state.m is None else state.m
         m *= config.beta1
         m += np.multiply(1.0 - config.beta1, g, out=sq)
     if config.beta2 > 0:
-        v = state.flat["v"]
+        v = state.v = np.zeros(g.size) if state.v is None else state.v
         v *= config.beta2
         v += np.multiply(np.multiply(1.0 - config.beta2, g, out=sq), g, out=sq)
     update = g
@@ -145,8 +143,12 @@ def _check_monolingual(utts, lang, vocab):
 
 def _finish_checkpoint(model, state, phase):
     blocks = {k: v.copy() for k, v in model.params.items()}
-    for key in ("m", "v"):  # copies: the moments are views of the optimizer's flat vectors
-        blocks.update({f"opt.{key}.{k}": arr.copy() for k, arr in getattr(state, key).items()})
+    bounds = _bounds(model.params)
+    for key in ("m", "v"):
+        flat = getattr(state, key)
+        if flat is not None:
+            for (name, arr), lo, hi in zip(model.params.items(), bounds, bounds[1:]):
+                blocks[f"opt.{key}.{name}"] = flat[lo:hi].reshape(arr.shape).copy()
     for k in ("step", "epoch", "batch"):
         blocks[f"state.{k}"] = np.array(float(getattr(state, k)))
     blocks["state.phase"] = np.array(float(_PHASES.index(phase)))
@@ -166,12 +168,17 @@ def start_from(checkpoint, arch, phase, resume):
     blocks = checkpoint.blocks
     if "state.phase" not in blocks or _PHASES[int(blocks["state.phase"])] != phase:
         raise CsrtError(f"checkpoint has no resumable {phase} state")
-    state = TrainState(**{k: int(blocks[f"state.{k}"]) for k in ("step", "epoch", "batch")})
+    moments = {"m": {}, "v": {}}
     for name, arr in blocks.items():
         if name.startswith(("opt.m.", "opt.v.")):
             if name[6:] not in model.params or arr.shape != model.params[name[6:]].shape:
                 raise CsrtError(f"optimizer block {name!r} does not fit a parameter block")
-            (state.m if name[4] == "m" else state.v)[name[6:]] = arr.copy()
+            moments[name[4]][name[6:]] = arr
+    state = TrainState(**{k: int(blocks[f"state.{k}"]) for k in ("step", "epoch", "batch")})
+    for key, kept in moments.items():
+        if kept:  # one flat vector in layout order; a block without a kept moment starts at 0
+            setattr(state, key, np.concatenate([kept.get(n, np.zeros(a.size)).ravel()
+                                                for n, a in model.params.items()]))
     return model, state
 
 
@@ -212,14 +219,6 @@ def _run_batch(model, items, loss_fn, state, config, log):
             f"lr={schedule_lr(config, state.step):.6g} grad_norm={norm:.6g} "
             f"clipped={int(clipped)} step_ms={step_ms:.3f}")
     return batch_loss.item()
-
-
-def _validate(model, loss_fn, items, size):
-    """Mean loss over items, run in batches of `size` without a tape."""
-    if not items:
-        return float("nan")
-    bound = model.bind(None)
-    return sum(loss_fn(bound, chunk)[0].item() for chunk in _chunks(items, size)) / len(items)
 
 
 def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, log=None,
@@ -307,9 +306,10 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
 
 def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
                 stop_after_steps):
-    def validate():  # mean dev loss, seconds taken
-        start = time.perf_counter()
-        return _validate(model, loss_fn, dev_items, config.batch_size), time.perf_counter() - start
+    def validate():  # mean dev loss over tape-free batches (NaN without dev items), seconds taken
+        start, bound = time.perf_counter(), model.bind(None)
+        total = sum(loss_fn(bound, b)[0].item() for b in _chunks(dev_items, config.batch_size))
+        return total / len(dev_items) if dev_items else float("nan"), time.perf_counter() - start
 
     best, val_s = validate()
     if log is not None and dev_items:

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from csrt import config
+from csrt import cli, config
 from csrt.cli import run
 from csrt.data import CorpusSpec
 from csrt.model import load_checkpoint, save_checkpoint
@@ -205,6 +205,25 @@ class TestPipeline:
         assert "replace failed" in capsys.readouterr().err
         assert (out / "hyps.tsv").read_bytes() == b"old\thyps\n"
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "hyps.tsv", "log.txt"]
+
+    @pytest.mark.parametrize("command, evaluator",
+                             [("eval", "evaluate_split"), ("eval-ls", "eval_language_separation")])
+    def test_eval_refuses_nonempty_out_before_decoding(self, workdir, tmp_path, monkeypatch,
+                                                       capsys, command, evaluator):
+        root, data = workdir
+        out = tmp_path / "busy"
+        out.mkdir()
+        (out / "junk.txt").write_text("x")
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{evaluator} ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, evaluator, never)
+        code = run([command, "--model", str(root / "ft"), "--data", str(data),
+                    "--split", "dev-cs", "--out", str(out)])
+        assert code == 2
+        assert "--force" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["junk.txt"]
 
     def test_eval_ls_prints_table(self, workdir, capsys):
         root, data = workdir

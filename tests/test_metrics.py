@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,20 @@ class TestPosteriorDump:
             assert abs(float(f[1]) + float(f[2]) - 1.0) < 1e-9
             assert abs(float(f[4]) + float(f[5]) - 1.0) < 1e-9
             assert f[3] in vocab22.surfaces and f[6] in vocab22.surfaces
+
+    def test_failed_write_keeps_existing_file(self, vocab22, tmp_path, monkeypatch):
+        out = tmp_path / "post.csv"
+        out.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        features = make_utterance(vocab22, (1, 3)).features
+        with pytest.raises(OSError, match="replace failed"):
+            dump_frame_posteriors(separating_model(vocab22), features, out, vocab22)
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["post.csv"]
 
 
 class TestReports:

@@ -15,7 +15,6 @@ from csrt.model import (
     Model,
     init_params,
     load_checkpoint,
-    n_params,
     save_checkpoint,
     variant_family,
 )
@@ -110,16 +109,21 @@ class TestHeadsAndFusion:
         logp = model.ctc_head(bound, Tensor(np.zeros((2, 4))), "M")
         assert np.allclose(np.exp(logp.data), 1.0 / 3.0)
 
-    def test_fuse_rules(self):
-        a = Tensor(np.array([[1.0, 2.0]]))
-        b = Tensor(np.array([[3.0, 4.0]]))
-        c = Tensor(np.array([[1.0, 1.0]]))
-        assert np.array_equal(Model.fuse(a, b).data, [[4.0, 6.0]])
-        assert np.array_equal(Model.fuse(a, Tensor(np.zeros((1, 2)))).data, a.data)
-        assert np.array_equal(Model.fuse(a, b, c).data, [[5.0, 7.0]])
-        assert np.array_equal(Model.fuse(a, b).data, Model.fuse(b, a).data)
-        with pytest.raises(ShapeMismatchError):
-            Model.fuse(a, Tensor(np.zeros((2, 2))))
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_encode_fused_sums_the_encoders(self, family):
+        model = Model(small_arch(family), seed=3)
+        bound = model.bind(None)
+        x = np.random.default_rng(2).standard_normal((5, 3))
+        hs = [model.encode(bound, x, enc).data for enc in model.arch.encoder_names]
+        fused, h_m, h_e = model.encode_fused(bound, x)
+        total = hs[0] if family == "single" else hs[0] + hs[1]
+        if family == "triple":
+            total = total + hs[2]
+        assert fused.data.tobytes() == total.tobytes()
+        if family == "single":
+            assert h_m is None and h_e is None
+        else:
+            assert h_m.data.tobytes() == hs[0].tobytes() and h_e.data.tobytes() == hs[1].tobytes()
 
 
 class TestDecoderAndJoint:
@@ -224,8 +228,8 @@ class TestVariants:
         vals = defaults()
         dual = arch_for("conditional", vals, vocab55, 8)
         single = arch_for("vanilla", vals, vocab55, 8)
-        n_dual = n_params(init_params(dual, 0))
-        n_single = n_params(init_params(single, 0))
+        n_dual = Model(dual).n_params
+        n_single = Model(single).n_params
         assert abs(n_single - n_dual) / n_dual < 0.10
 
 

@@ -1,9 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from csrt.config import defaults
 from csrt.errors import CsrtError, FingerprintMismatchError, OptimizerError
-from csrt.model import Architecture, Model, init_params
+from csrt.model import (
+    Architecture,
+    Model,
+    _param_layout,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from csrt.training import (
     TrainingConfig,
     TrainState,
@@ -56,7 +65,8 @@ def corpora_of(corpus):
 
 
 def reference_optimizer_step(params, grads, state, config):
-    """optimizer_step as it was before the flat update: every block on its own."""
+    """optimizer_step as it was before the flat update: every block on its own, with
+    per-block moment dicts `state.m` and `state.v` (see reference_state)."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise OptimizerError(f"non-finite gradient in parameter block {name!r}")
@@ -93,7 +103,26 @@ def _bits(blocks):
     return {k: (np.shape(v), np.asarray(v).tobytes()) for k, v in blocks.items()}
 
 
+def reference_state(step=0, m=(), v=()):
+    return SimpleNamespace(step=step, m=dict(m), v=dict(v))
+
+
+def _slices(flat, params):
+    """Per-block slices of a flat vector laid out in the order of `params`; {} for None."""
+    if flat is None:
+        return {}
+    out, lo = {}, 0
+    for name, arr in params.items():
+        out[name] = flat[lo : lo + np.size(arr)].reshape(np.shape(arr))
+        lo += np.size(arr)
+    assert lo == flat.size
+    return out
+
+
 def _state_bits(params, state):
+    """Parameters, per-block moments and step; a TrainState's flat moments are sliced."""
+    if isinstance(state, TrainState):
+        state = reference_state(state.step, _slices(state.m, params), _slices(state.v, params))
     return _bits(params), _bits(state.m), _bits(state.v), state.step
 
 
@@ -148,8 +177,9 @@ class TestOptimizerStep:
         grads = [{k: 3.0 * rng.standard_normal(np.shape(v)) for k, v in start.items()}
                  for _ in range(4)]
         runs = []
-        for step in (optimizer_step, reference_optimizer_step):
-            params, state = {k: v.copy() for k, v in start.items()}, TrainState()
+        for step, state in ((optimizer_step, TrainState()),
+                            (reference_optimizer_step, reference_state())):
+            params = {k: v.copy() for k, v in start.items()}
             returns = [step(params, g, state, cfg) for g in grads]
             runs.append((returns, _state_bits(params, state)))
         assert runs[0] == runs[1]
@@ -171,12 +201,17 @@ class TestOptimizerStep:
         del ck.blocks["opt.v.joint.b"]  # a block without a kept moment starts from zeros
         kept = _bits(ck.blocks)
         later = [grads() for _ in range(3)]
-        runs = []
-        for step in (optimizer_step, reference_optimizer_step):
-            resumed, st = start_from(ck, arch, "finetune", resume=True)
-            returns = [step(resumed.params, g, st, cfg) for g in later]
-            runs.append((returns, _bits(_finish_checkpoint(resumed, st, "finetune").blocks)))
-        assert runs[0] == runs[1]
+        resumed, st = start_from(ck, arch, "finetune", resume=True)
+        ref_params = {k: v.copy() for k, v in ck.model_params().items()}
+        moments = {key: {k[6:]: v.copy() for k, v in ck.blocks.items()
+                         if k.startswith(f"opt.{key}.")} for key in "mv"}
+        ref = reference_state(st.step, **moments)
+        returns = [optimizer_step(resumed.params, g, st, cfg) for g in later]
+        assert returns == [reference_optimizer_step(ref_params, g, ref, cfg) for g in later]
+        assert _state_bits(resumed.params, st) == _state_bits(ref_params, ref)
+        saved = _finish_checkpoint(resumed, st, "finetune").blocks
+        assert _bits({k: v for k, v in saved.items() if k.startswith("opt.")}) == _bits(
+            {f"opt.{key}.{k}": v for key in "mv" for k, v in getattr(ref, key).items()})
         assert _bits(ck.blocks) == kept
 
     def test_resume_rejects_misfit_moment_blocks(self):
@@ -279,6 +314,23 @@ class TestPretrain:
         assert all(
             pretrained.blocks[k].tobytes() == resumed.blocks[k].tobytes() for k in pretrained.blocks
         )
+
+    def test_resume_through_a_checkpoint_file_matches_uninterrupted(self, world, tmp_path):
+        # A file stores blocks by sorted name; the loaded model must still hold them in
+        # _param_layout order, or the clip norm sums in another order and its last bit moves.
+        corpus, vocab, arch = world
+        m, e = corpus.split("train-mono-m"), corpus.split("train-mono-e")
+        full = pretrain(m, e, tcfg(epochs=2, grad_clip=0.5), arch, vocab=vocab)
+        part = pretrain(m, e, tcfg(epochs=1, grad_clip=0.5), arch, vocab=vocab)
+        save_checkpoint(tmp_path / "part.csrt", part)
+        loaded = load_checkpoint(tmp_path / "part.csrt")
+        resumed = pretrain(m, e, tcfg(epochs=2, grad_clip=0.5), arch, vocab=vocab,
+                           resume_from=loaded)
+        assert sorted(resumed.blocks) == sorted(full.blocks)
+        differ = [k for k in full.blocks if full.blocks[k].tobytes() != resumed.blocks[k].tobytes()]
+        assert differ == []
+        model = Model(arch, params=loaded.model_params())
+        assert list(model.params) == [name for name, _, _ in _param_layout(arch)]
 
     def test_validation_logged_and_improves(self, world):
         corpus, vocab, arch = world
