@@ -1,27 +1,26 @@
 """Greedy CTC decoding and greedy/beam transducer decoding.
 
-Transducer search runs on plain numpy arrays read from `model.params`
-under the names `Model.predict` and `Model.joint` use, and those two
-methods are the reference it is tested against; only the encoder goes
-through the (tape-free) Tensor forward. Per utterance, a scorer projects
-the encoder rows once, `E = h_enc @ joint.w_enc + joint.b`, and keeps a
-cache keyed by label prefix (the empty prefix is the start token): each
-entry holds the prediction-net state after that prefix and the state's
-`@ joint.w_dec` projection. The cache fills lazily, one prediction-net
-update per prefix (the one-step form of `Model.predict`), and is shared by
-the greedy pass and the beam. At frame t the scorer evaluates every
-frontier hypothesis at once, `log_softmax(tanh(E[t] + D) @ joint.w_out +
-joint.b_out)` over the stack D of cached projections; greedy is the
-one-hypothesis case.
+Transducer search runs on numpy arrays read from `model.params` under the
+names `Model.predict` and `Model.joint` use, the reference it is tested
+against; only the encoder runs the tape-free Tensor forward. Per utterance
+a scorer projects the encoder rows once, `E = h_enc @ joint.w_enc +
+joint.b`, and caches per label prefix (the empty one is the start token)
+the prediction-net state and its projection `d = state @ joint.w_dec`, one
+prediction-net step per new prefix. Its one joint evaluation,
+`log_softmax(tanh(E[t] + d) @ joint.w_out + joint.b_out)`, scores a frame
+under each frontier prefix, or a run of frames under one prefix.
 
-The beam search is frame-synchronous: within a frame a hypothesis may emit
-repeatedly (at most MAX_EMITS_PER_FRAME_FACTOR * T labels in all) and then
-takes the blank that advances time, and expansion stops once no
-continuation can beat the beam's worst completed candidate. Ties sort by
-(-score, prefix), and hypotheses that share a prefix are never merged, so
-every score is the score of one alignment path. The searched set always
-includes the pure-greedy chain, so the best beam score is never below the
-greedy score, at any beam width.
+Greedy goes by frame runs: it scores the remaining frames under its prefix,
+takes the blanks up to the first frame whose argmax is a label, emits it
+there and rescores from that frame; past MAX_EMITS_PER_FRAME_FACTOR * T
+labels the rest is blank. That is one joint evaluation per label, plus one.
+
+The beam is frame-synchronous: in a frame a hypothesis may emit repeatedly
+(up to the same cap), then takes the blank that advances time. Extensions
+above the worst completed candidate survive; only survivors at or above the
+beam-th best become prefixes. Ties sort by (-score, prefix), and prefixes
+are never merged, so each score is one alignment path's. The searched set
+includes the greedy chain, so the beam never scores below greedy.
 """
 
 from __future__ import annotations
@@ -66,55 +65,57 @@ class _Scorer:
         return hit[1]
 
     def log_probs(self, t, prefixes):
-        """(len(prefixes), V+1) log-distributions at frame t, one row per prefix."""
+        """(rows, V+1) log-distributions: frame t under each prefix, or a slice t under one."""
         d = np.array([self._projection(prefix) for prefix in prefixes])
         return ad.log_softmax_array(np.tanh(self.enc[t] + d) @ self.w_out + self.b_out, axis=1)
 
 
-def _greedy(scorer, T, cap):
-    prefix = ()
-    score = 0.0
-    for t in range(T):
-        while True:
-            lp = scorer.log_probs(t, [prefix])[0]
-            k = int(lp.argmax())
-            if k == BLANK or len(prefix) >= cap:
-                score += float(lp[BLANK])
-                break
-            prefix += (k,)
-            score += float(lp[k])
-    return prefix, score
+def _greedy(scorer, cap):
+    prefix, score, t = (), 0.0, 0
+    while True:
+        lp = scorer.log_probs(slice(t, None), [prefix])
+        best = lp.argmax(axis=1)
+        emits = np.flatnonzero(best) if len(prefix) < cap else ()
+        n = int(emits[0]) if len(emits) else len(lp)  # blanks before the next emission
+        for s in lp[:n, BLANK].tolist():
+            score += s
+        if n == len(lp):
+            return prefix, score
+        prefix += (int(best[n]),)
+        score += float(lp[n, best[n]])
+        t += n
 
 
-def _top(hyps, k):
-    """The k best (prefix, score) pairs, by score, then prefix."""
-    return sorted(hyps, key=lambda h: (-h[1], h[0]))[:k]
+def _top(prefixes, scores, k):
+    """Indices of the k best hypotheses, by score, then prefix."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], prefixes[i]))[:k]
 
 
-def _beam(scorer, T, cap, beam):
-    hyps = [((), 0.0)]
-    for t in range(T):
-        done = []
-        frontier = hyps
+def _beam(scorer, cap, beam):
+    done, done_scores = [()], [0.0]
+    for t in range(len(scorer.enc)):
+        frontier, base = done, np.array(done_scores)
+        done, done_scores = [], []
         while frontier:
-            lp = scorer.log_probs(t, [prefix for prefix, _ in frontier])
-            base = np.array([score for _, score in frontier])
-            ended = (base + lp[:, BLANK]).tolist()
-            done = _top(done + [(prefix, s) for (prefix, _), s in zip(frontier, ended)], beam)
-            floor = done[-1][1] if len(done) >= beam else -np.inf
+            lp = scorer.log_probs(t, frontier)
+            done += frontier
+            done_scores += (base + lp[:, BLANK]).tolist()
+            kept = _top(done, done_scores, beam)
+            done, done_scores = [done[i] for i in kept], [done_scores[i] for i in kept]
+            floor = done_scores[-1] if len(done) >= beam else -np.inf
             ext = base[:, None] + lp[:, 1:]
-            keep = ext > floor
-            keep[[len(prefix) >= cap for prefix, _ in frontier]] = False
-            rows, cols = np.nonzero(keep)
-            frontier = _top(
-                [
-                    (frontier[i][0] + (k + 1,), s)
-                    for i, k, s in zip(rows.tolist(), cols.tolist(), ext[rows, cols].tolist())
-                ],
-                beam,
-            )
-        hyps = done
-    return _top(hyps, 1)[0]
+            if len(max(frontier, key=len)) >= cap:
+                ext[[len(prefix) >= cap for prefix in frontier]] = -np.inf
+            rows, cols = np.nonzero(ext > floor)
+            base = ext[rows, cols]
+            if len(base) > beam:
+                # Only survivors at or above the beam-th best can enter the frontier.
+                top = base >= np.partition(base, -beam)[-beam]
+                rows, cols, base = rows[top], cols[top], base[top]
+            frontier = [frontier[i] + (k + 1,) for i, k in zip(rows.tolist(), cols.tolist())]
+            kept = _top(frontier, base.tolist(), beam)
+            frontier, base = [frontier[i] for i in kept], base[kept]
+    return done[0], done_scores[0]
 
 
 def rnnt_decode(model, x, beam=1):
@@ -122,13 +123,12 @@ def rnnt_decode(model, x, beam=1):
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
     h_enc, _, _ = model.encode_fused(model.bind(None), x)
-    T = h_enc.shape[0]
-    cap = MAX_EMITS_PER_FRAME_FACTOR * T
+    cap = MAX_EMITS_PER_FRAME_FACTOR * h_enc.shape[0]
     scorer = _Scorer(model, h_enc.data)
-    greedy = _greedy(scorer, T, cap)
+    greedy = _greedy(scorer, cap)
     if beam == 1:
         return greedy
-    best = _beam(scorer, T, cap, beam)
+    best = _beam(scorer, cap, beam)
     return greedy if greedy[1] > best[1] else best
 
 

@@ -404,6 +404,8 @@ def load_checkpoint(path, expect_fingerprint=None):
         name = text("block name")
         shape = tuple(u32() for _ in range(u32()))
         payload = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").astype(np.float64)
+        if not np.isfinite(payload).all():
+            raise CsrtError(f"{path}: block {name!r} holds a non-finite value")
         try:
             blocks[name] = payload.reshape(shape)
         except ValueError:  # more dims than numpy allows, or a size it cannot index

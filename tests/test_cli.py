@@ -354,6 +354,21 @@ class TestPipeline:
             assert "'joint.w_out' is missing" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["eval", "decode"])
+    def test_non_finite_checkpoint_block_exit_2(self, workdir, tmp_path, capsys, command):
+        root, data = workdir
+        ck = load_checkpoint(root / "ft" / "checkpoint.csrt")
+        ck.blocks["joint.w_out"][0, 0] = np.nan
+        save_checkpoint(tmp_path / "nan.csrt", ck)
+        extra = ["--out", str(tmp_path / "hyp")] if command == "decode" else []
+        code = run([command, "--model", str(tmp_path / "nan.csrt"), "--data", str(data)] + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "nan.csrt: block 'joint.w_out' holds a non-finite value" in err
+        assert not (tmp_path / "hyp").exists()
+
+
 class TestCheckBeforeWrite:
     """A bad value fails before any output directory is created."""
 
@@ -434,6 +449,20 @@ class TestCheckBeforeWrite:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_non_finite_init_checkpoint_exit_2(self, workdir, tmp_path, capsys):
+        root, data = workdir
+        ck = load_checkpoint(root / "pre" / "checkpoint.csrt")
+        ck.blocks["joint.w_out"][-1, -1] = np.nan
+        save_checkpoint(tmp_path / "nan.csrt", ck)
+        fast = ["--epochs", "1", "--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+        code = run(["finetune", "--init", str(tmp_path / "nan.csrt"), "--data", str(data),
+                    "--out", str(tmp_path / "o")] + fast)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "block 'joint.w_out' holds a non-finite value" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -1,10 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from csrt import autodiff as ad
+from csrt import decoding
 from csrt.alignments import BLANK, collapse
+from csrt.data import CorpusSpec, gen_corpus, load_corpus
 from csrt.decoding import greedy_ctc_decode, rnnt_decode
-from csrt.model import Architecture, Model
+from csrt.model import Architecture, Model, load_checkpoint
+
+DECODE_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "decode_model.csrt"
 
 
 def toy_model(seed, n_m=2, n_e=2):
@@ -33,8 +39,11 @@ def _state(model, bound, prefix):
     return ad.index_select(model.predict(bound, prefix), [len(prefix)])
 
 
-def reference_greedy(model, x):
-    """Independent greedy policy: emit while the argmax is non-blank."""
+def reference_greedy(model, x, frames=None):
+    """Independent greedy policy: emit while the argmax is non-blank.
+
+    When given a list as `frames`, appends the frame of each emission to it.
+    """
     bound = model.bind(None)
     h_enc, _, _ = model.encode_fused(bound, x)
     prefix = []
@@ -50,6 +59,8 @@ def reference_greedy(model, x):
                 break
             prefix.append(k)
             score += lp[k]
+            if frames is not None:
+                frames.append(t)
             h_dec = _state(model, bound, tuple(prefix))
     return tuple(prefix), float(score)
 
@@ -124,13 +135,17 @@ def sharp_model(seed):
 def interchangeable_units(seed):
     """A sharp model whose units share one embedding and one output column.
 
-    Hypotheses that differ only in which unit they emitted score exactly
-    alike, so only the (-score, prefix) tie-break tells them apart.
+    The shared column has one non-zero weight, so every unit's logit is the
+    same single product in any order a matmul kernel sums (a dense column
+    can round differently in different output columns). Hypotheses that
+    differ only in which unit they emitted score exactly alike, so only the
+    (-score, prefix) tie-break tells them apart.
     """
     model = sharp_model(seed)
     p = model.params
     p["dec.embed"][2:5] = p["dec.embed"][1]
-    p["joint.w_out"][:, 2:] = p["joint.w_out"][:, 1:2]
+    p["joint.w_out"][:, 1:] = 0.0
+    p["joint.w_out"][0, 1:] = 6.0
     return model
 
 
@@ -215,3 +230,76 @@ class TestRnntDecode:
                 want = reference_beam(model, x, beam)
                 assert got[0] == want[0]
                 assert got[1] == pytest.approx(want[1], abs=1e-9)
+
+    def test_greedy_runs_match_reference_greedy(self):
+        """Frame runs that end early, on the last frame, never, or at the cap."""
+        rng = np.random.default_rng
+        cases = {
+            "one frame": [(toy_model(seed=i), rng(i).standard_normal((1, 3))) for i in range(6)],
+            "last frame": [(toy_model(seed=32), rng(1032).standard_normal((4, 3))),
+                           (toy_model(seed=19), rng(1069).standard_normal((6, 3)))],
+            "all blank": [(toy_model(seed=16), rng(16).standard_normal((5, 3)))],
+            "cap": [(rigged_emitter(seed=4), np.zeros((T, 3))) for T in (3, 4, 6)]
+            + [(toy_model(seed=1), rng(1).standard_normal((5, 3)))],
+        }
+        for kind, pairs in cases.items():
+            for model, x in pairs:
+                frames = []
+                want = reference_greedy(model, x, frames)
+                got = rnnt_decode(model, x, beam=1)
+                assert got[0] == want[0], kind
+                assert got[1] == pytest.approx(want[1], abs=1e-9), kind
+                T = len(x)
+                if kind == "last frame":
+                    assert frames[-1] == T - 1 and len(frames) < 3 * T
+                elif kind == "all blank":
+                    assert frames == []
+                elif kind == "cap":
+                    # The cap is reached before the last frame, so a run goes on past it.
+                    assert len(frames) == 3 * T and frames[-1] < T - 1
+
+    def test_greedy_evaluates_the_joint_once_per_label_plus_one(self, monkeypatch):
+        calls = []
+        log_probs = decoding._Scorer.log_probs
+
+        def counted(scorer, t, prefixes):
+            calls.append(t)
+            return log_probs(scorer, t, prefixes)
+
+        monkeypatch.setattr(decoding._Scorer, "log_probs", counted)
+        rng = np.random.default_rng(6)
+        for i in range(40):
+            model = (toy_model, sharp_model, rigged_emitter)[i % 3](seed=400 + i)
+            x = rng.standard_normal((int(rng.integers(1, 9)), 3))
+            calls.clear()
+            hyp, _ = rnnt_decode(model, x, beam=1)
+            assert len(calls) <= len(hyp) + 1
+
+    def test_beam_keeps_every_tie_at_the_cut(self):
+        """All four units extend a prefix with one score, so more than `beam` tie at the cut."""
+        rng = np.random.default_rng(8)
+        emitted = 0
+        for i in range(12):
+            model = interchangeable_units(seed=500 + i)
+            x = rng.standard_normal((int(rng.integers(2, 7)), 3))
+            for beam in (2, 3):
+                got = rnnt_decode(model, x, beam=beam)
+                want = reference_beam(model, x, beam)
+                assert got[0] == want[0]
+                assert got[1] == pytest.approx(want[1], abs=1e-9)
+                emitted += bool(got[0])
+        assert emitted >= 6
+
+
+def test_decode_model_matches_the_references(tmp_path):
+    """The fixed benchmark model decodes 20 test-cs utterances of its world as the references do."""
+    gen_corpus(CorpusSpec(seed=0, train_count=8, dev_count=8, test_count=300), tmp_path / "c")
+    ck = load_checkpoint(DECODE_MODEL)
+    model = Model(ck.architecture(), params=ck.model_params())
+    for utt in load_corpus(tmp_path / "c").split("test-cs")[:20]:
+        for beam in (1, 10):
+            got = rnnt_decode(model, utt.features, beam=beam)
+            want = reference_greedy(model, utt.features) if beam == 1 else reference_beam(
+                model, utt.features, beam)
+            assert got[0] == want[0], (utt.uid, beam)
+            assert got[1] == pytest.approx(want[1], abs=1e-9), (utt.uid, beam)

@@ -281,6 +281,20 @@ class TestCheckpointIO:
         with pytest.raises(FingerprintMismatchError):
             load_checkpoint(good, expect_fingerprint="other text")
 
+    @pytest.mark.parametrize("block", ["joint.w_out", "opt.m.dec.b", "state.step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_rejected_by_name(self, tmp_path, block, value):
+        arch = small_arch()
+        blocks = dict(Model(arch, seed=0).params)
+        blocks["opt.m.dec.b"] = np.zeros_like(blocks["dec.b"])
+        blocks["state.step"] = np.array(3.0)
+        blocks[block] = blocks[block].copy()
+        blocks[block].flat[-1] = value
+        path = tmp_path / "bad.csrt"
+        save_checkpoint(path, Checkpoint(arch.fingerprint(), blocks))
+        with pytest.raises(CsrtError, match=f"bad.csrt: block '{block}' holds a non-finite"):
+            load_checkpoint(path)
+
     def test_truncated_file(self, tmp_path):
         arch = small_arch()
         path = tmp_path / "t.csrt"
