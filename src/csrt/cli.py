@@ -4,10 +4,10 @@ One process per command: corpus generation, the two training stages,
 decoding, evaluation, the language-separation ablation, posterior dumps,
 and the oracle/gradient self-checks. Every flag mirrors a config-file key
 (see config.REGISTRY); explicit flags override the file, which overrides
-the defaults. Every value is range-checked, and every input loaded, before
-a command creates or writes anything. Commands that create an output
-directory refuse to reuse a non-empty one unless --force is given, and
-always write the resolved config there plus an append-only plain-text log.
+the defaults. Commands that write an output directory refuse a non-empty
+one up front unless --force is given, and create it, with the resolved
+config and an append-only plain-text log, only at their first output, so
+a command that fails on its inputs leaves nothing behind.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .metrics import (
     format_split_report,
 )
 from .model import Model, load_checkpoint, save_checkpoint, write_atomic
-from .training import TrainingConfig, arch_for, finetune, pretrain, start_from
+from .training import TrainingConfig, arch_for, finetune, pretrain
 
 CHECKPOINT_NAME = "checkpoint.csrt"
 
@@ -128,18 +129,23 @@ def resolve_values(args, command):
 
 
 class RunDir:
-    """Output directory with the resolved config and an append-only log."""
+    """Output directory with the resolved config and an append-only log; a non-empty one is
+    refused up front, but it and config.txt are made at the first `log` or use of `path`."""
 
     def __init__(self, path, values, force):
-        self.path = Path(path)
-        if self.path.exists() and any(self.path.iterdir()) and not force:
-            raise CsrtError(f"output directory {self.path} is not empty; pass --force to reuse")
-        self.path.mkdir(parents=True, exist_ok=True)
-        (self.path / "config.txt").write_text(config.serialize_config(values), encoding="utf-8")
-        self._log_path = self.path / "log.txt"
+        self._path = Path(path)
+        if self._path.exists() and any(self._path.iterdir()) and not force:
+            raise CsrtError(f"output directory {self._path} is not empty; pass --force to reuse")
+        self._config = config.serialize_config(values)
+
+    @functools.cached_property
+    def path(self):
+        self._path.mkdir(parents=True, exist_ok=True)
+        (self._path / "config.txt").write_text(self._config, encoding="utf-8")
+        return self._path
 
     def log(self, line):
-        with open(self._log_path, "a", encoding="utf-8") as fh:
+        with open(self.path / "log.txt", "a", encoding="utf-8") as fh:
             fh.write(line + "\n")
         print(line)
 
@@ -191,7 +197,6 @@ def cmd_pretrain(values):
     resume_from = None
     if values["resume"]:
         resume_from = load_checkpoint(_checkpoint_path(_require(values, "init", "pretrain")))
-        start_from(resume_from, arch, "pretrain", resume=True)
     run = RunDir(out, values, values["force"])
     ck = pretrain(train_m, train_e, tcfg, arch, dev_m=dev_m, dev_e=dev_e, vocab=corpus.vocab,
                   log=run.log, resume_from=resume_from)
@@ -207,7 +212,6 @@ def cmd_finetune(values):
     tcfg = TrainingConfig.from_values(values)
     corpora = {part: corpus.split(f"train-{part}") for part in ("cs", "mono-m", "mono-e")}
     dev = corpus.split("dev-cs")
-    start_from(init, arch, "finetune", values["resume"])
     run = RunDir(out, values, values["force"])
     ck = finetune(corpora, init, tcfg, arch, dev=dev, vocab=corpus.vocab, log=run.log,
                   resume=values["resume"])

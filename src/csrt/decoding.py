@@ -122,7 +122,7 @@ def rnnt_decode(model, x, beam=1):
     """Best label sequence and its log-score; beam=1 is the greedy policy."""
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
-    h_enc, _, _ = model.encode_fused(model.bind(None), x)
+    h_enc, _ = model.encode_fused(model.bind(None), x)
     cap = MAX_EMITS_PER_FRAME_FACTOR * h_enc.shape[0]
     scorer = _Scorer(model, h_enc.data)
     greedy = _greedy(scorer, cap)
@@ -130,9 +130,3 @@ def rnnt_decode(model, x, beam=1):
         return greedy
     best = _beam(scorer, cap, beam)
     return greedy if greedy[1] > best[1] else best
-
-
-def decode_ctc_subnet(model, bound, x, lang, vocab):
-    """Greedy sub-net transcript of one language head, as global unit ids."""
-    local = greedy_ctc_decode(model.subnet(bound, x, lang))
-    return tuple(vocab.to_global(lang, u) for u in local)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignments import mask_labels
-from .decoding import decode_ctc_subnet, rnnt_decode
+from .decoding import greedy_ctc_decode, rnnt_decode
 from .errors import CsrtError
 from .model import write_atomic
 
@@ -132,8 +132,8 @@ def evaluate_split(model, utts, vocab, beam=10):
 def eval_language_separation(model, cs_utts, vocab):
     """Score each CTC sub-net against its language's masked reference.
 
-    Returns {'M': {'rate': ..., 'ins': ...}, 'E': ...}; `ins` is insertions
-    per reference token and captures other-language leakage.
+    Returns {'M': {'rate': ..., 'ins': ..., 'ref_len': ...}, 'E': ...}; `ins` is
+    insertions per reference token and captures other-language leakage.
     """
     if not model.arch.has_ctc_heads:
         raise CsrtError("language-separation evaluation needs a variant with CTC heads")
@@ -142,21 +142,16 @@ def eval_language_separation(model, cs_utts, vocab):
     leaked = {"M": 0, "E": 0}
     for utt in cs_utts:
         for lang in ("M", "E"):
-            hyp = decode_ctc_subnet(model, bound, utt.features, lang, vocab)
+            local = greedy_ctc_decode(model.subnet(bound, utt.features, lang))
+            hyp = tuple(vocab.to_global(lang, u) for u in local)
             ref = mask_labels(utt.labels, lang, vocab)
             stats = error_stats(hyp, ref)
             if ref:
                 totals[lang] = totals[lang] + stats
             else:
                 leaked[lang] += stats.ins
-    out = {}
-    for lang in ("M", "E"):
-        denom = max(1, totals[lang].ref_len)
-        out[lang] = {
-            "rate": totals[lang].rate,
-            "ins": (totals[lang].ins + leaked[lang]) / denom,
-        }
-    return out
+    return {lang: {"rate": t.rate, "ins": (t.ins + leaked[lang]) / max(1, t.ref_len),
+                   "ref_len": t.ref_len} for lang, t in totals.items()}
 
 
 def dump_frame_posteriors(model, x, out_path, vocab):
@@ -188,15 +183,14 @@ def dump_frame_posteriors(model, x, out_path, vocab):
     return out_path
 
 
-def format_split_report(title, report):
-    """Plain-text metric row in the shape of the paper-style results table.
+def _percent(rate, ref_len):
+    """A report cell; a rate over an empty reference (e.g. WER on a mono-M split) prints as '-'."""
+    return f"{100 * rate:>7.2f}" if ref_len else f"{'-':>7}"
 
-    A rate over an empty reference (e.g. WER on a mono-M split) prints as '-'.
-    """
-    cells = [
-        f"{100 * s.rate:>7.2f}" if s.ref_len else f"{'-':>7}"
-        for s in (report.mer, report.cer, report.wer)
-    ]
+
+def format_split_report(title, report):
+    """Plain-text metric row in the shape of the paper-style results table."""
+    cells = [_percent(s.rate, s.ref_len) for s in (report.mer, report.cer, report.wer)]
     lines = [
         f"{'Split':<14} {'Utts':>5} {'MER':>7} {'CER':>7} {'WER':>7}",
         f"{title:<14} {report.n_utts:>5} " + " ".join(cells),
@@ -205,9 +199,8 @@ def format_split_report(title, report):
 
 
 def format_separation_report(results):
-    lines = [
-        f"{'Sub-net':<10} {'Rate':>7} {'INS':>7}",
-        f"{'M (CER)':<10} {100 * results['M']['rate']:>7.2f} {100 * results['M']['ins']:>7.2f}",
-        f"{'E (WER)':<10} {100 * results['E']['rate']:>7.2f} {100 * results['E']['ins']:>7.2f}",
-    ]
+    lines = [f"{'Sub-net':<10} {'Rate':>7} {'INS':>7}"]
+    for lang, name in (("M", "M (CER)"), ("E", "E (WER)")):
+        cells = [_percent(results[lang][k], results[lang]["ref_len"]) for k in ("rate", "ins")]
+        lines.append(f"{name:<10} " + " ".join(cells))
     return "\n".join(lines)

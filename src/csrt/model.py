@@ -5,9 +5,10 @@ single-, dual-, and triple-encoder architectures.
 All parameters live in one name -> float64 array dict in `_param_layout`
 order, however a checkpoint stored them. A forward pass binds that dict
 onto a tape (Model.bind) and threads the bound tensors through the
-tensor ops. Training runs that path taped; bound
-with tape=None it computes the same values without recording, which is
-how inference runs the encoders and CTC heads. The recurrent encoder and
+components; there is no whole-model forward, each loss calls the ones it
+reads (see training.py). Training runs that path taped; bound with
+tape=None it computes the same values without recording, which is how
+inference runs the encoders and CTC heads. The recurrent encoder and
 the prediction net share one recurrence (`_recur`). The joint and its
 log-softmax are one hand-differentiated node, bitwise equal to the op-by-op
 graph, that keeps only the tanh lattice and the log-probs. Transducer search
@@ -250,11 +251,9 @@ class Model:
         return self.ctc_head(bound, h, lang)
 
     def encode_fused(self, bound, x):
-        """Sum of the encoders' (equal-shape) outputs, plus the per-language encodings or Nones."""
+        """Sum of the encoders' (equal-shape) outputs, and the list of those outputs."""
         hs = [self.encode(bound, x, enc) for enc in self.arch.encoder_names]
-        if len(hs) == 1:
-            return hs[0], None, None
-        return functools.reduce(ad.add, hs), hs[0], hs[1]
+        return functools.reduce(ad.add, hs), hs
 
     def predict(self, bound, y):
         """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""
@@ -287,23 +286,6 @@ class Model:
                     h_dec.data.T @ g_d, g_w_out, g_logits.sum(axis=0))
 
         return ad.record_custom(y.reshape(T, U, V), (h_enc, h_dec, *ws), grad_fn)
-
-    def forward(self, bound, x, y):
-        """All heads for one utterance on one tape.
-
-        Returns {'rnnt': (T, L+1, V+1), 'ctc_m': ..., 'ctc_e': ...}; the CTC
-        entries are None for the single-encoder architecture.
-        """
-        h_enc, h_m, h_e = self.encode_fused(bound, x)
-        out = {
-            "rnnt": self.joint(bound, h_enc, self.predict(bound, y)),
-            "ctc_m": None,
-            "ctc_e": None,
-        }
-        if self.arch.has_ctc_heads:
-            out["ctc_m"] = self.ctc_head(bound, h_m, "M")
-            out["ctc_e"] = self.ctc_head(bound, h_e, "E")
-        return out
 
     @property
     def n_params(self):

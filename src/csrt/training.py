@@ -7,6 +7,9 @@ RNG state, so a fixed seed gives bit-identical checkpoints, and a run saved
 mid-epoch resumes step-for-step, through a checkpoint file too: the state
 is (epoch, batch, step) plus the Adam moments, flat vectors in the model's
 `_param_layout` order, and the epoch's batch schedule is re-derived.
+Both stages check the start checkpoint and every CTC target before their
+first log line. Only conditional-ls, whose loss reads them, runs the CTC
+heads in fine-tuning.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import config
-from .alignments import mask_labels
+from .alignments import mask_labels, min_ctc_length
 from .errors import CsrtError, FingerprintMismatchError, OptimizerError
 from .losses import ctc_loss, ls_loss, rnnt_loss
 from .model import Architecture, Checkpoint, Model, variant_family
@@ -131,14 +134,22 @@ def _local_labels(vocab, labels, lang):
     return tuple(vocab.to_local(lang, u) for u in labels)
 
 
-def _check_monolingual(utts, lang, vocab):
-    for utt in utts:
-        for u in utt.labels:
+def _check_monolingual(items, vocab, masked=False):
+    """Check each (lang, utt) item's labels (`masked`: its `lang` ones) as a `lang` CTC target."""
+    for lang, utt in items:
+        labels = mask_labels(utt.labels, lang, vocab) if masked else utt.labels
+        for u in labels:
             if vocab.lang_of(u) != lang:
                 raise CsrtError(
                     f"corpus language violation: utterance {utt.uid} contains "
                     f"{vocab.lang_of(u)} unit {vocab.surface(u)} in the {lang} corpus"
                 )
+        if min_ctc_length(labels) > utt.n_frames:
+            raise CsrtError(f"utterance {utt.uid}: its {len(labels)} {lang} labels need "
+                            f"{min_ctc_length(labels)} CTC frames, it has {utt.n_frames}")
+
+
+_STATE_KEYS = ("step", "epoch", "batch", "phase")  # state.<key> blocks: non-negative ints
 
 
 def _finish_checkpoint(model, state, phase):
@@ -149,15 +160,29 @@ def _finish_checkpoint(model, state, phase):
         if flat is not None:
             for (name, arr), lo, hi in zip(model.params.items(), bounds, bounds[1:]):
                 blocks[f"opt.{key}.{name}"] = flat[lo:hi].reshape(arr.shape).copy()
-    for k in ("step", "epoch", "batch"):
-        blocks[f"state.{k}"] = np.array(float(getattr(state, k)))
-    blocks["state.phase"] = np.array(float(_PHASES.index(phase)))
+    for k in _STATE_KEYS:  # all but phase are TrainState fields
+        value = _PHASES.index(phase) if k == "phase" else getattr(state, k)
+        blocks[f"state.{k}"] = np.array(float(value))
     return Checkpoint(fingerprint=model.arch.fingerprint(), blocks=blocks)
+
+
+def _read_state(blocks, phase):
+    """TrainState fields of a `phase` checkpoint's state.* blocks; CsrtError names a bad one."""
+    values = {}
+    for k in _STATE_KEYS:
+        arr = blocks.get(f"state.{k}")
+        value = float(arr) if arr is not None and np.shape(arr) == () else -1.0
+        if not (value >= 0 and value.is_integer()) or (k == "phase" and value >= len(_PHASES)):
+            raise CsrtError(f"checkpoint block 'state.{k}' is missing or not a valid {k}")
+        values[k] = int(value)
+    if _PHASES[values.pop("phase")] != phase:
+        raise CsrtError(f"checkpoint has no resumable {phase} state")
+    return values
 
 
 def start_from(checkpoint, arch, phase, resume):
     """Model and TrainState of a `phase` run from `checkpoint`, checked against `arch`
-    (and, when resuming, for that phase's state); the CLI calls it before writing."""
+    (and, when resuming, for that phase's state)."""
     if checkpoint.fingerprint != arch.fingerprint():
         raise FingerprintMismatchError(
             "checkpoint fingerprint does not match the configured variant/dimensions"
@@ -166,15 +191,13 @@ def start_from(checkpoint, arch, phase, resume):
     if not resume:
         return model, TrainState()
     blocks = checkpoint.blocks
-    if "state.phase" not in blocks or _PHASES[int(blocks["state.phase"])] != phase:
-        raise CsrtError(f"checkpoint has no resumable {phase} state")
+    state = TrainState(**_read_state(blocks, phase))
     moments = {"m": {}, "v": {}}
     for name, arr in blocks.items():
         if name.startswith(("opt.m.", "opt.v.")):
             if name[6:] not in model.params or arr.shape != model.params[name[6:]].shape:
                 raise CsrtError(f"optimizer block {name!r} does not fit a parameter block")
             moments[name[4]][name[6:]] = arr
-    state = TrainState(**{k: int(blocks[f"state.{k}"]) for k in ("step", "epoch", "batch")})
     for key, kept in moments.items():
         if kept:  # one flat vector in layout order; a block without a kept moment starts at 0
             setattr(state, key, np.concatenate([kept.get(n, np.zeros(a.size)).ravel()
@@ -190,14 +213,20 @@ def _pretrain_loss(model, bound, vocab, items):
 
 def _finetune_loss(model, bound, vocab, utts, config):
     """Summed transducer or LS loss of utts, one node per loss term, and the term sums."""
-    outs = [model.forward(bound, utt.features, utt.labels) for utt in utts]
-    l_rnnt = rnnt_loss([out["rnnt"] for out in outs], [utt.labels for utt in utts])
-    if config.variant != "conditional-ls":
+    ls = config.variant == "conditional-ls"
+    lattices, heads = [], []
+    for utt in utts:
+        h_enc, hs = model.encode_fused(bound, utt.features)
+        lattices.append(model.joint(bound, h_enc, model.predict(bound, utt.labels)))
+        if ls:
+            heads.append([model.ctc_head(bound, h, lang) for h, lang in zip(hs, "ME")])
+    l_rnnt = rnnt_loss(lattices, [utt.labels for utt in utts])
+    if not ls:
         return l_rnnt, {"rnnt": l_rnnt.item()}
     l_m, l_e = (
-        ctc_loss([out[key] for out in outs],
+        ctc_loss([h[i] for h in heads],
                  [_local_labels(vocab, mask_labels(utt.labels, lang, vocab), lang) for utt in utts])
-        for key, lang in (("ctc_m", "M"), ("ctc_e", "E"))
+        for i, lang in enumerate("ME")
     )
     parts = {"rnnt": l_rnnt.item(), "ctc_m": l_m.item(), "ctc_e": l_e.item()}
     return ls_loss(l_rnnt, l_m, l_e, config.lam), parts
@@ -218,7 +247,6 @@ def _run_batch(model, items, loss_fn, state, config, log):
         log(f"step={state.step} epoch={state.epoch} loss={batch_loss.item():.6f} {comp} "
             f"lr={schedule_lr(config, state.step):.6g} grad_norm={norm:.6g} "
             f"clipped={int(clipped)} step_ms={step_ms:.3f}")
-    return batch_loss.item()
 
 
 def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, log=None,
@@ -232,16 +260,14 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, l
         raise CsrtError("pretrain requires the corpus vocabulary")
     if not arch.has_ctc_heads:
         raise CsrtError("the single-encoder variant has no CTC heads to pre-train")
-    _check_monolingual(corpus_m, "M", vocab)
-    _check_monolingual(corpus_e, "E", vocab)
+    items = [("M", u) for u in corpus_m] + [("E", u) for u in corpus_e]
+    dev_items = [("M", u) for u in dev_m] + [("E", u) for u in dev_e]
+    _check_monolingual(items + dev_items, vocab)
 
     if resume_from is None:
         model, state = Model(arch, seed=config.seed), TrainState()
     else:
         model, state = start_from(resume_from, arch, "pretrain", resume=True)
-
-    items = [("M", u) for u in corpus_m] + [("E", u) for u in corpus_e]
-    dev_items = [("M", u) for u in dev_m] + [("E", u) for u in dev_e]
 
     def loss_fn(bound, batch):
         return _pretrain_loss(model, bound, vocab, batch), {}
@@ -275,6 +301,9 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
                 sources[key] = list(corpora[key])
     if not sources["cs"]:
         raise CsrtError("finetune requires code-switched training data")
+    if config.variant == "conditional-ls":
+        utts = [u for v in sources.values() for u in v] + list(dev)
+        _check_monolingual([(lang, u) for u in utts for lang in "ME"], vocab, masked=True)
 
     def loss_fn(bound, batch):
         return _finetune_loss(model, bound, vocab, batch, config)
@@ -317,11 +346,7 @@ def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
     for epoch in range(state.epoch, config.epochs):
         state.epoch = epoch
         batches = schedule(epoch)
-        start = state.batch
-        state.batch = 0
-        for bi, batch in enumerate(batches):
-            if bi < start:
-                continue
+        for bi, batch in enumerate(batches[state.batch:], state.batch):  # a resume skips done ones
             _run_batch(model, batch, loss_fn, state, config, log)
             state.batch = bi + 1
             if stop_after_steps is not None and state.step >= stop_after_steps:

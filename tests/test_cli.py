@@ -1,12 +1,14 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from csrt import cli, config
+from csrt import cli, config, training
 from csrt.cli import run
-from csrt.data import CorpusSpec
-from csrt.model import load_checkpoint, save_checkpoint
+from csrt.data import CorpusSpec, load_corpus
+from csrt.errors import CsrtError
+from csrt.model import Model, load_checkpoint, save_checkpoint
 from csrt.training import TrainingConfig
 
 
@@ -369,6 +371,36 @@ class TestPipeline:
         assert not (tmp_path / "hyp").exists()
 
 
+class TestRunDir:
+    def test_nothing_created_before_the_first_output(self, tmp_path, capsys):
+        out = tmp_path / "a" / "run"
+        run_dir = cli.RunDir(out, config.defaults(), force=False)
+        assert not (tmp_path / "a").exists()
+        run_dir.log("first line")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "log.txt"]
+        assert config.parse_config_text((out / "config.txt").read_text()) == config.defaults()
+        run_dir.log("second line")
+        assert (out / "log.txt").read_text() == "first line\nsecond line\n"
+        assert capsys.readouterr().out == "first line\nsecond line\n"
+
+    def test_first_use_of_path_creates_the_directory(self, tmp_path):
+        run_dir = cli.RunDir(tmp_path / "run", config.defaults(), force=False)
+        assert not (tmp_path / "run").exists()
+        assert (run_dir.path / "out.txt").parent == tmp_path / "run"
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["config.txt"]
+
+    def test_nonempty_directory_refused_when_made(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "junk.txt").write_text("x")
+        with pytest.raises(CsrtError, match="not empty; pass --force"):
+            cli.RunDir(out, config.defaults(), force=False)
+        run_dir = cli.RunDir(out, config.defaults(), force=True)
+        assert sorted(p.name for p in out.iterdir()) == ["junk.txt"]
+        run_dir.log("x")
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "junk.txt", "log.txt"]
+
+
 class TestCheckBeforeWrite:
     """A bad value fails before any output directory is created."""
 
@@ -464,6 +496,80 @@ class TestCheckBeforeWrite:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "block 'joint.w_out' holds a non-finite value" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [
+            ("state.epoch", None),
+            ("state.phase", np.array([0.0, 0.0])),
+            ("state.phase", np.array(7.0)),
+            ("state.phase", np.array(-2.0)),
+            ("state.batch", np.array(-3.0)),
+            ("state.epoch", np.array(0.5)),
+        ],
+        ids=["epoch-missing", "phase-not-scalar", "phase-7", "phase-negative", "batch-negative",
+             "epoch-fraction"],
+    )
+    def test_malformed_resume_state_exit_2(self, workdir, tmp_path, capsys, block, value):
+        root, data = workdir
+        ck = load_checkpoint(root / "pre" / "checkpoint.csrt")
+        if value is None:
+            del ck.blocks[block]
+        else:
+            ck.blocks[block] = value
+        save_checkpoint(tmp_path / "bad.csrt", ck)
+        fast = ["--epochs", "2", "--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+        code = run(["pretrain", "--resume", "--init", str(tmp_path / "bad.csrt"), "--data",
+                    str(data), "--out", str(tmp_path / "o")] + fast)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and f"'{block}'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("split", ["train-mono-m", "dev-mono-m"])
+    def test_ctc_target_longer_than_its_frames_exit_2(self, workdir, tmp_path, capsys, split):
+        _, data = workdir
+        shutil.copytree(data, tmp_path / "data")
+        transcripts = tmp_path / "data" / split / "transcripts.tsv"
+        lines = transcripts.read_text().splitlines()
+        uid = lines[-1].partition("\t")[0]
+        lines[-1] = uid + "\t" + " ".join(["m1", "m2"] * 30)
+        transcripts.write_text("\n".join(lines) + "\n")
+        T = len(load_corpus(tmp_path / "data").split(split)[-1].features)
+        assert T < 60
+        code = run(["pretrain", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
+                    "--epochs", "1", "--hidden-dim", "8", "--batch-size", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: utterance {uid}: ") and len(err.splitlines()) == 1
+        assert "60 M labels" in err and f"it has {T}" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["finetune", "pretrain"])
+    def test_one_start_from_and_one_model_per_run(self, workdir, tmp_path, monkeypatch, command):
+        root, data = workdir
+        calls = {"start_from": 0, "Model": 0}
+        start_from, model_init = training.start_from, Model.__init__
+
+        def counted_start_from(*args, **kw):
+            calls["start_from"] += 1
+            return start_from(*args, **kw)
+
+        def counted_init(self, *args, **kw):
+            calls["Model"] += 1
+            model_init(self, *args, **kw)
+
+        monkeypatch.setattr(training, "start_from", counted_start_from)
+        # Also count calls through a name bound in cli, should it import start_from again.
+        monkeypatch.setattr(cli, "start_from", counted_start_from, raising=False)
+        monkeypatch.setattr(Model, "__init__", counted_init)
+        fast = ["--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+        extra = ["--epochs", "0"] if command == "finetune" else ["--resume", "--epochs", "1"]
+        code = run([command, "--init", str(root / "pre"), "--data", str(data),
+                    "--out", str(tmp_path / "o")] + fast + extra)
+        assert code == 0
+        assert calls == {"start_from": 1, "Model": 1}
+
 
     @pytest.mark.parametrize(
         "argv",

@@ -45,7 +45,7 @@ def reference_greedy(model, x, frames=None):
     When given a list as `frames`, appends the frame of each emission to it.
     """
     bound = model.bind(None)
-    h_enc, _, _ = model.encode_fused(bound, x)
+    h_enc, _ = model.encode_fused(bound, x)
     prefix = []
     h_dec = _state(model, bound, ())
     score = 0.0
@@ -75,7 +75,7 @@ def reference_beam(model, x, beam):
     result falls back to the greedy chain when that scores higher.
     """
     bound = model.bind(None)
-    h_enc, _, _ = model.encode_fused(bound, x)
+    h_enc, _ = model.encode_fused(bound, x)
     T = h_enc.shape[0]
     cap = 3 * T
 

@@ -18,6 +18,7 @@ from csrt.cli import COMMAND_KEYS, run
 from csrt.data import CorpusSpec, gen_corpus, load_corpus
 from csrt.errors import CsrtError
 from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
+from csrt.training import TrainState, _finish_checkpoint, start_from
 
 MUTANTS = 300  # per file
 
@@ -103,6 +104,39 @@ def test_checkpoint_mutants_load_or_raise_csrt_error(tmp_path):
         Model(ck.architecture(), params=ck.model_params())
 
     fuzz(path, load, seed=10, binary=True)
+
+
+def test_resume_state_mutants_resume_or_raise_csrt_error(tmp_path):
+    arch = Architecture(family="dual", input_dim=1, hidden_dim=1, encoder_layers=1,
+                        encoder_mixing="conv", embed_dim=1, decoder_dim=1, joint_dim=1,
+                        n_m=1, n_e=1)
+    path = tmp_path / "ck.csrt"
+    ck = _finish_checkpoint(Model(arch, seed=0), TrainState(step=3, epoch=1, batch=2), "pretrain")
+    save_checkpoint(path, ck)
+
+    def resume():
+        _, st = start_from(load_checkpoint(path), arch, "pretrain", resume=True)
+        assert all(type(v) is int and v >= 0 for v in (st.step, st.epoch, st.batch))
+
+    fuzz(path, resume, seed=40, binary=True)
+    # Byte mutants seldom land in the few state bytes, so also redraw one state block's value.
+    rng = random.Random(41)
+    values = (None, [0.0, 0.0], [1.0], -2.0, -0.5, 0.5, 1.0, 2.0, 7.0, 1e300)
+    for i in range(MUTANTS):
+        blocks = dict(ck.blocks)
+        name = rng.choice(sorted(k for k in blocks if k.startswith("state.")))
+        value = rng.choice(values)
+        if value is None:
+            del blocks[name]
+        else:
+            blocks[name] = np.array(value)
+        save_checkpoint(path, Checkpoint(ck.fingerprint, blocks))
+        try:
+            resume()
+        except CsrtError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"state mutant {i} ({name} = {value!r}): {type(exc).__name__}: {exc}")
 
 
 def test_config_mutants_load_or_raise_csrt_error(tmp_path):

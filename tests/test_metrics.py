@@ -244,6 +244,15 @@ class TestReports:
         assert row == ["test-mono-m", "8", "382.50", "0.00", "-"]
 
     def test_separation_report_layout(self):
-        res = {"M": {"rate": 0.118, "ins": 0.037}, "E": {"rate": 0.427, "ins": 0.079}}
+        res = {"M": {"rate": 0.118, "ins": 0.037, "ref_len": 17},
+               "E": {"rate": 0.427, "ins": 0.079, "ref_len": 9}}
         text = format_separation_report(res)
         assert "INS" in text and "3.70" in text and "7.90" in text
+
+    def test_separation_report_prints_dash_without_reference_tokens(self, vocab22):
+        # Pure E: the M sub-net has no reference tokens, so neither of its rates exists.
+        utts = [make_utterance(vocab22, (3, 4, 3))]
+        res = eval_language_separation(separating_model(vocab22), utts, vocab22)
+        assert (res["M"]["ref_len"], res["E"]["ref_len"]) == (0, 3)
+        rows = [line.split() for line in format_separation_report(res).splitlines()[1:]]
+        assert rows == [["M", "(CER)", "-", "-"], ["E", "(WER)", "0.00", "0.00"]]

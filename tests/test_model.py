@@ -6,6 +6,7 @@ from csrt import autodiff as ad
 from csrt.autodiff import Tape, Tensor, backward
 from csrt.checks import full_model_grad_check, tiny_setup
 from csrt.config import defaults
+from csrt.data import Utterance
 from csrt.decoding import rnnt_decode
 from csrt.errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
 from csrt.losses import rnnt_loss
@@ -18,7 +19,7 @@ from csrt.model import (
     save_checkpoint,
     variant_family,
 )
-from csrt.training import arch_for
+from csrt.training import TrainingConfig, _finetune_loss, arch_for
 
 
 def small_arch(family="dual", mixing="conv", **kw):
@@ -115,15 +116,14 @@ class TestHeadsAndFusion:
         bound = model.bind(None)
         x = np.random.default_rng(2).standard_normal((5, 3))
         hs = [model.encode(bound, x, enc).data for enc in model.arch.encoder_names]
-        fused, h_m, h_e = model.encode_fused(bound, x)
+        fused, outs = model.encode_fused(bound, x)
         total = hs[0] if family == "single" else hs[0] + hs[1]
         if family == "triple":
             total = total + hs[2]
         assert fused.data.tobytes() == total.tobytes()
+        assert [h.data.tobytes() for h in outs] == [h.tobytes() for h in hs]
         if family == "single":
-            assert h_m is None and h_e is None
-        else:
-            assert h_m.data.tobytes() == hs[0].tobytes() and h_e.data.tobytes() == hs[1].tobytes()
+            assert fused is outs[0]  # one encoder: its output is the sum, not a copy
 
 
 class TestDecoderAndJoint:
@@ -145,7 +145,7 @@ class TestDecoderAndJoint:
     def test_joint_normalizes_and_dims(self):
         model = Model(small_arch(), seed=5)
         bound = model.bind(None)
-        h_enc, _, _ = model.encode_fused(bound, np.random.default_rng(2).standard_normal((3, 3)))
+        h_enc, _ = model.encode_fused(bound, np.random.default_rng(2).standard_normal((3, 3)))
         h_dec = model.predict(bound, (1,))
         lat = model.joint(bound, h_enc, h_dec)
         assert lat.shape == (3, 2, 5)  # V^M + V^E + blank = 5
@@ -189,32 +189,45 @@ class TestDecoderAndJoint:
         model = Model(small_arch(), seed=5)
         tape = Tape()
         bound = model.bind(tape)
-        out = model.forward(bound, np.random.default_rng(3).standard_normal((3, 3)), (1, 3))
-        loss = rnnt_loss([out["rnnt"]], [(1, 3)])
+        h_enc, _ = model.encode_fused(bound, np.random.default_rng(3).standard_normal((3, 3)))
+        lattice = model.joint(bound, h_enc, model.predict(bound, (1, 3)))
+        loss = rnnt_loss([lattice], [(1, 3)])
         backward(loss)
         assert np.isfinite(loss.item())
 
 
-class TestVariants:
-    def test_conditional_returns_all_heads(self):
-        model = Model(small_arch(), seed=6)
-        out = model.forward(model.bind(None), np.zeros((2, 3)), (1,))
-        assert out["rnnt"] is not None and out["ctc_m"] is not None and out["ctc_e"] is not None
+def finetune_parts(model, variant, vocab):
+    """The loss terms `_finetune_loss` reports for one utterance of `variant`."""
+    utt = Utterance("u", np.zeros((2, 3)), (1,))
+    cfg = TrainingConfig(variant=variant)
+    return _finetune_loss(model, model.bind(None), vocab, [utt], cfg)[1]
 
-    def test_vanilla_returns_rnnt_only(self):
+
+class TestVariants:
+    def test_conditional_returns_all_heads(self, vocab22):
+        model = Model(small_arch(), seed=6)
+        assert set(finetune_parts(model, "conditional-ls", vocab22)) == {"rnnt", "ctc_m", "ctc_e"}
+        assert set(finetune_parts(model, "conditional", vocab22)) == {"rnnt"}
+        bound = model.bind(None)
+        _, (h_m, h_e) = model.encode_fused(bound, np.zeros((2, 3)))
+        assert model.ctc_head(bound, h_m, "M").shape == (2, 3)
+        assert model.ctc_head(bound, h_e, "E").shape == (2, 3)
+
+    def test_vanilla_returns_rnnt_only(self, vocab22):
         model = Model(small_arch(family="single"), seed=6)
-        out = model.forward(model.bind(None), np.zeros((2, 3)), (1,))
-        assert out["rnnt"] is not None and out["ctc_m"] is None and out["ctc_e"] is None
+        assert set(finetune_parts(model, "vanilla", vocab22)) == {"rnnt"}
         with pytest.raises(CsrtError):
             model.ctc_head(model.bind(None), Tensor(np.zeros((2, 4))), "M")
+        with pytest.raises(CsrtError, match="no CTC heads"):  # asking for the LS terms
+            finetune_parts(model, "conditional-ls", vocab22)
 
     def test_three_encoder_matches_conditional_shape(self):
         dual = Model(small_arch(), seed=7)
         triple = Model(small_arch(family="triple"), seed=7)
         x = np.random.default_rng(4).standard_normal((3, 3))
-        a = dual.forward(dual.bind(None), x, (1,))
-        b = triple.forward(triple.bind(None), x, (1,))
-        assert a["rnnt"].shape == b["rnnt"].shape
+        a, b = (m.joint(bound, m.encode_fused(bound, x)[0], m.predict(bound, (1,)))
+                for m, bound in ((dual, dual.bind(None)), (triple, triple.bind(None))))
+        assert a.shape == b.shape == (3, 2, 5)
 
     def test_variant_families(self):
         assert variant_family("conditional") == "dual"

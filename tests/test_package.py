@@ -4,7 +4,7 @@ import sys
 import csrt
 from csrt import autodiff, checks, losses, training
 from csrt.data import Utterance
-from csrt.model import Model
+from csrt.model import Architecture, Model, variant_family
 
 # What perfbench/workloads.py `install` wraps by name. Its tracer skips a missing
 # name without a word, so a rename would read 0 in the benchmark. It also wraps
@@ -81,6 +81,30 @@ def test_model_joint_records_through_autodiff_record_custom(monkeypatch):
     monkeypatch.setattr(autodiff, "record_custom", spy)
     model, _, x, y = checks.tiny_setup()
     bound = model.bind(autodiff.Tape())
-    h_enc, _, _ = model.encode_fused(bound, x)
+    h_enc, _ = model.encode_fused(bound, x)
     model.joint(bound, h_enc, model.predict(bound, y))
     assert recorded == [7]
+
+
+def test_finetune_calls_each_model_layer_the_benchmark_times(monkeypatch):
+    # perfbench/tracer.py times these layers by rebinding the Model class attributes;
+    # a loss that bypassed one would leave that layer's benchmark span reading 0.
+    calls = dict.fromkeys(("encode_fused", "predict", "joint", "ctc_head"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(Model, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Model, name, counted)
+    _, vocab, x, y = checks.tiny_setup()
+    utts = [Utterance("a", x, y), Utterance("b", x[:2], y[:1])]
+    heads_per_utt = {"conditional-ls": 2, "conditional": 0, "three-encoder": 0, "vanilla": 0}
+    for variant, heads in heads_per_utt.items():
+        arch = Architecture(family=variant_family(variant), input_dim=3, hidden_dim=4,
+                            encoder_layers=1, encoder_mixing="conv", embed_dim=3, decoder_dim=4,
+                            joint_dim=4, n_m=vocab.n_m, n_e=vocab.n_e)
+        model = Model(arch, seed=0)
+        calls.update(dict.fromkeys(calls, 0))
+        training._finetune_loss(model, model.bind(autodiff.Tape()), vocab, utts,
+                                training.TrainingConfig(variant=variant))
+        assert calls == {"encode_fused": 2, "predict": 2, "joint": 2, "ctc_head": 2 * heads}, variant

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from csrt.config import defaults
+from csrt.data import Utterance
 from csrt.errors import CsrtError, FingerprintMismatchError, OptimizerError
 from csrt.model import (
     Architecture,
@@ -507,3 +508,25 @@ def test_ls_finetune_handles_empty_masked_targets(world, pretrained):
     loss, parts = _finetune_loss(model, bound, vocab, [mono_m], cfg)
     assert np.isfinite(loss.item())
     assert parts["ctc_e"] is not None  # empty-target CTC term still evaluated
+
+
+@pytest.mark.parametrize("where", ["train", "dev"])
+def test_ls_finetune_rejects_a_masked_target_longer_than_its_frames(world, pretrained, where):
+    # CTC needs a frame per label (plus one per repeat); the transducer alone does not.
+    corpus, vocab, arch = world
+    utt = corpus.split("train-cs")[0]
+    T = len(utt.features)
+    m_units, e_unit = vocab.lang_ids("M"), vocab.lang_ids("E")[0]
+    labels = tuple(m_units[i % 2] for i in range(T + 1)) + (e_unit,)
+    bad = Utterance("too-long", utt.features, labels)
+    corpora = {k: list(v) for k, v in corpora_of(corpus).items()}
+    dev = list(corpus.split("dev-cs"))
+    (corpora["cs"] if where == "train" else dev).insert(0, bad)
+    for variant in ("conditional-ls", "conditional"):
+        cfg = tcfg(epochs=0, variant=variant)
+        if variant == "conditional-ls":
+            with pytest.raises(CsrtError, match=f"utterance too-long: its {T + 1} M labels need "
+                                                f"{T + 1} CTC frames, it has {T}"):
+                finetune(corpora, pretrained, cfg, arch, dev=dev, vocab=vocab)
+        else:
+            finetune(corpora, pretrained, cfg, arch, dev=dev, vocab=vocab)
