@@ -2,12 +2,14 @@
 
 One process per command: corpus generation, the two training stages,
 decoding, evaluation, the language-separation ablation, posterior dumps,
-and the oracle/gradient self-checks. Every flag mirrors a config-file key
-(see config.REGISTRY); explicit flags override the file, which overrides
-the defaults. Commands that write an output directory refuse a non-empty
-one up front unless --force is given, and create it, with the resolved
-config and an append-only plain-text log, only at their first output, so
-a command that fails on its inputs leaves nothing behind.
+and the oracle/gradient self-checks. Every flag is a config-file key (see
+config.REGISTRY); explicit flags override the file, which overrides the
+defaults. COMMANDS maps a command to its handler and keys; one that builds
+a settings dataclass takes the keys of its fields, read off the class.
+Commands that write an output directory refuse a non-empty one up front
+unless --force is given, and create it, with the resolved config and an
+append-only plain-text log, only at their first output, so a command that
+fails on its inputs leaves nothing behind.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure.
 """
@@ -15,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -30,64 +33,16 @@ from .metrics import (
     format_separation_report,
     format_split_report,
 )
-from .model import Model, load_checkpoint, save_checkpoint, write_atomic
+from .model import Architecture, Model, load_checkpoint, save_checkpoint, write_atomic
 from .training import TrainingConfig, arch_for, finetune, pretrain
 
 CHECKPOINT_NAME = "checkpoint.csrt"
 
-_COMMON = ("seed", "out", "force")
-_MODEL_KEYS = (
-    "variant",
-    "hidden-dim",
-    "vanilla-hidden-dim",
-    "encoder-layers",
-    "encoder-mixing",
-    "embed-dim",
-    "decoder-dim",
-    "joint-dim",
-)
-_TRAIN_KEYS = (
-    "learning-rate",
-    "schedule",
-    "warmup-steps",
-    "epochs",
-    "batch-size",
-    "beta1",
-    "beta2",
-    "moment-eps",
-    "grad-clip",
-)
 
-COMMAND_KEYS = {
-    "gen-data": _COMMON
-    + (
-        "spec",
-        "units-per-language",
-        "feature-dim",
-        "frames-min",
-        "frames-max",
-        "noise-sigma",
-        "utt-units-min",
-        "utt-units-max",
-        "cs-spans-max",
-        "cs-matrix-fraction",
-        "cross-lingual-offset",
-        "train-count",
-        "dev-count",
-        "test-count",
-    ),
-    "pretrain": _COMMON + ("data", "init", "resume") + _MODEL_KEYS + _TRAIN_KEYS,
-    "finetune": _COMMON
-    + ("data", "init", "resume", "lambda", "fine-tune-data", "mono-mix-ratio")
-    + _MODEL_KEYS
-    + _TRAIN_KEYS,
-    "decode": ("out", "force", "data", "model", "split", "beam"),
-    "eval": ("out", "force", "data", "model", "split", "beam"),
-    "eval-ls": ("out", "force", "data", "model", "split"),
-    "dump-posteriors": ("out", "data", "model", "utt"),
-    "gradcheck": ("seed",),
-    "oracle-check": ("seed", "trials"),
-}
+def _keys(settings, leave_out=()):
+    """The config keys of a settings dataclass's fields, in field order, less `leave_out`."""
+    keys = (config.key_of(f.name) for f in dataclasses.fields(settings))
+    return tuple(k for k in keys if k in config.REGISTRY and k not in leave_out)
 
 
 class UsageError(Exception):
@@ -102,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser():
     parser = _Parser(prog="csrt", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command")
-    for command, keys in COMMAND_KEYS.items():
+    for command, (_, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=f"{command} command")
         p.add_argument("--config", default=None, help="config file (key = value lines)")
         for key in keys:
@@ -118,7 +73,7 @@ def build_parser():
 def resolve_values(args, command):
     file_values = config.load_config(args.config) if args.config else None
     overrides = {}
-    for key in COMMAND_KEYS[command]:
+    for key in COMMANDS[command][1]:
         raw = getattr(args, key)
         if raw is not None:
             try:
@@ -162,18 +117,18 @@ def _checkpoint_path(path):
 
 
 def _model_and_corpus(values, command):
-    """The --model checkpoint's Model and the --data corpus, both required."""
-    ck = load_checkpoint(_checkpoint_path(_require(values, "model", command)))
+    """The --model checkpoint's Model and the --data corpus, both required and checked to
+    agree on each language's units and the feature width."""
+    path = _checkpoint_path(_require(values, "model", command))
+    ck = load_checkpoint(path)
     model = Model(ck.architecture(), params=ck.model_params())
-    return model, load_corpus(_require(values, "data", command))
-
-
-def _corpus_and_arch(values, command):
     corpus = load_corpus(_require(values, "data", command))
-    any_split = next(iter(corpus.splits.values()))
-    input_dim = any_split[0].features.shape[1]
-    arch = arch_for(values["variant"], values, corpus.vocab, input_dim)
-    return corpus, arch
+    arch, vocab = model.arch, corpus.vocab
+    if (arch.n_m, arch.n_e, arch.input_dim) != (vocab.n_m, vocab.n_e, corpus.feature_dim):
+        raise CsrtError(f"checkpoint {path} (units-m {arch.n_m}, units-e {arch.n_e}, feature "
+                        f"width {arch.input_dim}) does not fit corpus {values['data']} (units-m "
+                        f"{vocab.n_m}, units-e {vocab.n_e}, feature width {corpus.feature_dim})")
+    return model, corpus
 
 
 def cmd_gen_data(values):
@@ -183,14 +138,14 @@ def cmd_gen_data(values):
     corpus = gen_corpus(spec, run.path)
     for split, utts in sorted(corpus.splits.items()):
         run.log(f"split={split} utterances={len(utts)}")
-    return 0
 
 
 def cmd_pretrain(values):
     out = _require(values, "out", "pretrain")
     if values["init"] and not values["resume"]:
         raise UsageError("pretrain --init needs --resume (pretraining starts from scratch)")
-    corpus, arch = _corpus_and_arch(values, "pretrain")
+    corpus = load_corpus(_require(values, "data", "pretrain"))
+    arch = arch_for(values["variant"], values, corpus.vocab, corpus.feature_dim)
     tcfg = TrainingConfig.from_values(values)
     names = ("train-mono-m", "train-mono-e", "dev-mono-m", "dev-mono-e")
     train_m, train_e, dev_m, dev_e = map(corpus.split, names)
@@ -202,12 +157,12 @@ def cmd_pretrain(values):
                   log=run.log, resume_from=resume_from)
     save_checkpoint(run.path / CHECKPOINT_NAME, ck)
     run.log(f"saved {run.path / CHECKPOINT_NAME}")
-    return 0
 
 
 def cmd_finetune(values):
     out = _require(values, "out", "finetune")
-    corpus, arch = _corpus_and_arch(values, "finetune")
+    corpus = load_corpus(_require(values, "data", "finetune"))
+    arch = arch_for(values["variant"], values, corpus.vocab, corpus.feature_dim)
     init = load_checkpoint(_checkpoint_path(_require(values, "init", "finetune")))
     tcfg = TrainingConfig.from_values(values)
     corpora = {part: corpus.split(f"train-{part}") for part in ("cs", "mono-m", "mono-e")}
@@ -217,7 +172,6 @@ def cmd_finetune(values):
                   resume=values["resume"])
     save_checkpoint(run.path / CHECKPOINT_NAME, ck)
     run.log(f"saved {run.path / CHECKPOINT_NAME}")
-    return 0
 
 
 def _write_text(path, text):
@@ -241,16 +195,19 @@ def cmd_decode(values):
         hyps.append((utt.uid, hyp))
         run.log(f"decoded {utt.uid} score={score:.4f}")
     _write_text(run.path / "hyps.tsv", _hyps_text(hyps, corpus.vocab))
-    return 0
 
 
 def _report(run, text, files=()):
-    """Print a report; with a run directory, also write `files` and report.txt there."""
-    print(text)
-    if run is not None:
-        for name, content in (*files, ("report.txt", text + "\n")):
-            _write_text(run.path / name, content)
-        run.log(text.splitlines()[-1])
+    """Print a report; with a run directory, also write `files` and report.txt there and
+    log the report's last line, which prints that line."""
+    if run is None:
+        print(text)
+        return
+    last = text.splitlines()[-1]
+    print(text.removesuffix(last), end="")
+    for name, content in (*files, ("report.txt", text + "\n")):
+        _write_text(run.path / name, content)
+    run.log(last)
 
 
 def cmd_eval(values):
@@ -260,7 +217,6 @@ def cmd_eval(values):
     report, hyps = evaluate_split(model, utts, corpus.vocab, beam=values["beam"])
     _report(run, format_split_report(values["split"], report),
             [("hyps.tsv", _hyps_text(hyps.items(), corpus.vocab))])
-    return 0
 
 
 def cmd_eval_ls(values):
@@ -268,20 +224,17 @@ def cmd_eval_ls(values):
     utts = corpus.split(values["split"])
     run = RunDir(values["out"], values, values["force"]) if values["out"] else None
     _report(run, format_separation_report(eval_language_separation(model, utts, corpus.vocab)))
-    return 0
 
 
 def cmd_dump_posteriors(values):
     model, corpus = _model_and_corpus(values, "dump-posteriors")
     uid = _require(values, "utt", "dump-posteriors")
     out = _require(values, "out", "dump-posteriors")
-    for utts in corpus.splits.values():
-        for utt in utts:
-            if utt.uid == uid:
-                dump_frame_posteriors(model, utt.features, out, corpus.vocab)
-                print(f"wrote {out}")
-                return 0
-    raise CsrtError(f"utterance {uid!r} not found in corpus")
+    utt = next((u for utts in corpus.splits.values() for u in utts if u.uid == uid), None)
+    if utt is None:
+        raise CsrtError(f"utterance {uid!r} not found in corpus")
+    dump_frame_posteriors(model, utt.features, out, corpus.vocab)
+    print(f"wrote {out}")
 
 
 def _check_table(worst, width, column, bound, failure):
@@ -296,38 +249,37 @@ def cmd_gradcheck(values):
     worst = checks.loss_grad_sweep(trials=10, seed=values["seed"])
     worst["full-model"] = checks.full_model_grad_check()
     _check_table(worst, 12, "max-rel-err", 1e-4, "gradient check exceeded 1e-4")
-    return 0
 
 
 def cmd_oracle_check(values):
     worst = checks.oracle_sweep(trials=values["trials"], seed=values["seed"])
     _check_table(worst, 6, "max-abs-diff", 1e-6, "oracle equivalence exceeded 1e-6")
-    return 0
 
 
-_COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "pretrain": cmd_pretrain,
-    "finetune": cmd_finetune,
-    "decode": cmd_decode,
-    "eval": cmd_eval,
-    "eval-ls": cmd_eval_ls,
-    "dump-posteriors": cmd_dump_posteriors,
-    "gradcheck": cmd_gradcheck,
-    "oracle-check": cmd_oracle_check,
+_TRAINING = ("out", "force", "data", "init", "resume", "vanilla-hidden-dim") + _keys(Architecture)
+_FINETUNE_ONLY = ("lambda", "fine-tune-data", "mono-mix-ratio")
+
+COMMANDS = {
+    "gen-data": (cmd_gen_data, ("out", "force", "spec") + _keys(CorpusSpec)),
+    "pretrain": (cmd_pretrain, _TRAINING + _keys(TrainingConfig, _FINETUNE_ONLY)),
+    "finetune": (cmd_finetune, _TRAINING + _keys(TrainingConfig)),
+    "decode": (cmd_decode, ("out", "force", "data", "model", "split", "beam")),
+    "eval": (cmd_eval, ("out", "force", "data", "model", "split", "beam")),
+    "eval-ls": (cmd_eval_ls, ("out", "force", "data", "model", "split")),
+    "dump-posteriors": (cmd_dump_posteriors, ("out", "data", "model", "utt")),
+    "gradcheck": (cmd_gradcheck, ("seed",)),
+    "oracle-check": (cmd_oracle_check, ("seed", "trials")),
 }
 
 
 def run(argv):
     parser = build_parser()
     try:
-        if not argv:
-            raise UsageError("no command given")
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("no command given")
-        values = resolve_values(args, args.command)
-        return _COMMANDS[args.command](values)
+        COMMANDS[args.command][0](resolve_values(args, args.command))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -1,10 +1,10 @@
 """Plain-text configuration: one `key = value` per line, `#` comments.
 
-Every command-line flag has a key here, commands read the subset they
-need, and unknown keys are rejected. parse -> serialize -> parse is a
-fixpoint, which the tests rely on.
+Every command-line flag has a key here, and unknown keys are rejected.
+parse -> serialize -> parse is a fixpoint, which the tests rely on.
 
-REGISTRY is the one place that states a setting's type and range. The
+REGISTRY states each setting's type and range once, VARIANT_FAMILY the
+model variants (the `variant` key's choices) and their families. The
 settings dataclasses name each field after its key (`_` for `-`), are
 built by `from_values` and check their fields with the same converters.
 """
@@ -60,6 +60,16 @@ def _choice(*options):
     return convert
 
 
+# Architecture family per model variant; conditional and conditional-ls share one
+# architecture (they differ only in the fine-tuning loss), which is what lets a
+# single pre-trained checkpoint initialize either one.
+VARIANT_FAMILY = {
+    "conditional": "dual",
+    "conditional-ls": "dual",
+    "three-encoder": "triple",
+    "vanilla": "single",
+}
+
 # key -> (converter, default, help)
 REGISTRY = {
     # common
@@ -90,11 +100,7 @@ REGISTRY = {
     "dev-count": (_int_at_least(1), 50, "dev utterances per corpus"),
     "test-count": (_int_at_least(1), 100, "test utterances per corpus"),
     # model dimensions
-    "variant": (
-        _choice("conditional", "conditional-ls", "three-encoder", "vanilla"),
-        "conditional-ls",
-        "model variant",
-    ),
+    "variant": (_choice(*VARIANT_FAMILY), "conditional-ls", "model variant"),
     "hidden-dim": (_int_at_least(1), 32, "encoder hidden width"),
     "vanilla-hidden-dim": (_int_at_least(1), 48, "encoder width for the single-encoder variant"),
     "encoder-layers": (_int_at_least(1), 2, "encoder blocks per stack"),

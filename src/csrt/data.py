@@ -20,7 +20,7 @@ On-disk layout under the corpus directory:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +91,8 @@ class Utterance:
 @dataclass
 class Corpus:
     vocab: Vocabulary
-    splits: dict = field(default_factory=dict)
+    splits: dict
+    feature_dim: int  # the width of every utterance's frames
 
     def split(self, name):
         try:
@@ -313,7 +314,8 @@ def load_corpus(path):
     root = Path(path)
     manifest = root / "manifest.tsv"
     vocab = load_vocabulary(root / "vocab.tsv")
-    corpus = Corpus(vocab=vocab)
+    splits = {}
+    first = None  # (path, width) of the first feature file; every one must have that width
     for ln, line in _lines(manifest):
         parts = line.split("\t")
         if len(parts) != 4:
@@ -330,6 +332,10 @@ def load_corpus(path):
                 feats = read_features(feat_path)
             except CorpusFormatError as exc:
                 raise CorpusFormatError(f"utterance {uid}: {exc}")
+            first = first or (feat_path, feats.shape[1])
+            if feats.shape[1] != first[1]:
+                raise CorpusFormatError(f"utterance {uid}: {feat_path} has {feats.shape[1]} "
+                                        f"features per frame, {first[0]} has {first[1]}")
             span_list = []
             for token in spans.get(uid, "").split():
                 try:
@@ -348,5 +354,7 @@ def load_corpus(path):
             utts.append(
                 Utterance(uid=uid, features=feats, labels=labels, spans=tuple(span_list))
             )
-        corpus.splits[split] = utts
-    return corpus
+        splits[split] = utts
+    if first is None:
+        raise CorpusFormatError(f"corpus {root} has no utterances")
+    return Corpus(vocab=vocab, splits=splits, feature_dim=first[1])

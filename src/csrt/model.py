@@ -1,6 +1,6 @@
 """Model zoo: monolingual encoders with CTC heads, additive fusion, a
 recurrent prediction network, and the joint network, assembled into the
-single-, dual-, and triple-encoder architectures.
+single-, dual- and triple-encoder families of config.VARIANT_FAMILY.
 
 All parameters live in one name -> float64 array dict in `_param_layout`
 order, however a checkpoint stored them. A forward pass binds that dict
@@ -41,18 +41,6 @@ from .errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"CSRT1"
 
-VARIANTS = ("conditional", "conditional-ls", "three-encoder", "vanilla")
-
-# Architecture family per training variant; conditional and conditional-ls
-# share one architecture (they differ only in the fine-tuning loss), which
-# is what lets a single pre-trained checkpoint initialize either one.
-_VARIANT_ARCH = {
-    "conditional": "dual",
-    "conditional-ls": "dual",
-    "three-encoder": "triple",
-    "vanilla": "single",
-}
-
 
 @dataclass(frozen=True)
 class Architecture:
@@ -71,7 +59,7 @@ class Architecture:
 
     def __post_init__(self):
         config.check_fields(self)
-        if self.family not in ("single", "dual", "triple"):
+        if self.family not in config.VARIANT_FAMILY.values():
             raise CsrtError(f"unknown architecture family {self.family!r}")
 
     @property
@@ -113,10 +101,8 @@ class Architecture:
 
 
 def variant_family(variant):
-    try:
-        return _VARIANT_ARCH[variant]
-    except KeyError:
-        raise CsrtError(f"unknown model variant {variant!r}; expected one of {VARIANTS}")
+    """A model variant's architecture family (see config.VARIANT_FAMILY)."""
+    return config.VARIANT_FAMILY[config.convert("variant", variant)]
 
 
 def _param_layout(arch):

@@ -249,17 +249,17 @@ def _run_batch(model, items, loss_fn, state, config, log):
             f"clipped={int(clipped)} step_ms={step_ms:.3f}")
 
 
-def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, log=None,
+def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), *, vocab, log=None,
              stop_after_steps=None, resume_from=None):
     """CTC pre-training of the monolingual encoders and heads.
 
     The decoder and joint network stay at their seeded initialization: the
     CTC losses never touch them. Returns a Checkpoint.
     """
-    if vocab is None:
-        raise CsrtError("pretrain requires the corpus vocabulary")
     if not arch.has_ctc_heads:
         raise CsrtError("the single-encoder variant has no CTC heads to pre-train")
+    if not (corpus_m and corpus_e):
+        raise CsrtError("pretrain requires training utterances in both languages")
     items = [("M", u) for u in corpus_m] + [("E", u) for u in corpus_e]
     dev_items = [("M", u) for u in dev_m] + [("E", u) for u in dev_e]
     _check_monolingual(items + dev_items, vocab)
@@ -281,8 +281,8 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), vocab=None, l
     )
 
 
-def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
-             stop_after_steps=None, resume=False):
+def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, stop_after_steps=None,
+             resume=False):
     """Fine-tune all parameters with the transducer or LS loss.
 
     `corpora` maps {'cs': [...], 'mono-m': [...], 'mono-e': [...]}; the
@@ -290,8 +290,6 @@ def finetune(corpora, init, config, arch, dev=(), vocab=None, log=None,
     `init` is the pre-training Checkpoint (fingerprint-checked), or a
     mid-run finetune checkpoint when `resume` is set.
     """
-    if vocab is None:
-        raise CsrtError("finetune requires the corpus vocabulary")
     model, state = start_from(init, arch, "finetune", resume)
 
     sources = {"cs": list(corpora.get("cs", ()))}

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import shutil
 
 import numpy as np
@@ -8,7 +10,7 @@ from csrt import cli, config, training
 from csrt.cli import run
 from csrt.data import CorpusSpec, load_corpus
 from csrt.errors import CsrtError
-from csrt.model import Model, load_checkpoint, save_checkpoint
+from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
 from csrt.training import TrainingConfig
 
 
@@ -92,6 +94,34 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "--init" in err and "--resume" in err
         assert not (tmp_path / "p").exists()
+
+
+class TestFlagTable:
+    """A command's flags are the keys of the settings dataclasses it builds."""
+
+    def test_commands_take_the_keys_of_their_settings(self):
+        taken = {command: set(keys) for command, (_, keys) in cli.COMMANDS.items()}
+
+        def settings(cls):
+            keys = {config.key_of(f.name) for f in dataclasses.fields(cls)}
+            return keys & config.REGISTRY.keys()
+
+        assert settings(CorpusSpec) <= taken["gen-data"]
+        for command in ("pretrain", "finetune"):
+            assert settings(Architecture) | {"vanilla-hidden-dim"} <= taken[command]
+        training_keys = settings(TrainingConfig)
+        assert training_keys <= taken["finetune"]
+        finetune_only = {"lambda", "fine-tune-data", "mono-mix-ratio"}
+        assert training_keys & taken["pretrain"] == training_keys - finetune_only
+        assert set().union(*taken.values()) == config.REGISTRY.keys()
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_help_lists_exactly_the_command_keys(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            run([command, "--help"])
+        assert exit_.value.code == 0
+        flags = set(re.findall(r"--([a-z0-9-]+)", capsys.readouterr().out))
+        assert flags == set(cli.COMMANDS[command][1]) | {"config", "help"}
 
 
 class TestRuntimeErrors:
@@ -226,6 +256,17 @@ class TestPipeline:
         assert code == 2
         assert "--force" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["junk.txt"]
+
+    @pytest.mark.parametrize("command, extra", [("eval", ["--beam", "1"]), ("eval-ls", [])])
+    def test_stdout_is_the_report_file(self, workdir, tmp_path, capsys, command, extra):
+        root, data = workdir
+        out = tmp_path / "report"
+        code = run([command, "--model", str(root / "ft"), "--data", str(data), "--split", "dev-cs",
+                    "--out", str(out)] + extra)
+        assert code == 0
+        report = (out / "report.txt").read_text()
+        assert capsys.readouterr().out == report
+        assert (out / "log.txt").read_text() == report.splitlines()[-1] + "\n"
 
     def test_eval_ls_prints_table(self, workdir, capsys):
         root, data = workdir
@@ -590,6 +631,63 @@ class TestCheckBeforeWrite:
         assert code == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "emptied, message",
+        [("train-mono-m/transcripts.tsv", "pretrain requires training utterances in both"),
+         ("manifest.tsv", "has no utterances")],
+        ids=["empty-first-split", "empty-manifest"],
+    )
+    def test_corpus_without_training_utterances_exit_2(self, workdir, tmp_path, capsys, emptied,
+                                                       message):
+        _, data = workdir
+        shutil.copytree(data, tmp_path / "data")
+        (tmp_path / "data" / emptied).write_text("")
+        code = run(["pretrain", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
+                    "--epochs", "1", "--hidden-dim", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def mismatched(workdir, tmp_path_factory):
+    """Checkpoints and corpora that disagree on the units or the feature width."""
+    root, data = workdir
+    other = tmp_path_factory.mktemp("mismatch")
+    assert run(gen_args(other / "data2", ["--units-per-language", "2"])) == 0
+
+    def checkpoint(name, n_units, input_dim):
+        arch = Architecture(family="dual", input_dim=input_dim, hidden_dim=4, encoder_layers=1,
+                            encoder_mixing="conv", embed_dim=4, decoder_dim=4, joint_dim=4,
+                            n_m=n_units, n_e=n_units)
+        save_checkpoint(other / name, Checkpoint(arch.fingerprint(), Model(arch).params))
+        return other / name
+
+    return {
+        "small-model-large-corpus": (checkpoint("units2.csrt", 2, 8), data),
+        "large-model-small-corpus": (root / "ft", other / "data2"),
+        "narrow-model": (checkpoint("width7.csrt", 5, 7), data),
+    }
+
+
+@pytest.mark.parametrize("probe", ["small-model-large-corpus", "large-model-small-corpus",
+                                   "narrow-model"])
+@pytest.mark.parametrize("command, extra", [
+    ("decode", ["--beam", "1"]), ("eval", ["--beam", "1"]), ("eval-ls", []),
+    ("dump-posteriors", ["--utt", "dev-cs-00000"]),
+])
+def test_checkpoint_not_fitting_corpus_exit_2(mismatched, tmp_path, capsys, probe, command,
+                                              extra):
+    model, data = mismatched[probe]
+    code = run([command, "--model", str(model), "--data", str(data), "--out", str(tmp_path / "o")]
+               + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and len(err.splitlines()) == 1
+    assert f"does not fit corpus {data}" in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestSelfChecks:

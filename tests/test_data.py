@@ -184,6 +184,7 @@ class TestLoading:
         spec, corpus, root = tiny_corpus
         again = load_corpus(root)
         assert set(again.splits) == set(corpus.splits)
+        assert again.feature_dim == corpus.feature_dim == spec.feature_dim
         for split in corpus.splits:
             for a, b in zip(corpus.splits[split], again.splits[split]):
                 assert a.uid == b.uid and a.labels == b.labels and a.spans == b.spans
@@ -203,6 +204,25 @@ class TestLoading:
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
         assert uid in str(err.value)
+
+    def test_feature_width_unlike_the_first_file_names_the_file(self, tmp_path):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        utt = gen_corpus(spec, root).split("train-cs")[0]
+        victim = root / "train-cs" / "feats" / f"{utt.uid}.csft"
+        write_features(victim, utt.features[:, :7])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        first = root / "train-mono-m" / "feats" / "train-mono-m-00000.csft"
+        assert f"{victim} has 7 features per frame, {first} has 8" in str(err.value)
+
+    def test_corpus_without_utterances_names_it(self, tmp_path):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        (root / "manifest.tsv").write_text("")
+        with pytest.raises(CorpusFormatError, match=f"corpus {root} has no utterances"):
+            load_corpus(root)
 
     def test_unknown_transcript_unit(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from csrt import config
-from csrt.cli import COMMAND_KEYS, run
+from csrt.cli import COMMANDS, run
 from csrt.data import CorpusSpec, gen_corpus, load_corpus
 from csrt.errors import CsrtError
 from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
@@ -185,7 +185,7 @@ def run_inputs(tmp_path_factory):
 
 def test_bad_flag_values_fail_before_writing(run_inputs, tmp_path, capsys):
     rng = random.Random(30)
-    draws = {c: [k for k in keys if bad_texts(k)] for c, keys in COMMAND_KEYS.items()}
+    draws = {c: [k for k in keys if bad_texts(k)] for c, (_, keys) in COMMANDS.items()}
     draws = {c: keys for c, keys in draws.items() if keys}
     for i in range(FLAG_DRAWS):
         command = rng.choice(sorted(draws))
@@ -193,7 +193,7 @@ def test_bad_flag_values_fail_before_writing(run_inputs, tmp_path, capsys):
         text = rng.choice(bad_texts(key))
         out = tmp_path / f"out{i}"
         argv = [command] + run_inputs.get(command, [])
-        if "out" in COMMAND_KEYS[command]:
+        if "out" in COMMANDS[command][1]:
             argv += ["--out", str(out)]
         in_file = rng.random() < 0.5
         if in_file:

@@ -234,7 +234,7 @@ class TestVariants:
         assert variant_family("conditional-ls") == "dual"
         assert variant_family("three-encoder") == "triple"
         assert variant_family("vanilla") == "single"
-        with pytest.raises(CsrtError):
+        with pytest.raises(CsrtError, match="bad value for 'variant': expected one of"):
             variant_family("bogus")
 
     def test_parameter_parity_vanilla_within_10pct(self, vocab55):
