@@ -16,9 +16,17 @@ checks), rows (a read-only row-range view), index_select (a row gather that
 accumulates repeats), concat, and record_custom for hand-differentiated ops
 (the lattice losses, the joint). An op records itself on a tape whenever an
 input is on one; with no tape it only computes. Mixing two live tapes is an error.
+
+`arrays` is the op set's twin on plain numpy arrays: each op's forward and
+nothing else (its `lift` leaves an array as is). Layer code written over
+the op names runs over this module's ops on Tensors and over `arrays` for
+tape-free inference, with the same arithmetic in the same order, so the
+values are bitwise equal.
 """
 
 from __future__ import annotations
+
+import types
 
 import numpy as np
 
@@ -78,7 +86,8 @@ class Tape:
         return len(self._nodes)
 
 
-def _lift(x):
+def lift(x):
+    """x as an operand: itself if a Tensor, else its array wrapped tape-free."""
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
@@ -114,7 +123,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -128,7 +137,7 @@ def add(a, b):
 
 def mul(a, b):
     """Elementwise product (numpy broadcasting rules)."""
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -141,7 +150,7 @@ def mul(a, b):
 
 
 def matmul(a, b):
-    a, b = _lift(a), _lift(b)
+    a, b = lift(a), lift(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     out = a.data @ b.data
@@ -153,7 +162,7 @@ def matmul(a, b):
 
 
 def tanh(x):
-    x = _lift(x)
+    x = lift(x)
     y = np.tanh(x.data)
 
     def grad_fn(g):
@@ -175,7 +184,7 @@ def log_softmax_vjp(y, g, axis):
 
 def log_softmax(x, axis):
     """Log of softmax along `axis`; rows exponentiate-and-sum to one."""
-    x = _lift(x)
+    x = lift(x)
     if not -x.data.ndim <= axis < x.data.ndim:
         raise AxisOutOfRangeError(f"log-softmax axis {axis} out of range for rank {x.data.ndim}")
     y = log_softmax_array(x.data, axis)
@@ -184,7 +193,7 @@ def log_softmax(x, axis):
 
 def rows(x, start, stop):
     """Rows start..stop-1 (axis 0) as a read-only view; the gradient fills them into zeros."""
-    x = _lift(x)
+    x = lift(x)
     if not 0 <= start <= stop <= x.shape[0]:
         raise ShapeMismatchError(f"rows: [{start}, {stop}) out of range for {x.shape[0]} rows")
     out = x.data[start:stop]
@@ -200,7 +209,7 @@ def rows(x, start, stop):
 
 def index_select(x, indices):
     """Gather rows (axis 0). Duplicate indices accumulate in the gradient."""
-    x = _lift(x)
+    x = lift(x)
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
         raise ShapeMismatchError(f"index-select: index out of bounds for {x.shape[0]} rows")
@@ -215,7 +224,7 @@ def index_select(x, indices):
 
 
 def concat(tensors, axis=0):
-    tensors = [_lift(t) for t in tensors]
+    tensors = [lift(t) for t in tensors]
     if not tensors:
         raise ShapeMismatchError("concat of zero tensors")
     rank = tensors[0].data.ndim
@@ -234,6 +243,14 @@ def concat(tensors, axis=0):
         return tuple(np.split(g, bounds, axis=axis))
 
     return _emit(out, tuple(tensors), grad_fn)
+
+
+arrays = types.SimpleNamespace(
+    lift=np.asarray, add=np.add, matmul=np.matmul, tanh=np.tanh,
+    log_softmax=log_softmax_array, rows=lambda x, start, stop: x[start:stop],
+    index_select=lambda x, indices: x[np.asarray(indices, dtype=np.intp)],
+    concat=np.concatenate,
+)
 
 
 def record_custom(out_data, inputs, grad_fn):

@@ -260,7 +260,7 @@ _TRAINING = ("out", "force", "data", "init", "resume", "vanilla-hidden-dim") + _
 _FINETUNE_ONLY = ("lambda", "fine-tune-data", "mono-mix-ratio")
 
 COMMANDS = {
-    "gen-data": (cmd_gen_data, ("out", "force", "spec") + _keys(CorpusSpec)),
+    "gen-data": (cmd_gen_data, ("out", "force") + _keys(CorpusSpec)),
     "pretrain": (cmd_pretrain, _TRAINING + _keys(TrainingConfig, _FINETUNE_ONLY)),
     "finetune": (cmd_finetune, _TRAINING + _keys(TrainingConfig)),
     "decode": (cmd_decode, ("out", "force", "data", "model", "split", "beam")),

@@ -73,7 +73,6 @@ VARIANT_FAMILY = {
 # key -> (converter, default, help)
 REGISTRY = {
     # common
-    "spec": (_choice("default"), "default", "corpus preset name"),
     "seed": (_int_at_least(0), 0, "RNG seed for the command"),
     "out": (str, "", "output directory (or file, where noted)"),
     "force": (_bool, False, "allow writing into a non-empty output directory"),

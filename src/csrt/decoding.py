@@ -1,8 +1,9 @@
 """Greedy CTC decoding and greedy/beam transducer decoding.
 
-Transducer search runs on numpy arrays read from `model.params` under the
-names `Model.predict` and `Model.joint` use, the reference it is tested
-against; only the encoder runs the tape-free Tensor forward. Per utterance
+Decoding makes no Tensor. The encoders run tape-free on the plain arrays
+of `model.params` (`Model.encode_fused`), and transducer search reads the
+prediction and joint networks' arrays under the names `Model.predict` and
+`Model.joint` use, the reference it is tested against. Per utterance
 a scorer projects the encoder rows once, `E = h_enc @ joint.w_enc +
 joint.b`, and caches per label prefix (the empty one is the start token)
 the prediction-net state and its projection `d = state @ joint.w_dec`, one
@@ -35,8 +36,8 @@ MAX_EMITS_PER_FRAME_FACTOR = 3
 
 
 def greedy_ctc_decode(logp):
-    """Per-frame argmax, then collapse. Returns label ids in column space."""
-    return collapse(tuple(int(k) for k in ad._lift(logp).data.argmax(axis=1)))
+    """Per-frame argmax of a (T, C) log-posterior array, then collapse. Returns column ids."""
+    return collapse(tuple(int(k) for k in np.asarray(logp).argmax(axis=1)))
 
 
 class _Scorer:
@@ -122,9 +123,9 @@ def rnnt_decode(model, x, beam=1):
     """Best label sequence and its log-score; beam=1 is the greedy policy."""
     if beam < 1:
         raise ValueError(f"beam must be >= 1, got {beam}")
-    h_enc, _ = model.encode_fused(model.bind(None), x)
-    cap = MAX_EMITS_PER_FRAME_FACTOR * h_enc.shape[0]
-    scorer = _Scorer(model, h_enc.data)
+    h_enc, _ = model.encode_fused(model.params, x)
+    cap = MAX_EMITS_PER_FRAME_FACTOR * len(h_enc)
+    scorer = _Scorer(model, h_enc)
     greedy = _greedy(scorer, cap)
     if beam == 1:
         return greedy

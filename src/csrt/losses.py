@@ -34,7 +34,7 @@ NEG_INF = -np.inf
 
 def _batch(name, logps, ys, ndim):
     """Lifted posteriors and labels, checked, and whether beta and gradients are needed."""
-    logps = [autodiff._lift(lp) for lp in logps]
+    logps = [autodiff.lift(lp) for lp in logps]
     ys = [tuple(int(u) for u in y) for y in ys]
     if not logps or len(logps) != len(ys):
         raise ShapeMismatchError(f"{name}: {len(logps)} posteriors for {len(ys)} label sequences")
@@ -240,7 +240,7 @@ def rnnt_loss_oracle(logp, y):
 
 
 def _oracle_input(logp, y):
-    lp = autodiff._lift(logp).data
+    lp = autodiff.lift(logp).data
     if lp.shape[-1] - 1 > MAX_ORACLE_V:
         raise CsrtError(f"oracle capped at |V| <= {MAX_ORACLE_V}, got {lp.shape[-1] - 1}")
     return lp, tuple(int(u) for u in y)

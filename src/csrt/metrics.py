@@ -137,12 +137,11 @@ def eval_language_separation(model, cs_utts, vocab):
     """
     if not model.arch.has_ctc_heads:
         raise CsrtError("language-separation evaluation needs a variant with CTC heads")
-    bound = model.bind(None)
     totals = {"M": ErrorStats(), "E": ErrorStats()}
     leaked = {"M": 0, "E": 0}
     for utt in cs_utts:
         for lang in ("M", "E"):
-            local = greedy_ctc_decode(model.subnet(bound, utt.features, lang))
+            local = greedy_ctc_decode(model.subnet(model.params, utt.features, lang))
             hyp = tuple(vocab.to_global(lang, u) for u in local)
             ref = mask_labels(utt.labels, lang, vocab)
             stats = error_stats(hyp, ref)
@@ -161,8 +160,7 @@ def dump_frame_posteriors(model, x, out_path, vocab):
     """
     if not model.arch.has_ctc_heads:
         raise CsrtError("posterior dump needs a variant with CTC heads")
-    bound = model.bind(None)
-    heads = {lang: np.exp(model.subnet(bound, x, lang).data) for lang in ("M", "E")}
+    heads = {lang: np.exp(model.subnet(model.params, x, lang)) for lang in ("M", "E")}
     T = heads["M"].shape[0]
     lines = ["frame,m_blank,m_units,m_top,e_blank,e_units,e_top"]
     for t in range(T):

@@ -3,17 +3,18 @@ recurrent prediction network, and the joint network, assembled into the
 single-, dual- and triple-encoder families of config.VARIANT_FAMILY.
 
 All parameters live in one name -> float64 array dict in `_param_layout`
-order, however a checkpoint stored them. A forward pass binds that dict
-onto a tape (Model.bind) and threads the bound tensors through the
-components; there is no whole-model forward, each loss calls the ones it
-reads (see training.py). Training runs that path taped; bound with
-tape=None it computes the same values without recording, which is how
-inference runs the encoders and CTC heads. The recurrent encoder and
-the prediction net share one recurrence (`_recur`). The joint and its
+order, however a checkpoint stored them. The components take a `bound`
+dict and thread it through; there is no whole-model forward, each loss
+calls the ones it reads (see training.py). Training binds the parameters
+onto a tape (Model.bind) and records op by op. Tape-free inference passes
+`params` itself: the same layer code then runs over the ops' numpy
+forwards (`autodiff.arrays`, chosen by `_ops`) on plain arrays, with
+bitwise the same values and no Tensor made. The recurrent encoder and the
+prediction net share one recurrence (`_recur`). The joint and its
 log-softmax are one hand-differentiated node, bitwise equal to the op-by-op
-graph, that keeps only the tanh lattice and the log-probs. Transducer search
-does not use the Tensor path for the prediction and joint networks: it
-reads their arrays from `params` directly (see decoding.py); `predict` and
+graph, that keeps only the tanh lattice and the log-probs; it returns a
+Tensor either way. Transducer search reads the prediction and joint
+networks' arrays from `params` directly (see decoding.py); `predict` and
 `joint` stay the reference that search is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
@@ -149,18 +150,25 @@ def init_params(arch, seed):
     return params
 
 
+def _ops(weight):
+    """The op set for a weight from `bound`: autodiff's ops for `bind`'s Tensors, their
+    numpy forwards (`ad.arrays`) for the plain arrays of `Model.params`."""
+    return ad if isinstance(weight, Tensor) else ad.arrays
+
+
 def _recur(pre, u):
     """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state.
 
     The shared recurrence of the recurrent encoder and the prediction net;
     `pre` holds each step's input projection with its bias already added.
     """
-    state = ad.tanh(ad.rows(pre, 0, 1))
+    ops = _ops(u)
+    state = ops.tanh(ops.rows(pre, 0, 1))
     rows = [state]
     for t in range(1, pre.shape[0]):
-        state = ad.tanh(ad.add(ad.rows(pre, t, t + 1), ad.matmul(state, u)))
+        state = ops.tanh(ops.add(ops.rows(pre, t, t + 1), ops.matmul(state, u)))
         rows.append(state)
-    return ad.concat(rows) if len(rows) > 1 else state
+    return ops.concat(rows) if len(rows) > 1 else state
 
 
 class Model:
@@ -188,9 +196,12 @@ class Model:
         # Copy incoming arrays, in layout order (the optimizer's flat order): training
         # updates parameters in place, and a caller's checkpoint must stay untouched.
         self.params = {name: np.array(params[name], dtype=np.float64) for name in layout}
+        for name, arr in self.params.items():
+            if not np.isfinite(arr).all():
+                raise CsrtError(f"parameter block {name!r} holds a non-finite value")
 
     def bind(self, tape):
-        """Attach every parameter to a tape (or wrap tape-free for inference)."""
+        """Attach every parameter to a tape (or, with tape None, wrap it tape-free)."""
         if tape is None:
             return {k: Tensor(v) for k, v in self.params.items()}
         return {k: tape.leaf(v) for k, v in self.params.items()}
@@ -198,7 +209,11 @@ class Model:
     # --- components -----------------------------------------------------
 
     def encode(self, bound, x, enc):
-        """Run one encoder stack over a (T, input_dim) feature array."""
+        """Run one encoder stack over a (T, input_dim) feature array.
+
+        `bound` is `bind`'s Tensors, or `params` itself for tape-free inference on plain
+        arrays; the components take either and return the same kind (see `_ops`).
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
             raise ShapeMismatchError(
@@ -206,22 +221,22 @@ class Model:
             )
         if x.shape[0] == 0:
             raise ShapeMismatchError("encode: features have zero frames")
-        h = Tensor(x)
-        T = x.shape[0]
+        ops, T = _ops(bound[f"{enc}.0.b_mix"]), x.shape[0]
+        h = ops.lift(x)
         for layer in range(self.arch.encoder_layers):
             p = f"{enc}.{layer}"
             if self.arch.encoder_mixing == "conv":
-                pad = Tensor(np.zeros((1, h.shape[1])))
-                padded = ad.concat([pad, h, pad])
-                prev, nxt = ad.rows(padded, 0, T), ad.rows(padded, 2, T + 2)
-                mix = ad.matmul(prev, bound[f"{p}.w_prev"])
-                mix = ad.add(mix, ad.matmul(h, bound[f"{p}.w_cur"]))
-                mix = ad.add(mix, ad.matmul(nxt, bound[f"{p}.w_next"]))
-                mix = ad.tanh(ad.add(mix, bound[f"{p}.b_mix"]))
+                pad = ops.lift(np.zeros((1, h.shape[1])))
+                padded = ops.concat([pad, h, pad])
+                prev, nxt = ops.rows(padded, 0, T), ops.rows(padded, 2, T + 2)
+                mix = ops.matmul(prev, bound[f"{p}.w_prev"])
+                mix = ops.add(mix, ops.matmul(h, bound[f"{p}.w_cur"]))
+                mix = ops.add(mix, ops.matmul(nxt, bound[f"{p}.w_next"]))
+                mix = ops.tanh(ops.add(mix, bound[f"{p}.b_mix"]))
             else:
-                pre = ad.add(ad.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
+                pre = ops.add(ops.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
                 mix = _recur(pre, bound[f"{p}.u"])
-            h = ad.tanh(ad.add(ad.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
+            h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
         return h
 
     def ctc_head(self, bound, h, lang):
@@ -229,7 +244,8 @@ class Model:
         if not self.arch.has_ctc_heads:
             raise CsrtError(f"{self.arch.family} architecture has no CTC heads")
         p = "head_m" if lang == "M" else "head_e"
-        return ad.log_softmax(ad.add(ad.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
+        ops = _ops(bound[f"{p}.w"])
+        return ops.log_softmax(ops.add(ops.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
 
     def subnet(self, bound, x, lang):
         """One language's sub-net: its encoder and CTC head over a feature array."""
@@ -239,7 +255,7 @@ class Model:
     def encode_fused(self, bound, x):
         """Sum of the encoders' (equal-shape) outputs, and the list of those outputs."""
         hs = [self.encode(bound, x, enc) for enc in self.arch.encoder_names]
-        return functools.reduce(ad.add, hs), hs
+        return functools.reduce(_ops(hs[0]).add, hs), hs
 
     def predict(self, bound, y):
         """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""
@@ -247,13 +263,14 @@ class Model:
         for label in labels:
             if not 0 <= label <= self.arch.start_token:
                 raise CsrtError(f"invalid label id {label} for decoder")
-        emb = ad.index_select(bound["dec.embed"], labels)
-        return _recur(ad.add(ad.matmul(emb, bound["dec.w_in"]), bound["dec.b"]), bound["dec.u"])
+        ops = _ops(bound["dec.u"])
+        emb = ops.index_select(bound["dec.embed"], labels)
+        return _recur(ops.add(ops.matmul(emb, bound["dec.w_in"]), bound["dec.b"]), bound["dec.u"])
 
     def joint(self, bound, h_enc, h_dec):
-        """Joint lattice (T, U, V+1) of log-distributions over units plus blank."""
-        ws = [bound[f"joint.{k}"] for k in ("w_enc", "b", "w_dec", "w_out", "b_out")]
-        w_enc, b, w_dec, w_out, b_out = ws
+        """Joint lattice (T, U, V+1) of log-distributions over units plus blank, a Tensor."""
+        ws = [ad.lift(bound[f"joint.{k}"]) for k in ("w_enc", "b", "w_dec", "w_out", "b_out")]
+        h_enc, h_dec, (w_enc, b, w_dec, w_out, b_out) = ad.lift(h_enc), ad.lift(h_dec), ws
         for h, w in ((h_enc, w_enc), (h_dec, w_dec)):
             if h.data.ndim != 2 or h.shape[1] != w.shape[0]:
                 raise ShapeMismatchError(f"joint: shapes {h.shape} and {w.shape} do not conform")

@@ -334,8 +334,9 @@ def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, stop_after
 def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
                 stop_after_steps):
     def validate():  # mean dev loss over tape-free batches (NaN without dev items), seconds taken
-        start, bound = time.perf_counter(), model.bind(None)
-        total = sum(loss_fn(bound, b)[0].item() for b in _chunks(dev_items, config.batch_size))
+        start = time.perf_counter()
+        total = sum(loss_fn(model.params, b)[0].item()
+                    for b in _chunks(dev_items, config.batch_size))
         return total / len(dev_items) if dev_items else float("nan"), time.perf_counter() - start
 
     best, val_s = validate()

@@ -40,7 +40,7 @@ def sum_all(x):
     to x's shape as a read-only view, so a write into a borrowed gradient
     fails loudly.
     """
-    x = ad._lift(x)
+    x = ad.lift(x)
     n = x.data.size
     total = (x.data.reshape(1, n) @ np.ones((n, 1))).reshape(())
     return ad.record_custom(total, [x], lambda g: (np.broadcast_to(g, x.shape),))

@@ -17,8 +17,6 @@ from csrt.training import TrainingConfig
 def gen_args(out, extra=()):
     return [
         "gen-data",
-        "--spec",
-        "default",
         "--out",
         str(out),
         "--train-count",

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from csrt import autodiff as ad
-from csrt import decoding
+from csrt import checks, decoding, metrics
 from csrt.alignments import BLANK, collapse
-from csrt.data import CorpusSpec, gen_corpus, load_corpus
+from csrt.data import CorpusSpec, Utterance, gen_corpus, load_corpus
 from csrt.decoding import greedy_ctc_decode, rnnt_decode
 from csrt.model import Architecture, Model, load_checkpoint
 
@@ -45,7 +45,7 @@ def reference_greedy(model, x, frames=None):
     When given a list as `frames`, appends the frame of each emission to it.
     """
     bound = model.bind(None)
-    h_enc, _ = model.encode_fused(bound, x)
+    h_enc, _ = model.encode_fused(model.bind(ad.Tape()), x)  # the taped op-by-op encoder
     prefix = []
     h_dec = _state(model, bound, ())
     score = 0.0
@@ -75,7 +75,7 @@ def reference_beam(model, x, beam):
     result falls back to the greedy chain when that scores higher.
     """
     bound = model.bind(None)
-    h_enc, _ = model.encode_fused(bound, x)
+    h_enc, _ = model.encode_fused(model.bind(ad.Tape()), x)  # the taped op-by-op encoder
     T = h_enc.shape[0]
     cap = 3 * T
 
@@ -303,3 +303,22 @@ def test_decode_model_matches_the_references(tmp_path):
                 model, utt.features, beam)
             assert got[0] == want[0], (utt.uid, beam)
             assert got[1] == pytest.approx(want[1], abs=1e-9), (utt.uid, beam)
+
+
+@pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+def test_tape_free_inference_makes_no_tensors(mixing, monkeypatch, tmp_path):
+    """Decoding, eval-ls and posterior dumps run on plain arrays, never on Tensors."""
+    made = []
+    init, emit = ad.Tensor.__init__, ad._emit
+    monkeypatch.setattr(ad.Tensor, "__init__", lambda self, *a, **k: made.append(1) or init(
+        self, *a, **k))
+    monkeypatch.setattr(ad, "_emit", lambda *a: made.append(1) or emit(*a))
+    model, vocab, x, y = checks.tiny_setup(mixing)
+    ad.add(x, x)
+    assert len(made) == 3  # the counters see both lifted operands and the emitted sum
+    made.clear()
+    for beam in (1, 10):
+        rnnt_decode(model, x, beam=beam)
+    metrics.eval_language_separation(model, [Utterance("u", x, y)], vocab)
+    metrics.dump_frame_posteriors(model, x, tmp_path / "p.csv", vocab)
+    assert made == []

@@ -19,7 +19,7 @@ from csrt.model import (
     save_checkpoint,
     variant_family,
 )
-from csrt.training import TrainingConfig, _finetune_loss, arch_for
+from csrt.training import TrainingConfig, _finetune_loss, _pretrain_loss, arch_for
 
 
 def small_arch(family="dual", mixing="conv", **kw):
@@ -75,13 +75,17 @@ class TestEncoder:
 
     def test_dim_mismatch(self):
         model = Model(small_arch(), seed=1)
-        with pytest.raises(ShapeMismatchError):
-            model.encode(model.bind(None), np.zeros((4, 5)), "enc_m")
+        for bound in (model.bind(None), model.params):  # Tensors, and the plain arrays
+            with pytest.raises(ShapeMismatchError, match=r"\(4, 5\) do not match input dim 3"):
+                model.encode(bound, np.zeros((4, 5)), "enc_m")
+            with pytest.raises(ShapeMismatchError, match=r"\(3,\) do not match input dim 3"):
+                model.encode(bound, np.zeros(3), "enc_m")
 
     def test_zero_frames_rejected(self):
         model = Model(small_arch(), seed=1)
-        with pytest.raises(ShapeMismatchError):
-            model.encode(model.bind(None), np.zeros((0, 3)), "enc_m")
+        for bound in (model.bind(None), model.params):
+            with pytest.raises(ShapeMismatchError, match="zero frames"):
+                model.encode(bound, np.zeros((0, 3)), "enc_m")
         with pytest.raises(ShapeMismatchError):
             rnnt_decode(model, np.zeros((0, 3)))
 
@@ -124,6 +128,45 @@ class TestHeadsAndFusion:
         assert [h.data.tobytes() for h in outs] == [h.tobytes() for h in hs]
         if family == "single":
             assert fused is outs[0]  # one encoder: its output is the sum, not a copy
+
+
+class TestArrayForwards:
+    """Tape-free inference passes `params` itself; the components then run on plain arrays."""
+
+    @pytest.mark.parametrize("T", [1, 6])
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_bitwise_equal_to_the_taped_path(self, family, mixing, T):
+        model = Model(small_arch(family, mixing), seed=13)
+        x = np.random.default_rng(T).standard_normal((T, 3))
+        y = (1,) if T == 1 else (1, 4, 2)
+        bound = model.bind(Tape())
+        fused, hs = model.encode_fused(model.params, x)
+        want_fused, want_hs = model.encode_fused(bound, x)
+        pred, want_pred = model.predict(model.params, y), model.predict(bound, y)
+        got, want = [fused, *hs, pred], [want_fused, *want_hs, want_pred]
+        if model.arch.has_ctc_heads:
+            for lang, h, want_h in zip("ME", hs, want_hs):
+                got += [model.ctc_head(model.params, h, lang), model.subnet(model.params, x, lang)]
+                want += [model.ctc_head(bound, want_h, lang)] * 2
+        assert all(type(a) is np.ndarray for a in got)
+        assert [a.tobytes() for a in got] == [w.data.tobytes() for w in want]
+        lattice = model.joint(model.params, fused, pred)  # as validation calls it
+        assert lattice.data.tobytes() == model.joint(bound, want_fused, want_pred).data.tobytes()
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    def test_losses_on_arrays_equal_the_taped_losses(self, mixing, vocab22):
+        model = Model(small_arch(mixing=mixing), seed=14)
+        rng = np.random.default_rng(15)
+        utts = [Utterance("a", rng.standard_normal((5, 3)), (1, 3)),
+                Utterance("b", rng.standard_normal((1, 3)), (2,))]
+        cfg = TrainingConfig(variant="conditional-ls")
+        got = _finetune_loss(model, model.params, vocab22, utts, cfg)
+        want = _finetune_loss(model, model.bind(Tape()), vocab22, utts, cfg)
+        assert (got[0].item(), got[1]) == (want[0].item(), want[1])
+        items = [("M", Utterance("m", rng.standard_normal((3, 3)), (1, 2)))]
+        assert (_pretrain_loss(model, model.params, vocab22, items).item()
+                == _pretrain_loss(model, model.bind(Tape()), vocab22, items).item())
 
 
 class TestDecoderAndJoint:
@@ -388,8 +431,11 @@ class TestCheckpointIO:
             (lambda p: p.update({"joint.w_ouu": p.pop("joint.w_out")}), "'joint.w_out' is missing"),
             (lambda p: p.update({"joint.w_extra": np.zeros(2)}), "'joint.w_extra'"),
             (lambda p: p.update({"joint.w_out": np.zeros((4, 4))}), "'joint.w_out' has shape"),
+            (lambda p: p["dec.b"].__setitem__(1, np.nan), "'dec.b' holds a non-finite value"),
+            (lambda p: p["enc_m.0.w_cur"].__setitem__((2, 3), -np.inf),
+             "'enc_m.0.w_cur' holds a non-finite value"),
         ],
-        ids=["missing", "extra", "misshaped"],
+        ids=["missing", "extra", "misshaped", "nan", "infinity"],
     )
     def test_params_checked_against_architecture(self, edit, named):
         arch = small_arch()
