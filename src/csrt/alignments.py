@@ -215,29 +215,3 @@ def enumerate_rnnt_paths(y, T):
         paths.add(tuple(path))
     return paths
 
-
-def ctc_alignment_count(y, T):
-    """Closed-form dynamic-programming count of CTC alignments (no enumeration)."""
-    y = tuple(y)
-    if T < min_ctc_length(y):
-        return 0
-    ext = ctc_states(y)
-    S = len(ext)
-    counts = [0] * S
-    counts[0] = 1
-    if S > 1:
-        counts[1] = 1
-    for _ in range(1, T):
-        nxt = [0] * S
-        for s in range(S):
-            c = counts[s]
-            if s >= 1:
-                c += counts[s - 1]
-            if s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2]:
-                c += counts[s - 2]
-            nxt[s] = c
-        counts = nxt
-    total = counts[S - 1]
-    if S > 1:
-        total += counts[S - 2]
-    return total

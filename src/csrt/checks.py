@@ -91,14 +91,14 @@ def tiny_setup(mixing="conv"):
     return model, vocab, x, y
 
 
-def full_model_grad_check(lam=0.5, mixing="conv", epsilon=1e-5):
+def full_model_grad_check(mixing="conv"):
     """grad_check through the whole dual-encoder forward plus the LS loss."""
     model, vocab, x, y = tiny_setup(mixing)
     names = sorted(model.params)
     utt = Utterance("grad-check", x, y)
-    cfg = TrainingConfig(lam=lam)
+    cfg = TrainingConfig()
 
     def f(leaves):
         return _finetune_loss(model, dict(zip(names, leaves)), vocab, [utt], cfg)[0]
 
-    return grad_check(f, [model.params[n] for n in names], epsilon=epsilon)
+    return grad_check(f, [model.params[n] for n in names])

@@ -3,10 +3,11 @@
 Every command-line flag has a key here, and unknown keys are rejected.
 parse -> serialize -> parse is a fixpoint, which the tests rely on.
 
-REGISTRY states each setting's type and range once, VARIANT_FAMILY the
-model variants (the `variant` key's choices) and their families. The
-settings dataclasses name each field after its key (`_` for `-`), are
-built by `from_values` and check their fields with the same converters.
+REGISTRY states each setting's type, range and default once, VARIANT_FAMILY
+the model variants (the `variant` key's choices) and their families. The
+settings dataclasses name each field after its key (`_` for `-`), are built
+by `from_values` and check their fields with the same converters; those
+made by `settings` also take their keys' defaults.
 """
 
 from __future__ import annotations
@@ -200,6 +201,21 @@ def check_fields(obj):
     for f in dataclasses.fields(obj):
         if key_of(f.name) in REGISTRY:
             convert(key_of(f.name), getattr(obj, f.name))
+
+
+def settings(cls):
+    """Make `cls` a frozen dataclass whose fields default to their keys' REGISTRY defaults;
+    it gains `from_values`, and construction runs check_fields before its own __post_init__."""
+    for name in cls.__annotations__:
+        setattr(cls, name, REGISTRY[key_of(name)][1])
+    own = getattr(cls, "__post_init__", lambda self: None)
+
+    def __post_init__(self):
+        check_fields(self)
+        own(self)
+
+    cls.__post_init__, cls.from_values = __post_init__, classmethod(from_values)
+    return dataclasses.dataclass(frozen=True)(cls)
 
 
 def resolved(file_values=None, overrides=None):

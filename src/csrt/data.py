@@ -5,8 +5,8 @@ prototype plus iid Gaussian noise. Utterances are unit sequences, either
 monolingual or code-switched (matrix language M with one or two contiguous
 embedded E spans). Everything is a pure function of the CorpusSpec, so a
 seed reproduces a corpus byte for byte. The spec's fields are the
-corpus-generation keys of config.REGISTRY, which states their ranges;
-constructing a CorpusSpec applies the same checks.
+corpus-generation keys of config.REGISTRY, which states their ranges and
+defaults (config.settings); constructing a CorpusSpec applies the checks.
 
 On-disk layout under the corpus directory:
 
@@ -44,30 +44,27 @@ SPLITS = (
 )
 
 
-@dataclass(frozen=True)
+@config.settings
 class CorpusSpec:
-    units_per_language: int = 5
-    feature_dim: int = 8
-    frames_min: int = 2
-    frames_max: int = 4
-    noise_sigma: float = 0.1
-    utt_units_min: int = 4
-    utt_units_max: int = 8
-    cs_spans_max: int = 2
-    cs_matrix_fraction: float = 0.7
+    units_per_language: int
+    feature_dim: int
+    frames_min: int
+    frames_max: int
+    noise_sigma: float
+    utt_units_min: int
+    utt_units_max: int
+    cs_spans_max: int
+    cs_matrix_fraction: float
     # 0 keeps the languages' prototypes independent; > 0 places each E
     # prototype at that distance from its M counterpart, i.e. the two
     # languages share a confusable acoustic space.
-    cross_lingual_offset: float = 0.0
-    train_count: int = 500
-    dev_count: int = 50
-    test_count: int = 100
-    seed: int = 0
-
-    from_values = classmethod(config.from_values)
+    cross_lingual_offset: float
+    train_count: int
+    dev_count: int
+    test_count: int
+    seed: int
 
     def __post_init__(self):
-        config.check_fields(self)
         if self.frames_min > self.frames_max:
             raise CsrtError(f"frames-min {self.frames_min} > frames-max {self.frames_max}")
         if self.utt_units_min > self.utt_units_max:
@@ -295,6 +292,8 @@ def _read_tsv_map(path, what, where):
         uid, tab, rest = line.partition("\t")
         if not tab:
             raise CorpusFormatError(f"{path}:{ln}: missing tab in {what} line")
+        if uid in out:
+            raise CorpusFormatError(f"{path}:{ln}: repeated utterance id {uid!r}")
         out[uid] = rest
     return out
 

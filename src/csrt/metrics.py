@@ -113,7 +113,7 @@ class SplitReport:
     n_utts: int
 
 
-def evaluate_split(model, utts, vocab, beam=10):
+def evaluate_split(model, utts, vocab, beam):
     """Beam-decode a split and aggregate MER plus per-language projections.
 
     Returns (SplitReport, hyps) where hyps maps utterance id to the decoded

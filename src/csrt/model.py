@@ -5,23 +5,22 @@ single-, dual- and triple-encoder families of config.VARIANT_FAMILY.
 All parameters live in one name -> float64 array dict in `_param_layout`
 order, however a checkpoint stored them. The components take a `bound`
 dict and thread it through; there is no whole-model forward, each loss
-calls the ones it reads (see training.py). Training binds the parameters
-onto a tape (Model.bind) and records op by op. Tape-free inference passes
-`params` itself: the same layer code then runs over the ops' numpy
-forwards (`autodiff.arrays`, chosen by `_ops`) on plain arrays, with
-bitwise the same values and no Tensor made. The recurrent encoder and the
-prediction net share one recurrence (`_recur`). The joint and its
-log-softmax are one hand-differentiated node, bitwise equal to the op-by-op
-graph, that keeps only the tanh lattice and the log-probs; it returns a
-Tensor either way. Transducer search reads the prediction and joint
-networks' arrays from `params` directly (see decoding.py); `predict` and
-`joint` stay the reference that search is tested against.
+calls the ones it reads (see training.py). `bound` is either `bind`'s tape
+leaves, which training records op by op, or `params` itself: tape-free
+inference runs the same layer code over the ops' numpy forwards
+(`autodiff.arrays`, chosen by `_ops`) on plain arrays, with bitwise the
+same values and no Tensor made. The joint and its log-softmax are one
+hand-differentiated node, bitwise equal to the op-by-op graph, that keeps
+only the tanh lattice and the log-probs; it returns a Tensor either way.
+Transducer search reads the prediction and joint networks' arrays from
+`params` directly; `predict` and `joint` are what it is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
 length-prefixed architecture fingerprint (canonical text, parseable back
-into an Architecture), then named little-endian float64 blocks. A save
-writes a temporary file beside the target and moves it into place, so a
-failed save never leaves a truncated checkpoint.
+into an Architecture), then named little-endian float64 blocks, each name
+once, and nothing after the last. A save writes a temporary file beside
+the target and moves it into place, so a failed save never leaves a
+truncated checkpoint.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import config
+from .alignments import _check_lang
 from .autodiff import Tensor
 from .errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
 
@@ -201,9 +201,7 @@ class Model:
                 raise CsrtError(f"parameter block {name!r} holds a non-finite value")
 
     def bind(self, tape):
-        """Attach every parameter to a tape (or, with tape None, wrap it tape-free)."""
-        if tape is None:
-            return {k: Tensor(v) for k, v in self.params.items()}
+        """Attach every parameter to a tape; tape-free inference passes `params` instead."""
         return {k: tape.leaf(v) for k, v in self.params.items()}
 
     # --- components -----------------------------------------------------
@@ -239,17 +237,22 @@ class Model:
             h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
         return h
 
-    def ctc_head(self, bound, h, lang):
-        """Per-frame log-posteriors over one language's units plus blank."""
+    def _side(self, lang):
+        """'m' or 'e', naming `lang`'s encoder and CTC head; CsrtError if the family has no
+        CTC heads or `lang` is neither 'M' nor 'E'."""
         if not self.arch.has_ctc_heads:
             raise CsrtError(f"{self.arch.family} architecture has no CTC heads")
-        p = "head_m" if lang == "M" else "head_e"
+        return _check_lang(lang).lower()
+
+    def ctc_head(self, bound, h, lang):
+        """Per-frame log-posteriors over one language's units plus blank."""
+        p = f"head_{self._side(lang)}"
         ops = _ops(bound[f"{p}.w"])
         return ops.log_softmax(ops.add(ops.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
 
     def subnet(self, bound, x, lang):
         """One language's sub-net: its encoder and CTC head over a feature array."""
-        h = self.encode(bound, x, "enc_m" if lang == "M" else "enc_e")
+        h = self.encode(bound, x, f"enc_{self._side(lang)}")
         return self.ctc_head(bound, h, lang)
 
     def encode_fused(self, bound, x):
@@ -387,6 +390,8 @@ def load_checkpoint(path, expect_fingerprint=None):
     blocks = {}
     for _ in range(u32()):
         name = text("block name")
+        if name in blocks:
+            raise CsrtError(f"{path}: block {name!r} appears twice")
         shape = tuple(u32() for _ in range(u32()))
         payload = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").astype(np.float64)
         if not np.isfinite(payload).all():
@@ -395,4 +400,6 @@ def load_checkpoint(path, expect_fingerprint=None):
             blocks[name] = payload.reshape(shape)
         except ValueError:  # more dims than numpy allows, or a size it cannot index
             raise CsrtError(f"{path}: block {name!r} has unusable shape {shape}")
+    if off != len(raw):
+        raise CsrtError(f"{path}: {len(raw) - off} bytes after the last block")
     return Checkpoint(fingerprint=fingerprint, blocks=blocks)

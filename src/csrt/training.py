@@ -29,27 +29,22 @@ from .model import Architecture, Checkpoint, Model, variant_family
 _PHASES = ("pretrain", "finetune")
 
 
-@dataclass(frozen=True)
+@config.settings
 class TrainingConfig:
-    lam: float = 0.5
-    learning_rate: float = 0.004
-    schedule: str = "constant"
-    warmup_steps: int = 200
-    epochs: int = 12
-    batch_size: int = 8
-    seed: int = 0
-    variant: str = "conditional-ls"
-    fine_tune_data: str = "cs+mono"
-    mono_mix_ratio: float = 2.0 / 3.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    moment_eps: float = 1e-8
-    grad_clip: float = 5.0
-
-    from_values = classmethod(config.from_values)
-
-    def __post_init__(self):
-        config.check_fields(self)
+    lam: float
+    learning_rate: float
+    schedule: str
+    warmup_steps: int
+    epochs: int
+    batch_size: int
+    seed: int
+    variant: str
+    fine_tune_data: str
+    mono_mix_ratio: float
+    beta1: float
+    beta2: float
+    moment_eps: float
+    grad_clip: float
 
 
 def arch_for(variant, values, vocab, input_dim):

@@ -123,7 +123,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_gradient_correctness():
     t0 = time.time()
     worst = loss_grad_sweep(trials=20, seed=2025)
-    full = full_model_grad_check(lam=0.5)
+    full = full_model_grad_check()
     elapsed = time.time() - t0
     ok = worst["ctc"] < 1e-4 and worst["rnnt"] < 1e-4 and full < 1e-4 and elapsed < 120
     report(

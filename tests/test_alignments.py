@@ -6,7 +6,7 @@ from csrt.alignments import (
     Vocabulary,
     collapse,
     compose,
-    ctc_alignment_count,
+    ctc_states,
     decompose,
     enumerate_ctc_alignments,
     enumerate_rnnt_paths,
@@ -135,6 +135,33 @@ class TestMaskLabels:
                 (ym if vocab22.lang_of(u) == "M" else ye).pop(0) for u in y
             ]
             assert tuple(rebuilt) == y and not ym and not ye
+
+
+def ctc_alignment_count(y, T):
+    """Closed-form dynamic-programming count of CTC alignments (no enumeration)."""
+    y = tuple(y)
+    if T < min_ctc_length(y):
+        return 0
+    ext = ctc_states(y)
+    S = len(ext)
+    counts = [0] * S
+    counts[0] = 1
+    if S > 1:
+        counts[1] = 1
+    for _ in range(1, T):
+        nxt = [0] * S
+        for s in range(S):
+            c = counts[s]
+            if s >= 1:
+                c += counts[s - 1]
+            if s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2]:
+                c += counts[s - 2]
+            nxt[s] = c
+        counts = nxt
+    total = counts[S - 1]
+    if S > 1:
+        total += counts[S - 2]
+    return total
 
 
 class TestEnumerateCtc:

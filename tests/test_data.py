@@ -319,6 +319,18 @@ class TestLoading:
             load_corpus(root)
         assert f"{m}:2" in str(err.value) and "nope.tsv" in str(err.value)
 
+    @pytest.mark.parametrize("name", ["transcripts.tsv", "spans.tsv"])
+    def test_repeated_utterance_id_names_file_and_line(self, tmp_path, name):
+        spec = CorpusSpec(train_count=2, dev_count=1, test_count=3, seed=2)
+        root = tmp_path / "c"
+        gen_corpus(spec, root)
+        f = root / "test-cs" / name
+        lines = f.read_text().splitlines()
+        f.write_text("\n".join(lines + [lines[1]]) + "\n")  # line 4 repeats line 2's id
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(err.value) == f"{f}:4: repeated utterance id 'test-cs-00001'"
+
     def test_empty_transcript_file_gives_empty_split(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
         root = tmp_path / "c"

@@ -44,8 +44,8 @@ def reference_greedy(model, x, frames=None):
 
     When given a list as `frames`, appends the frame of each emission to it.
     """
-    bound = model.bind(None)
-    h_enc, _ = model.encode_fused(model.bind(ad.Tape()), x)  # the taped op-by-op encoder
+    bound = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
+    h_enc, _ = model.encode_fused(bound, x)
     prefix = []
     h_dec = _state(model, bound, ())
     score = 0.0
@@ -74,8 +74,8 @@ def reference_beam(model, x, beam):
     only extensions above its worst entry survive. Like rnnt_decode, the
     result falls back to the greedy chain when that scores higher.
     """
-    bound = model.bind(None)
-    h_enc, _ = model.encode_fused(model.bind(ad.Tape()), x)  # the taped op-by-op encoder
+    bound = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
+    h_enc, _ = model.encode_fused(bound, x)
     T = h_enc.shape[0]
     cap = 3 * T
 

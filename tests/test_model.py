@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,7 @@ class TestEncoder:
     @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
     def test_output_shape_preserves_length(self, mixing):
         model = Model(small_arch(mixing=mixing), seed=1)
-        bound = model.bind(None)
+        bound = model.params
         for t in (1, 2, 7):
             h = model.encode(bound, np.random.default_rng(t).standard_normal((t, 3)), "enc_m")
             assert h.shape == (t, 4)
@@ -69,13 +71,12 @@ class TestEncoder:
         model = Model(small_arch(), seed=1)
         for k in model.params:
             model.params[k] = np.zeros_like(model.params[k])
-        bound = model.bind(None)
-        h = model.encode(bound, np.zeros((4, 3)), "enc_m")
-        assert np.array_equal(h.data, np.zeros((4, 4)))
+        h = model.encode(model.params, np.zeros((4, 3)), "enc_m")
+        assert np.array_equal(h, np.zeros((4, 4)))
 
     def test_dim_mismatch(self):
         model = Model(small_arch(), seed=1)
-        for bound in (model.bind(None), model.params):  # Tensors, and the plain arrays
+        for bound in (model.bind(Tape()), model.params):  # Tensors, and the plain arrays
             with pytest.raises(ShapeMismatchError, match=r"\(4, 5\) do not match input dim 3"):
                 model.encode(bound, np.zeros((4, 5)), "enc_m")
             with pytest.raises(ShapeMismatchError, match=r"\(3,\) do not match input dim 3"):
@@ -83,7 +84,7 @@ class TestEncoder:
 
     def test_zero_frames_rejected(self):
         model = Model(small_arch(), seed=1)
-        for bound in (model.bind(None), model.params):
+        for bound in (model.bind(Tape()), model.params):
             with pytest.raises(ShapeMismatchError, match="zero frames"):
                 model.encode(bound, np.zeros((0, 3)), "enc_m")
         with pytest.raises(ShapeMismatchError):
@@ -92,40 +93,37 @@ class TestEncoder:
     def test_deterministic(self):
         model = Model(small_arch(), seed=2)
         x = np.random.default_rng(0).standard_normal((5, 3))
-        a = model.encode(model.bind(None), x, "enc_e").data
-        b = model.encode(model.bind(None), x, "enc_e").data
+        a = model.encode(model.params, x, "enc_e")
+        b = model.encode(model.params, x, "enc_e")
         assert a.tobytes() == b.tobytes()
 
 
 class TestHeadsAndFusion:
     def test_head_rows_normalize(self):
         model = Model(small_arch(), seed=3)
-        bound = model.bind(None)
-        h = model.encode(bound, np.random.default_rng(1).standard_normal((6, 3)), "enc_m")
-        logp = model.ctc_head(bound, h, "M")
+        h = model.encode(model.params, np.random.default_rng(1).standard_normal((6, 3)), "enc_m")
+        logp = model.ctc_head(model.params, h, "M")
         assert logp.shape == (6, 3)
-        assert np.max(np.abs(np.exp(logp.data).sum(axis=1) - 1.0)) < 1e-9
+        assert np.max(np.abs(np.exp(logp).sum(axis=1) - 1.0)) < 1e-9
 
     def test_zero_logits_uniform(self):
         model = Model(small_arch(), seed=3)
         for k in ("head_m.w", "head_m.b"):
             model.params[k] = np.zeros_like(model.params[k])
-        bound = model.bind(None)
-        logp = model.ctc_head(bound, Tensor(np.zeros((2, 4))), "M")
-        assert np.allclose(np.exp(logp.data), 1.0 / 3.0)
+        logp = model.ctc_head(model.params, np.zeros((2, 4)), "M")
+        assert np.allclose(np.exp(logp), 1.0 / 3.0)
 
     @pytest.mark.parametrize("family", ["single", "dual", "triple"])
     def test_encode_fused_sums_the_encoders(self, family):
         model = Model(small_arch(family), seed=3)
-        bound = model.bind(None)
         x = np.random.default_rng(2).standard_normal((5, 3))
-        hs = [model.encode(bound, x, enc).data for enc in model.arch.encoder_names]
-        fused, outs = model.encode_fused(bound, x)
+        hs = [model.encode(model.params, x, enc) for enc in model.arch.encoder_names]
+        fused, outs = model.encode_fused(model.params, x)
         total = hs[0] if family == "single" else hs[0] + hs[1]
         if family == "triple":
             total = total + hs[2]
-        assert fused.data.tobytes() == total.tobytes()
-        assert [h.data.tobytes() for h in outs] == [h.tobytes() for h in hs]
+        assert fused.tobytes() == total.tobytes()
+        assert [h.tobytes() for h in outs] == [h.tobytes() for h in hs]
         if family == "single":
             assert fused is outs[0]  # one encoder: its output is the sum, not a copy
 
@@ -172,22 +170,21 @@ class TestArrayForwards:
 class TestDecoderAndJoint:
     def test_prefix_determinism_and_base_case(self):
         model = Model(small_arch(), seed=4)
-        bound = model.bind(None)
-        h0 = model.predict(bound, ())
+        h0 = model.predict(model.params, ())
         assert h0.shape == (1, 4)
-        a = model.predict(bound, (1, 3)).data
-        b = model.predict(bound, (1, 3)).data
+        a = model.predict(model.params, (1, 3))
+        b = model.predict(model.params, (1, 3))
         assert a.tobytes() == b.tobytes()
         assert a.shape == (3, 4)
 
     def test_invalid_label(self):
         model = Model(small_arch(), seed=4)
         with pytest.raises(CsrtError):
-            model.predict(model.bind(None), (1, 99))
+            model.predict(model.params, (1, 99))
 
     def test_joint_normalizes_and_dims(self):
         model = Model(small_arch(), seed=5)
-        bound = model.bind(None)
+        bound = model.params
         h_enc, _ = model.encode_fused(bound, np.random.default_rng(2).standard_normal((3, 3)))
         h_dec = model.predict(bound, (1,))
         lat = model.joint(bound, h_enc, h_dec)
@@ -222,7 +219,7 @@ class TestDecoderAndJoint:
 
     def test_joint_shape_errors(self):
         model = Model(small_arch(), seed=5)
-        bound = model.bind(None)
+        bound = model.params
         with pytest.raises(ShapeMismatchError, match=r"\(3, 5\)"):
             model.joint(bound, Tensor(np.zeros((3, 5))), Tensor(np.zeros((2, 4))))
         with pytest.raises(ShapeMismatchError):
@@ -243,7 +240,7 @@ def finetune_parts(model, variant, vocab):
     """The loss terms `_finetune_loss` reports for one utterance of `variant`."""
     utt = Utterance("u", np.zeros((2, 3)), (1,))
     cfg = TrainingConfig(variant=variant)
-    return _finetune_loss(model, model.bind(None), vocab, [utt], cfg)[1]
+    return _finetune_loss(model, model.params, vocab, [utt], cfg)[1]
 
 
 class TestVariants:
@@ -251,25 +248,38 @@ class TestVariants:
         model = Model(small_arch(), seed=6)
         assert set(finetune_parts(model, "conditional-ls", vocab22)) == {"rnnt", "ctc_m", "ctc_e"}
         assert set(finetune_parts(model, "conditional", vocab22)) == {"rnnt"}
-        bound = model.bind(None)
-        _, (h_m, h_e) = model.encode_fused(bound, np.zeros((2, 3)))
-        assert model.ctc_head(bound, h_m, "M").shape == (2, 3)
-        assert model.ctc_head(bound, h_e, "E").shape == (2, 3)
+        _, (h_m, h_e) = model.encode_fused(model.params, np.zeros((2, 3)))
+        assert model.ctc_head(model.params, h_m, "M").shape == (2, 3)
+        assert model.ctc_head(model.params, h_e, "E").shape == (2, 3)
 
     def test_vanilla_returns_rnnt_only(self, vocab22):
         model = Model(small_arch(family="single"), seed=6)
         assert set(finetune_parts(model, "vanilla", vocab22)) == {"rnnt"}
         with pytest.raises(CsrtError):
-            model.ctc_head(model.bind(None), Tensor(np.zeros((2, 4))), "M")
+            model.ctc_head(model.params, np.zeros((2, 4)), "M")
         with pytest.raises(CsrtError, match="no CTC heads"):  # asking for the LS terms
             finetune_parts(model, "conditional-ls", vocab22)
+
+    @pytest.mark.parametrize("family, lang, message", [
+        ("single", "M", "single architecture has no CTC heads"),
+        ("dual", "X", "language must be 'M' or 'E', got 'X'"),
+        ("triple", "m", "language must be 'M' or 'E', got 'm'"),
+    ], ids=["no-heads", "unknown-language", "lowercase-language"])
+    def test_subnet_and_head_check_family_and_language_first(self, family, lang, message):
+        model = Model(small_arch(family=family), seed=6)
+        x = np.zeros((2, 3))
+        for bound in (model.params, model.bind(Tape())):
+            with pytest.raises(CsrtError, match=message):
+                model.subnet(bound, x, lang)
+            with pytest.raises(CsrtError, match=message):
+                model.ctc_head(bound, model.encode_fused(bound, x)[0], lang)
 
     def test_three_encoder_matches_conditional_shape(self):
         dual = Model(small_arch(), seed=7)
         triple = Model(small_arch(family="triple"), seed=7)
         x = np.random.default_rng(4).standard_normal((3, 3))
         a, b = (m.joint(bound, m.encode_fused(bound, x)[0], m.predict(bound, (1,)))
-                for m, bound in ((dual, dual.bind(None)), (triple, triple.bind(None))))
+                for m, bound in ((dual, dual.params), (triple, triple.params)))
         assert a.shape == b.shape == (3, 2, 5)
 
     def test_variant_families(self):
@@ -358,6 +368,27 @@ class TestCheckpointIO:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(CsrtError):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_block_rejected(self, tmp_path):
+        arch = small_arch()
+        path = tmp_path / "t.csrt"
+        save_checkpoint(path, Checkpoint(arch.fingerprint(), dict(Model(arch, seed=0).params)))
+        path.write_bytes(path.read_bytes() + bytes(28))
+        with pytest.raises(CsrtError, match="t.csrt: 28 bytes after the last block"):
+            load_checkpoint(path)
+
+    def test_repeated_block_name_rejected(self, tmp_path):
+        arch = small_arch()
+        blocks = dict(Model(arch, seed=0).params)
+        path = tmp_path / "twice.csrt"
+        save_checkpoint(path, Checkpoint(arch.fingerprint(), blocks))
+        raw = bytearray(path.read_bytes())
+        count_at = 5 + 4 + len(arch.fingerprint().encode())  # magic, fingerprint length, text
+        raw[count_at : count_at + 4] = struct.pack("<I", len(blocks) + 1)
+        raw += struct.pack("<I", 5) + b"dec.b" + struct.pack("<II", 1, 4) + bytes(32)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CsrtError, match="twice.csrt: block 'dec.b' appears twice"):
             load_checkpoint(path)
 
     def test_non_utf8_text_rejected(self, tmp_path):
@@ -452,8 +483,8 @@ class TestCheckpointIO:
         save_checkpoint(path, Checkpoint(arch.fingerprint(), dict(model.params)))
         reloaded = Model(arch, params=load_checkpoint(path).model_params())
         prefix = (1, 3, 2)
-        a = model.predict(model.bind(None), prefix).data
-        b = reloaded.predict(reloaded.bind(None), prefix).data
+        a = model.predict(model.params, prefix)
+        b = reloaded.predict(reloaded.params, prefix)
         assert a.tobytes() == b.tobytes()
 
 

@@ -55,7 +55,7 @@ def test_training_and_checks_call_the_loss_objects_the_benchmark_times(monkeypat
                     if value is orig:
                         monkeypatch.setattr(mod, key, counted)
     model, vocab, x, y = checks.tiny_setup()
-    bound = model.bind(None)
+    bound = model.params
     utts = [Utterance("a", x, y), Utterance("b", x[:2], y[:1])]
     cfg = training.TrainingConfig(variant="conditional-ls")
     training._finetune_loss(model, bound, vocab, utts, cfg)
