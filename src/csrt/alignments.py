@@ -22,6 +22,7 @@ from .errors import (
 )
 
 BLANK = 0
+BLANK_SURFACE = "<blank>"
 
 # Hard caps for the exhaustive oracles.
 MAX_ORACLE_T = 8
@@ -35,12 +36,11 @@ class Vocabulary:
 
     m_surfaces: tuple = ()
     e_surfaces: tuple = ()
-    blank_surface: str = "<blank>"
     _surface_to_id: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = {self.blank_surface: BLANK}
-        for i, s in enumerate(self.surfaces[1:], start=1):
+        seen = {}
+        for i, s in enumerate(self.surfaces):
             if s in seen:
                 raise CsrtError(f"duplicate vocabulary surface {s!r}")
             seen[s] = i
@@ -61,7 +61,7 @@ class Vocabulary:
 
     @property
     def surfaces(self):
-        return (self.blank_surface,) + tuple(self.m_surfaces) + tuple(self.e_surfaces)
+        return (BLANK_SURFACE,) + tuple(self.m_surfaces) + tuple(self.e_surfaces)
 
     def m_ids(self):
         return tuple(range(1, self.n_m + 1))

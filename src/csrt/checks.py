@@ -40,7 +40,7 @@ def random_rnnt_instance(rng, max_t=6, max_l=3, max_v=4):
     return random_log_dist(rng, (T, len(y) + 1, V + 1)), y
 
 
-def oracle_sweep(trials=200, seed=1234, max_t=6, max_l=3, max_v=4):
+def oracle_sweep(trials=200, seed=1234):
     """Max |dp loss - enumeration loss| over random instances, per loss."""
     rng = np.random.default_rng(seed)
     worst = {"ctc": 0.0, "rnnt": 0.0}
@@ -48,7 +48,7 @@ def oracle_sweep(trials=200, seed=1234, max_t=6, max_l=3, max_v=4):
              ("rnnt", random_rnnt_instance, rnnt_loss, rnnt_loss_oracle))
     for _ in range(trials):
         for name, draw, loss, oracle in cases:
-            lp, y = draw(rng, max_t, max_l, max_v)
+            lp, y = draw(rng)
             worst[name] = max(worst[name], abs(loss([lp], [y]).item() - oracle(lp, y)))
     return worst
 

@@ -148,6 +148,8 @@ def parse_config_text(text, path="<config>"):
         if not eq:
             raise ConfigError(f"{path}:{ln}: expected 'key = value'")
         key = key.strip()
+        if key in values:
+            raise ConfigError(f"{path}:{ln}: repeated key {key!r}")
         try:
             values[key] = convert(key, value.strip())
         except ConfigError as exc:

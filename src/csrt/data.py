@@ -13,8 +13,8 @@ On-disk layout under the corpus directory:
     vocab.tsv                 id <TAB> surface <TAB> M|E   (id 0 = <blank>)
     manifest.tsv              split <TAB> transcripts <TAB> feats dir <TAB> spans
     <split>/transcripts.tsv   utt-id <TAB> space-joined surfaces
-    <split>/spans.tsv         utt-id <TAB> start:end:lang ...
-    <split>/feats/<utt>.csft  magic "CSFT", u32 T, u32 D, T*D float32 LE
+    <split>/spans.tsv         utt-id <TAB> start:end:M|E ...
+    <split>/feats/<utt>.csft  magic "CSFT", u32 T, u32 D, T*D float32 LE (T, D >= 1)
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .alignments import Vocabulary
+from .alignments import BLANK_SURFACE, Vocabulary
 from .errors import CorpusFormatError, CsrtError
 
 FEATURE_MAGIC = b"CSFT"
@@ -239,6 +239,8 @@ def read_features(path):
     T, D = struct.unpack("<II", raw[4:12])
     if T == 0:
         raise CorpusFormatError(f"{path}: zero frames")
+    if D == 0:
+        raise CorpusFormatError(f"{path}: zero features per frame")
     body = raw[12:]
     if len(body) != T * D * 4:
         raise CorpusFormatError(f"{path}: expected {T}x{D} float32 payload, got {len(body)} bytes")
@@ -282,6 +284,8 @@ def load_vocabulary(path):
             raise CorpusFormatError(f"{path}:{ln}: unknown language tag {lang!r}")
         if lang == "M" and e:
             raise CorpusFormatError(f"{path}:{ln}: M unit {surface!r} after the E units")
+        if surface in (BLANK_SURFACE, *m, *e):
+            raise CorpusFormatError(f"{path}:{ln}: duplicate vocabulary surface {surface!r}")
         (m if lang == "M" else e).append(surface)
     return Vocabulary(m_surfaces=tuple(m), e_surfaces=tuple(e))
 
@@ -294,7 +298,7 @@ def _read_tsv_map(path, what, where):
             raise CorpusFormatError(f"{path}:{ln}: missing tab in {what} line")
         if uid in out:
             raise CorpusFormatError(f"{path}:{ln}: repeated utterance id {uid!r}")
-        out[uid] = rest
+        out[uid] = ln, rest
     return out
 
 
@@ -321,11 +325,16 @@ def load_corpus(path):
             raise CorpusFormatError(f"{manifest}:{ln}: expected 4 tab-separated fields")
         split, t_rel, f_rel, s_rel = parts
         where = f"{manifest}:{ln}: "
+        if split in splits:
+            raise CorpusFormatError(f"{where}repeated split {split!r}")
         transcripts = _read_tsv_map(root / t_rel, "transcript", where)
         spans = _read_tsv_map(root / s_rel, "span", where)
         utts = []
-        for uid, text in transcripts.items():
-            labels = tuple(vocab.id_of(s) for s in text.split()) if text else ()
+        for uid, (t_ln, text) in transcripts.items():
+            try:
+                labels = tuple(vocab.id_of(s) for s in text.split())
+            except CsrtError as exc:  # an unknown surface
+                raise CorpusFormatError(f"{root / t_rel}:{t_ln}: {exc}")
             feat_path = root / f_rel / f"{uid}.csft"
             try:
                 feats = read_features(feat_path)
@@ -336,14 +345,16 @@ def load_corpus(path):
                 raise CorpusFormatError(f"utterance {uid}: {feat_path} has {feats.shape[1]} "
                                         f"features per frame, {first[0]} has {first[1]}")
             span_list = []
-            for token in spans.get(uid, "").split():
+            for token in spans.get(uid, (0, ""))[1].split():
                 try:
                     a, b, lang = token.split(":")
+                    if lang not in ("M", "E"):
+                        raise ValueError(lang)
                     span_list.append((int(a), int(b), lang))
                 except ValueError:
                     raise CorpusFormatError(
                         f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
-                        " (expected start:end:lang)"
+                        " (expected start:end:M|E)"
                     )
             if span_list and not _tiles(span_list, feats.shape[0]):
                 raise CorpusFormatError(

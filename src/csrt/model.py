@@ -38,7 +38,7 @@ from . import autodiff as ad
 from . import config
 from .alignments import _check_lang
 from .autodiff import Tensor
-from .errors import CsrtError, FingerprintMismatchError, ShapeMismatchError
+from .errors import CsrtError, ShapeMismatchError
 
 CHECKPOINT_MAGIC = b"CSRT1"
 
@@ -356,8 +356,8 @@ def _write_checkpoint(path, checkpoint):
             fh.write(arr.tobytes())
 
 
-def load_checkpoint(path, expect_fingerprint=None):
-    """Read a checkpoint; verify the fingerprint when one is expected."""
+def load_checkpoint(path):
+    """Read a checkpoint."""
     with open(path, "rb") as fh:
         raw = fh.read()
     view = memoryview(raw)
@@ -383,10 +383,6 @@ def load_checkpoint(path, expect_fingerprint=None):
             raise CsrtError(f"{path}: checkpoint {what} is not valid UTF-8")
 
     fingerprint = text("fingerprint")
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        raise FingerprintMismatchError(
-            f"{path}: checkpoint fingerprint does not match the expected configuration"
-        )
     blocks = {}
     for _ in range(u32()):
         name = text("block name")

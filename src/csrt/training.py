@@ -3,10 +3,11 @@ language-separation fine-tuning on a seeded mixture of code-switched and
 monolingual batches.
 
 Everything stochastic comes from (seed, phase tag, epoch), never ambient
-RNG state, so a fixed seed gives bit-identical checkpoints, and a run saved
-mid-epoch resumes step-for-step, through a checkpoint file too: the state
-is (epoch, batch, step) plus the Adam moments, flat vectors in the model's
-`_param_layout` order, and the epoch's batch schedule is re-derived.
+RNG state, so a fixed seed gives bit-identical checkpoints. A run stops
+only at the end of its last epoch, and resuming it for more epochs
+continues step-for-step, through a checkpoint file too: the state is
+(epoch, step) plus the Adam moments, flat vectors in the model's
+`_param_layout` order.
 Both stages check the start checkpoint and every CTC target before their
 first log line. Only conditional-ls, whose loss reads them, runs the CTC
 heads in fine-tuning.
@@ -58,7 +59,6 @@ def arch_for(variant, values, vocab, input_dim):
 class TrainState:
     step: int = 0
     epoch: int = 0
-    batch: int = 0
     # Flat moments over the blocks in _param_layout order; None until a step or a resume.
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -144,7 +144,7 @@ def _check_monolingual(items, vocab, masked=False):
                             f"{min_ctc_length(labels)} CTC frames, it has {utt.n_frames}")
 
 
-_STATE_KEYS = ("step", "epoch", "batch", "phase")  # state.<key> blocks: non-negative ints
+_STATE_KEYS = ("step", "epoch", "phase")  # state.<key> blocks: non-negative ints
 
 
 def _finish_checkpoint(model, state, phase):
@@ -172,6 +172,9 @@ def _read_state(blocks, phase):
         values[k] = int(value)
     if _PHASES[values.pop("phase")] != phase:
         raise CsrtError(f"checkpoint has no resumable {phase} state")
+    batch = blocks.get("state.batch", 0.0)  # older checkpoints hold 0 here: saved at an epoch end
+    if np.shape(batch) != () or float(batch) != 0:
+        raise CsrtError("checkpoint block 'state.batch' is not 0 (a run resumes at an epoch end)")
     return values
 
 
@@ -245,7 +248,7 @@ def _run_batch(model, items, loss_fn, state, config, log):
 
 
 def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), *, vocab, log=None,
-             stop_after_steps=None, resume_from=None):
+             resume_from=None):
     """CTC pre-training of the monolingual encoders and heads.
 
     The decoder and joint network stay at their seeded initialization: the
@@ -271,19 +274,16 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), *, vocab, log
         perm = _epoch_rng(config.seed, 11, epoch).permutation(len(items)).tolist()
         return _chunks([items[i] for i in perm], config.batch_size)
 
-    return _train_loop(
-        model, state, config, schedule, dev_items, loss_fn, "pretrain", log, stop_after_steps
-    )
+    return _train_loop(model, state, config, schedule, dev_items, loss_fn, "pretrain", log)
 
 
-def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, stop_after_steps=None,
-             resume=False):
+def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, resume=False):
     """Fine-tune all parameters with the transducer or LS loss.
 
     `corpora` maps {'cs': [...], 'mono-m': [...], 'mono-e': [...]}; the
     monolingual entries are used only when the config asks for cs+mono.
     `init` is the pre-training Checkpoint (fingerprint-checked), or a
-    mid-run finetune checkpoint when `resume` is set.
+    finetune checkpoint to run on for more epochs when `resume` is set.
     """
     model, state = start_from(init, arch, "finetune", resume)
 
@@ -321,13 +321,10 @@ def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, stop_after
             batches.append(picked)
         return batches
 
-    return _train_loop(
-        model, state, config, schedule, list(dev), loss_fn, "finetune", log, stop_after_steps
-    )
+    return _train_loop(model, state, config, schedule, list(dev), loss_fn, "finetune", log)
 
 
-def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
-                stop_after_steps):
+def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log):
     def validate():  # mean dev loss over tape-free batches (NaN without dev items), seconds taken
         start = time.perf_counter()
         total = sum(loss_fn(model.params, b)[0].item()
@@ -338,14 +335,8 @@ def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log,
     if log is not None and dev_items:
         log(f"epoch={state.epoch} val_loss={best:.6f} best={best:.6f} val_s={val_s:.3f}")
     for epoch in range(state.epoch, config.epochs):
-        state.epoch = epoch
-        batches = schedule(epoch)
-        for bi, batch in enumerate(batches[state.batch:], state.batch):  # a resume skips done ones
+        for batch in schedule(epoch):
             _run_batch(model, batch, loss_fn, state, config, log)
-            state.batch = bi + 1
-            if stop_after_steps is not None and state.step >= stop_after_steps:
-                return _finish_checkpoint(model, state, phase)
-        state.batch = 0
         state.epoch = epoch + 1
         if dev_items:
             val, val_s = validate()

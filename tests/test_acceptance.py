@@ -109,7 +109,7 @@ def confusable_worlds(tmp_path_factory):
 
 def test_criterion_1_oracle_equivalence():
     t0 = time.time()
-    worst = oracle_sweep(trials=200, seed=2024, max_t=6, max_l=3, max_v=4)
+    worst = oracle_sweep(trials=200, seed=2024)
     elapsed = time.time() - t0
     ok = worst["ctc"] < 1e-6 and worst["rnnt"] < 1e-6 and elapsed < 60
     report(

@@ -47,8 +47,6 @@ def test_shape_errors_name_both_shapes():
         ad.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     with pytest.raises(AxisOutOfRangeError):
         ad.log_softmax(Tensor(np.zeros((2, 2))), axis=2)
-    with pytest.raises(AxisOutOfRangeError):
-        ad.concat([Tensor(np.zeros((2, 2)))], axis=5)
 
 
 def test_backward_square():
@@ -223,7 +221,7 @@ def _op_instances(rng):
         rng.standard_normal((t, d))
     ]
     yield "rows", lambda p: sum_all(ad.tanh(ad.rows(p[0], 1, 3))), [rng.standard_normal((t, d))]
-    yield "concat", lambda p: sum_all(ad.tanh(ad.concat([p[0], p[1]], axis=0))), [
+    yield "concat", lambda p: sum_all(ad.tanh(ad.concat([p[0], p[1]]))), [
         rng.standard_normal((t, d)),
         rng.standard_normal((t, d)),
     ]
@@ -247,7 +245,7 @@ def test_every_op_gradient_vs_finite_differences():
     count = 0
     while count < 100:
         for name, f, params in _op_instances(rng):
-            err = grad_check(f, params, epsilon=1e-5)
+            err = grad_check(f, params)
             assert err < 1e-4, f"{name} grad error {err}"
             count += 1
 
@@ -263,13 +261,8 @@ def test_grad_check_detects_nondeterminism():
         grad_check(f, [np.array([1.0])])
 
 
-def test_grad_check_epsilon_range():
-    with pytest.raises(ValueError):
-        grad_check(lambda p: sum_all(p[0]), [np.array([1.0])], epsilon=0.5)
-
-
 def test_grad_check_square_tight():
-    err = grad_check(lambda p: ad.mul(p[0], p[0]), [np.array(3.0)], epsilon=1e-5)
+    err = grad_check(lambda p: ad.mul(p[0], p[0]), [np.array(3.0)])
     assert err < 1e-7
 
 

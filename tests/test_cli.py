@@ -8,7 +8,7 @@ import pytest
 
 from csrt import cli, config, training
 from csrt.cli import run
-from csrt.data import CorpusSpec, load_corpus
+from csrt.data import CorpusSpec, load_corpus, read_features, write_features
 from csrt.errors import CsrtError
 from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
 from csrt.training import TrainingConfig
@@ -440,6 +440,43 @@ class TestRunDir:
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "junk.txt", "log.txt"]
 
 
+def _write_corpus_fault(root, fault):
+    """Write one fault into the corpus at `root`; return the message loading it must give."""
+    manifest = root / "manifest.tsv"
+    if fault == "repeated-split":  # a second test-cs line, pointing at test-mono-m's files
+        lines = manifest.read_text().splitlines()
+        lines.append("test-cs\t" + "\t".join(f"test-mono-m/{rel}" for rel in
+                                             ("transcripts.tsv", "feats", "spans.tsv")))
+        manifest.write_text("\n".join(lines) + "\n")
+        return f"{manifest}:{len(lines)}: repeated split 'test-cs'"
+    if fault == "span-language":
+        spans = root / "test-cs" / "spans.tsv"
+        lines = spans.read_text().splitlines()
+        uid, _, tokens = lines[0].partition("\t")
+        first = tokens.split()[0]
+        lines[0] = lines[0].replace(first, first[:-1] + "X", 1)
+        spans.write_text("\n".join(lines) + "\n")
+        return f"{spans}: utterance {uid}: malformed span '{first[:-1]}X' (expected start:end:M|E)"
+    if fault == "zero-width-features":  # every file agrees on the width, and it is 0
+        for path in root.rglob("*.csft"):
+            write_features(path, np.zeros((len(read_features(path)), 0)))
+        split = manifest.read_text().partition("\t")[0]
+        uid = f"{split}-00000"
+        return f"utterance {uid}: {root / split / 'feats' / uid}.csft: zero features per frame"
+    if fault == "duplicate-surface":
+        vocab = root / "vocab.tsv"
+        lines = vocab.read_text().splitlines()
+        assert lines[2] == "2\tm2\tM"
+        lines[2] = "2\tm1\tM"
+        vocab.write_text("\n".join(lines) + "\n")
+        return f"{vocab}:3: duplicate vocabulary surface 'm1'"
+    transcripts = root / "train-mono-m" / "transcripts.tsv"  # unknown-surface
+    lines = transcripts.read_text().splitlines()
+    lines[1] += " zz"
+    transcripts.write_text("\n".join(lines) + "\n")
+    return f"{transcripts}:2: unknown vocabulary surface 'zz'"
+
+
 class TestCheckBeforeWrite:
     """A bad value fails before any output directory is created."""
 
@@ -500,6 +537,29 @@ class TestCheckBeforeWrite:
         assert "train.cfg:2: bad value for 'batch-size'" in err
         assert not (tmp_path / "p").exists()
 
+    def test_repeated_config_key_names_line(self, workdir, tmp_path, capsys):
+        _, data = workdir
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs = 0\nepochs = 1\n")
+        code = run(["pretrain", "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "p"), "--hidden-dim", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: repeated key 'epochs'\n"
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("fault", ["repeated-split", "span-language", "zero-width-features",
+                                       "duplicate-surface", "unknown-surface"])
+    def test_malformed_corpus_exit_2_naming_the_place(self, workdir, tmp_path, capsys, fault):
+        _, data = workdir
+        root = tmp_path / "data"
+        shutil.copytree(data, root)
+        expected = _write_corpus_fault(root, fault)
+        code = run(["pretrain", "--data", str(root), "--out", str(tmp_path / "o"),
+                    "--epochs", "1", "--hidden-dim", "8"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -544,10 +604,11 @@ class TestCheckBeforeWrite:
             ("state.phase", np.array(7.0)),
             ("state.phase", np.array(-2.0)),
             ("state.batch", np.array(-3.0)),
+            ("state.batch", np.array(2.0)),
             ("state.epoch", np.array(0.5)),
         ],
         ids=["epoch-missing", "phase-not-scalar", "phase-7", "phase-negative", "batch-negative",
-             "epoch-fraction"],
+             "batch-mid-epoch", "epoch-fraction"],
     )
     def test_malformed_resume_state_exit_2(self, workdir, tmp_path, capsys, block, value):
         root, data = workdir

@@ -111,12 +111,13 @@ def test_resume_state_mutants_resume_or_raise_csrt_error(tmp_path):
                         encoder_mixing="conv", embed_dim=1, decoder_dim=1, joint_dim=1,
                         n_m=1, n_e=1)
     path = tmp_path / "ck.csrt"
-    ck = _finish_checkpoint(Model(arch, seed=0), TrainState(step=3, epoch=1, batch=2), "pretrain")
+    ck = _finish_checkpoint(Model(arch, seed=0), TrainState(step=3, epoch=1), "pretrain")
+    ck.blocks["state.batch"] = np.array(0.0)  # older versions wrote it; resume checks it is 0
     save_checkpoint(path, ck)
 
     def resume():
         _, st = start_from(load_checkpoint(path), arch, "pretrain", resume=True)
-        assert all(type(v) is int and v >= 0 for v in (st.step, st.epoch, st.batch))
+        assert all(type(v) is int and v >= 0 for v in (st.step, st.epoch))
 
     fuzz(path, resume, seed=40, binary=True)
     # Byte mutants seldom land in the few state bytes, so also redraw one state block's value.

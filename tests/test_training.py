@@ -9,6 +9,7 @@ from csrt.data import Utterance
 from csrt.errors import CsrtError, FingerprintMismatchError, OptimizerError
 from csrt.model import (
     Architecture,
+    Checkpoint,
     Model,
     _param_layout,
     init_params,
@@ -306,11 +307,11 @@ class TestPretrain:
             pretrain([], [], tcfg(variant="vanilla"), arch1, vocab=vocab)
 
     def test_resume_matches_uninterrupted(self, world, pretrained):
-        # `pretrained` is the uninterrupted two-epoch run; stop inside epoch 1
+        # `pretrained` is the uninterrupted two-epoch run; resume a one-epoch run to two
         corpus, vocab, arch = world
         m, e = corpus.split("train-mono-m"), corpus.split("train-mono-e")
-        part = pretrain(m, e, tcfg(epochs=2), arch, vocab=vocab, stop_after_steps=9)
-        assert int(part.blocks["state.epoch"]) == 1
+        part = pretrain(m, e, tcfg(epochs=1), arch, vocab=vocab)
+        assert int(part.blocks["state.epoch"]) == 1 and "state.batch" not in part.blocks
         resumed = pretrain(m, e, tcfg(epochs=2), arch, vocab=vocab, resume_from=part)
         assert sorted(resumed.blocks) == sorted(pretrained.blocks)
         assert all(
@@ -325,12 +326,17 @@ class TestPretrain:
         full = pretrain(m, e, tcfg(epochs=2, grad_clip=0.5), arch, vocab=vocab)
         part = pretrain(m, e, tcfg(epochs=1, grad_clip=0.5), arch, vocab=vocab)
         save_checkpoint(tmp_path / "part.csrt", part)
-        loaded = load_checkpoint(tmp_path / "part.csrt")
-        resumed = pretrain(m, e, tcfg(epochs=2, grad_clip=0.5), arch, vocab=vocab,
-                           resume_from=loaded)
-        assert sorted(resumed.blocks) == sorted(full.blocks)
-        differ = [k for k in full.blocks if full.blocks[k].tobytes() != resumed.blocks[k].tobytes()]
-        assert differ == []
+        # Older versions also wrote a state.batch block, 0 in every checkpoint a command saved.
+        save_checkpoint(tmp_path / "older.csrt",
+                        Checkpoint(part.fingerprint, {**part.blocks, "state.batch": np.array(0.0)}))
+        for name in ("part.csrt", "older.csrt"):
+            loaded = load_checkpoint(tmp_path / name)
+            resumed = pretrain(m, e, tcfg(epochs=2, grad_clip=0.5), arch, vocab=vocab,
+                               resume_from=loaded)
+            assert sorted(resumed.blocks) == sorted(full.blocks)
+            differ = [k for k in full.blocks
+                      if full.blocks[k].tobytes() != resumed.blocks[k].tobytes()]
+            assert differ == [], name
         model = Model(arch, params=loaded.model_params())
         assert list(model.params) == [name for name, _, _ in _param_layout(arch)]
 
@@ -407,15 +413,20 @@ class TestFinetune:
         )
         assert all(ck_a.blocks[k].tobytes() == ck_b.blocks[k].tobytes() for k in ck_a.blocks)
 
-    def test_resume_matches_uninterrupted(self, world, pretrained):
+    def test_resume_matches_uninterrupted(self, world, pretrained, tmp_path):
         corpus, vocab, arch = world
         cfg = tcfg(epochs=2)
         full = finetune(corpora_of(corpus), pretrained, cfg, arch, vocab=vocab)
-        part = finetune(
-            corpora_of(corpus), pretrained, cfg, arch, vocab=vocab, stop_after_steps=5
-        )
-        resumed = finetune(corpora_of(corpus), part, cfg, arch, vocab=vocab, resume=True)
-        assert all(full.blocks[k].tobytes() == resumed.blocks[k].tobytes() for k in full.blocks)
+        part = finetune(corpora_of(corpus), pretrained, tcfg(epochs=1), arch, vocab=vocab)
+        # In memory, and through a file as older versions wrote it, with a state.batch of 0.
+        path = tmp_path / "older.csrt"
+        older = {**part.blocks, "state.batch": np.array(0.0)}
+        save_checkpoint(path, Checkpoint(part.fingerprint, older))
+        for start in (part, load_checkpoint(path)):
+            resumed = finetune(corpora_of(corpus), start, cfg, arch, vocab=vocab, resume=True)
+            assert sorted(resumed.blocks) == sorted(full.blocks)
+            assert all(full.blocks[k].tobytes() == resumed.blocks[k].tobytes()
+                       for k in full.blocks)
 
     def test_resume_needs_finetune_state(self, world, pretrained):
         corpus, vocab, arch = world
@@ -442,16 +453,18 @@ class TestFinetune:
         corpus, vocab, arch = world
         lines = []
         finetune(corpora_of(corpus), pretrained, tcfg(epochs=1), arch, dev=corpus.split("dev-cs"),
-                 vocab=vocab, log=lines.append, stop_after_steps=3)
+                 vocab=vocab, log=lines.append)
         fields = [dict(f.split("=", 1) for f in line.split()) for line in lines]
         steps = [f for f in fields if "step" in f]
-        assert len(steps) == 3 and all(next(iter(f)) == "step" for f in steps)
+        n_utts = sum(map(len, corpora_of(corpus).values()))
+        assert len(steps) == n_utts // tcfg().batch_size  # one epoch's batches
+        assert all(next(iter(f)) == "step" for f in steps)
         for f in steps:
             assert float(f["loss"]) > 0 and float(f["grad_norm"]) > 0
             assert f["clipped"] in ("0", "1") and float(f["step_ms"]) >= 0
         epochs = [f for f in fields if "val_loss" in f]
-        assert len(epochs) == 1 and float(epochs[0]["val_loss"]) > 0
-        assert float(epochs[0]["val_s"]) >= 0
+        assert [f["epoch"] for f in epochs] == ["0", "1"]
+        assert all(float(f["val_loss"]) > 0 and float(f["val_s"]) >= 0 for f in epochs)
 
 
 class TestConfigValidation:
