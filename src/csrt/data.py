@@ -10,10 +10,10 @@ defaults (config.settings); constructing a CorpusSpec applies the checks.
 
 On-disk layout under the corpus directory:
 
-    vocab.tsv                 id <TAB> surface <TAB> M|E   (id 0 = <blank>)
+    vocab.tsv                 id <TAB> surface <TAB> M|E   (line 1: 0 <TAB> <blank> <TAB> -)
     manifest.tsv              split <TAB> transcripts <TAB> feats dir <TAB> spans
     <split>/transcripts.tsv   utt-id <TAB> space-joined surfaces
-    <split>/spans.tsv         utt-id <TAB> start:end:M|E ...
+    <split>/spans.tsv         utt-id <TAB> start:end:M|E ...   (the transcripts' ids)
     <split>/feats/<utt>.csft  magic "CSFT", u32 T, u32 D, T*D float32 LE (T, D >= 1)
 """
 
@@ -279,6 +279,8 @@ def load_vocabulary(path):
                 " (ids run 0 for blank, then M units, then E units)"
             )
         if uid == 0:
+            if (surface, lang) != (BLANK_SURFACE, "-"):
+                raise CorpusFormatError(f"{path}:{ln}: expected '0\\t<blank>\\t-', got {line!r}")
             continue
         if lang not in ("M", "E"):
             raise CorpusFormatError(f"{path}:{ln}: unknown language tag {lang!r}")
@@ -329,6 +331,9 @@ def load_corpus(path):
             raise CorpusFormatError(f"{where}repeated split {split!r}")
         transcripts = _read_tsv_map(root / t_rel, "transcript", where)
         spans = _read_tsv_map(root / s_rel, "span", where)
+        for uid, (s_ln, _) in spans.items():
+            if uid not in transcripts:
+                raise CorpusFormatError(f"{root / s_rel}:{s_ln}: utterance {uid}: no transcript")
         utts = []
         for uid, (t_ln, text) in transcripts.items():
             try:
@@ -345,7 +350,9 @@ def load_corpus(path):
                 raise CorpusFormatError(f"utterance {uid}: {feat_path} has {feats.shape[1]} "
                                         f"features per frame, {first[0]} has {first[1]}")
             span_list = []
-            for token in spans.get(uid, (0, ""))[1].split():
+            if uid not in spans:
+                raise CorpusFormatError(f"{root / s_rel}: utterance {uid}: no span line")
+            for token in spans[uid][1].split():
                 try:
                     a, b, lang = token.split(":")
                     if lang not in ("M", "E"):

@@ -693,15 +693,17 @@ class TestCheckBeforeWrite:
 
     @pytest.mark.parametrize(
         "emptied, message",
-        [("train-mono-m/transcripts.tsv", "pretrain requires training utterances in both"),
-         ("manifest.tsv", "has no utterances")],
+        [(("train-mono-m/transcripts.tsv", "train-mono-m/spans.tsv"),
+          "pretrain requires training utterances in both"),
+         (("manifest.tsv",), "has no utterances")],
         ids=["empty-first-split", "empty-manifest"],
     )
     def test_corpus_without_training_utterances_exit_2(self, workdir, tmp_path, capsys, emptied,
                                                        message):
         _, data = workdir
         shutil.copytree(data, tmp_path / "data")
-        (tmp_path / "data" / emptied).write_text("")
+        for rel in emptied:
+            (tmp_path / "data" / rel).write_text("")
         code = run(["pretrain", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
                     "--epochs", "1", "--hidden-dim", "8"])
         assert code == 2

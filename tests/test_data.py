@@ -331,6 +331,36 @@ class TestLoading:
             load_corpus(root)
         assert str(err.value) == f"{f}:4: repeated utterance id 'test-cs-00001'"
 
+    @pytest.mark.parametrize("line", ["0\tfoo\tM", "0\t<blank>\tM", "0\tm1\t-"])
+    def test_vocab_line_one_must_be_the_blank(self, tmp_path, line):
+        root = tmp_path / "c"
+        gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2), root)
+        v = root / "vocab.tsv"
+        lines = v.read_text().splitlines()
+        assert lines[0] == "0\t<blank>\t-"
+        v.write_text("\n".join([line] + lines[1:]) + "\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(err.value) == f"{v}:1: expected '0\\t<blank>\\t-', got {line!r}"
+
+    def test_span_line_without_a_transcript_names_file_and_line(self, tmp_path):
+        root = tmp_path / "c"
+        gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=2, seed=2), root)
+        s = root / "test-cs" / "spans.tsv"
+        s.write_text(s.read_text() + "ghost-00009\t0:3:M\n")
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(err.value) == f"{s}:3: utterance ghost-00009: no transcript"
+
+    def test_utterance_without_a_span_line_names_file_and_utterance(self, tmp_path):
+        root = tmp_path / "c"
+        gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=2, seed=2), root)
+        s = root / "test-cs" / "spans.tsv"
+        s.write_text("".join(s.read_text().splitlines(keepends=True)[1:]))
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(err.value) == f"{s}: utterance test-cs-00000: no span line"
+
     def test_empty_transcript_file_gives_empty_split(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
         root = tmp_path / "c"

@@ -8,6 +8,7 @@ from csrt import checks, decoding, metrics
 from csrt.alignments import BLANK, collapse
 from csrt.data import CorpusSpec, Utterance, gen_corpus, load_corpus
 from csrt.decoding import greedy_ctc_decode, rnnt_decode
+from csrt.errors import CsrtError
 from csrt.model import Architecture, Model, load_checkpoint
 
 DECODE_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "decode_model.csrt"
@@ -110,6 +111,55 @@ def reference_beam(model, x, beam):
     return greedy if greedy[1] > best[1] else best
 
 
+def reference_step_beam(model, x, beam):
+    """A beam that ranks `done` and the frontier by (-score, prefix) after every step, reads
+    the floor off the ranked `done`, and ranks every extension above the floor.
+
+    It drives rnnt_decode's own `_Scorer`, so the two differ only in what they rank and
+    when, and in the order of a frontier's rows in the joint call.
+    """
+    h_enc, _ = model.encode_fused(model.params, x)
+    cap = decoding.MAX_EMITS_PER_FRAME_FACTOR * len(h_enc)
+    scorer = decoding._Scorer(model, h_enc)
+
+    def top(prefixes, scores, k):
+        return sorted(range(len(scores)), key=lambda i: (-scores[i], prefixes[i]))[:k]
+
+    done, done_scores = [0], [0.0]
+    for t in range(len(h_enc)):
+        frontier, base = done, np.array(done_scores)
+        done, done_scores = [], []
+        while frontier:
+            lp = scorer.log_probs(t, frontier)
+            done += frontier
+            done_scores += (base + lp[:, BLANK]).tolist()
+            kept = top([scorer.prefixes[i] for i in done], done_scores, beam)
+            done, done_scores = [done[i] for i in kept], [done_scores[i] for i in kept]
+            floor = done_scores[-1] if len(done) >= beam else -np.inf
+            ext = base[:, None] + lp[:, 1:]
+            ext[[len(scorer.prefixes[i]) >= cap for i in frontier]] = -np.inf
+            rows, cols = np.nonzero(ext > floor)
+            pairs = [(frontier[i], k + 1) for i, k in zip(rows.tolist(), cols.tolist())]
+            kept = top([scorer.prefixes[i] + (k,) for i, k in pairs], ext[rows, cols].tolist(),
+                       beam)
+            frontier = [scorer.child(*pairs[i]) for i in kept]
+            base = ext[rows, cols][kept]
+    best = scorer.prefixes[done[0]], done_scores[0]
+    greedy = decoding._greedy(scorer, cap)
+    return greedy if greedy[1] > best[1] else best
+
+
+def one_row_at_a_time(monkeypatch):
+    """Score each prefix in a joint call of its own, so that a row's value cannot depend
+    on its place in the call or on how many rows share it, whatever the BLAS."""
+    log_probs = decoding._Scorer.log_probs
+
+    def rows(scorer, t, ids):
+        return np.concatenate([log_probs(scorer, t, [i]) for i in ids])
+
+    monkeypatch.setattr(decoding._Scorer, "log_probs", rows)
+
+
 def rigged_emitter(seed):
     """A toy model whose joint always prefers unit 1, so only the cap stops emission."""
     model = toy_model(seed=seed)
@@ -144,6 +194,19 @@ def interchangeable_units(seed):
     model = sharp_model(seed)
     p = model.params
     p["dec.embed"][2:5] = p["dec.embed"][1]
+    p["joint.w_out"][:, 1:] = 0.0
+    p["joint.w_out"][0, 1:] = 6.0
+    return model
+
+
+def tied_emissions(seed):
+    """A sharp model whose units share one output column but keep their own embeddings.
+
+    Siblings tie on their emission score but not afterwards, so which of them a beam keeps
+    when more than `beam` tie at the cut changes what it finds next.
+    """
+    model = sharp_model(seed)
+    p = model.params
     p["joint.w_out"][:, 1:] = 0.0
     p["joint.w_out"][0, 1:] = 6.0
     return model
@@ -210,6 +273,15 @@ class TestRnntDecode:
     def test_beam_must_be_positive(self):
         with pytest.raises(ValueError):
             rnnt_decode(toy_model(seed=0), np.zeros((2, 3)), beam=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x = np.zeros((4, 3))
+        x[2, 1] = bad
+        for beam in (1, 4):
+            with pytest.raises(CsrtError) as err:
+                rnnt_decode(toy_model(seed=0), x, beam=beam)
+            assert str(err.value) == "rnnt_decode: features hold a non-finite value"
 
     def test_emission_cap(self):
         # a model rigged to always emit would loop without the hard stop
@@ -291,18 +363,84 @@ class TestRnntDecode:
         assert emitted >= 6
 
 
-def test_decode_model_matches_the_references(tmp_path):
-    """The fixed benchmark model decodes 20 test-cs utterances of its world as the references do."""
-    gen_corpus(CorpusSpec(seed=0, train_count=8, dev_count=8, test_count=300), tmp_path / "c")
+@pytest.fixture(scope="module")
+def decode_world(tmp_path_factory):
+    """The fixed benchmark model and the first 20 test-cs utterances of its world."""
+    root = tmp_path_factory.mktemp("decode-world")
+    gen_corpus(CorpusSpec(seed=0, train_count=8, dev_count=8, test_count=300), root)
     ck = load_checkpoint(DECODE_MODEL)
     model = Model(ck.architecture(), params=ck.model_params())
-    for utt in load_corpus(tmp_path / "c").split("test-cs")[:20]:
+    return model, load_corpus(root).split("test-cs")[:20]
+
+
+def test_decode_model_matches_the_references(decode_world):
+    """The fixed benchmark model decodes 20 test-cs utterances of its world as the references do."""
+    model, utts = decode_world
+    for utt in utts:
         for beam in (1, 10):
             got = rnnt_decode(model, utt.features, beam=beam)
             want = reference_greedy(model, utt.features) if beam == 1 else reference_beam(
                 model, utt.features, beam)
             assert got[0] == want[0], (utt.uid, beam)
             assert got[1] == pytest.approx(want[1], abs=1e-9), (utt.uid, beam)
+
+
+def test_beam_equals_the_step_by_step_ranking_bit_for_bit(decode_world, monkeypatch):
+    """Ranking `done` once per frame, and the frontier only on ties at the cut, returns the
+    (hyp, score) of ranking both after every step, under ==."""
+    one_row_at_a_time(monkeypatch)
+    rng = np.random.default_rng(9)
+    cases = [(sharp_model(seed=600 + i), rng.standard_normal((int(rng.integers(2, 8)), 3)))
+             for i in range(12)]
+    cases += [(interchangeable_units(seed=700 + i), rng.standard_normal((5, 3))) for i in range(8)]
+    cases += [(tied_emissions(seed=1000 + i), rng.standard_normal((int(rng.integers(2, 7)), 3)))
+              for i in range(12)]
+    cases += [(rigged_emitter(seed=4), np.zeros((T, 3))) for T in (3, 5)]
+    model, utts = decode_world
+    cases += [(model, utt.features) for utt in utts]
+    for model, x in cases:
+        for beam in (2, 3, 4, 10):
+            assert rnnt_decode(model, x, beam=beam) == reference_step_beam(model, x, beam)
+
+
+def test_top_ranks_by_score_then_prefix():
+    prefixes = [(2,), (1, 5), (), (1,), (3,)]
+    assert decoding._top(prefixes, [0.0, 0.0, 0.0, 0.0, 1.0], 4) == [4, 2, 3, 1]
+
+
+def test_search_work_counts(decode_world, monkeypatch):
+    """One prediction-net step per distinct prefix scored, and at most one ranking of the
+    frame's finished hypotheses per frame.
+
+    The sharp models' and the decode model's extension scores do not tie at the beam's cut,
+    so there every `_top` call ranks `done`; units that share a column tie, and add
+    rankings of the frontier.
+    """
+    advances, scored, ranks = [], set(), []
+    advance, log_probs, top = decoding._Scorer._advance, decoding._Scorer.log_probs, decoding._top
+
+    def counted(scorer, t, ids):
+        scored.update(scorer.prefixes[i] for i in ids)
+        return log_probs(scorer, t, ids)
+
+    monkeypatch.setattr(decoding._Scorer, "_advance",
+                        lambda scorer, *a: advances.append(1) or advance(scorer, *a))
+    monkeypatch.setattr(decoding._Scorer, "log_probs", counted)
+    monkeypatch.setattr(decoding, "_top", lambda *a: ranks.append(1) or top(*a))
+    rng = np.random.default_rng(10)
+    cases = [(sharp_model(seed=800 + i), rng.standard_normal((int(rng.integers(2, 8)), 3)), True)
+             for i in range(12)]
+    cases += [(interchangeable_units(seed=900 + i), rng.standard_normal((5, 3)), False)
+              for i in range(4)]
+    model, utts = decode_world
+    cases += [(model, utt.features, True) for utt in utts]
+    for model, x, tie_free in cases:
+        for beam in (1, 4, 10):
+            advances.clear(), scored.clear(), ranks.clear()
+            rnnt_decode(model, x, beam=beam)
+            assert len(advances) == len(scored)
+            if tie_free:
+                assert len(ranks) <= (len(x) if beam > 1 else 0)
 
 
 @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
