@@ -135,7 +135,7 @@ def cmd_gen_data(values):
     out = _require(values, "out", "gen-data")
     spec = CorpusSpec.from_values(values)
     run = RunDir(out, values, values["force"])
-    corpus = gen_corpus(spec, run.path)
+    corpus = gen_corpus(spec, out)  # config.txt follows at the first log line
     for split, utts in sorted(corpus.splits.items()):
         run.log(f"split={split} utterances={len(utts)}")
 

@@ -91,7 +91,7 @@ REGISTRY = {
     "frames-min": (_int_at_least(1), 2, "minimum frames per unit"),
     "frames-max": (_int_at_least(1), 4, "maximum frames per unit"),
     "noise-sigma": (_NON_NEGATIVE, 0.1, "per-frame Gaussian noise level"),
-    "utt-units-min": (_int_at_least(1), 4, "minimum units per utterance"),
+    "utt-units-min": (_int_at_least(2), 4, "minimum units per utterance (a CS one needs both languages)"),
     "utt-units-max": (_int_at_least(1), 8, "maximum units per utterance"),
     "cs-spans-max": (_int_at_least(1), 2, "maximum embedded-language spans per CS utterance"),
     "cs-matrix-fraction": (_float(" in (0, 1)", lambda v: 0 < v < 1), 0.7, "fraction of CS tokens in the matrix language"),

@@ -134,12 +134,12 @@ def _cs_token_languages(rng, spec, n):
     n_e = max(1, int(round((1.0 - spec.cs_matrix_fraction) * n)))
     n_e = min(n_e, n - 1)
     k = int(rng.integers(1, spec.cs_spans_max + 1))
-    k = min(k, n_e)
+    n_m = n - n_e
     # Split the embedded mass into k contiguous spans placed in distinct
     # gaps of the matrix token sequence, so spans never touch each other.
+    k = min(k, n_e, n_m + 1)
     sizes = np.full(k, n_e // k)
     sizes[: n_e % k] += 1
-    n_m = n - n_e
     gaps = sorted(rng.choice(n_m + 1, size=k, replace=False).tolist())
     langs = []
     for gap_index in range(n_m + 1):
@@ -183,28 +183,36 @@ def _gen_utterance(rng, spec, vocab, prototypes, kind):
 
 
 def gen_corpus(spec, out_dir):
-    """Write a full corpus directory; deterministic in the spec. Returns it loaded."""
+    """Write a full corpus directory; deterministic in the spec. Returns it loaded.
+
+    Every utterance is drawn before anything is written, so a spec whose frames
+    a float32 feature file cannot hold is refused with nothing on disk.
+    """
+    vocab = build_vocabulary(spec.units_per_language)
+    with np.errstate(over="ignore", invalid="ignore"):  # a frame out of range is refused below
+        prototypes = unit_prototypes(spec)
+        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
+        drawn = {split: [_gen_utterance(rng, spec, vocab, prototypes, split.partition("-")[2])
+                         for _ in range(getattr(spec, split.partition("-")[0] + "_count"))]
+                 for split in SPLITS}
+    peak = max(np.abs(u.features).max() for utts in drawn.values() for u in utts)
+    if not peak <= np.finfo(np.float32).max:
+        raise CsrtError(f"generated frames reach {peak:.3g}, beyond float32: lower "
+                        "noise-sigma or cross-lingual-offset")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = build_vocabulary(spec.units_per_language)
-    prototypes = unit_prototypes(spec)
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-
     with open(out / "vocab.tsv", "w", encoding="utf-8") as fh:
         for uid, surface in enumerate(vocab.surfaces):
             lang = vocab.lang_of(uid) if uid else "-"
             fh.write(f"{uid}\t{surface}\t{lang}\n")
 
-    counts = {"train": spec.train_count, "dev": spec.dev_count, "test": spec.test_count}
     manifest_lines = []
-    for split in SPLITS:
-        phase, _, kind = split.partition("-")
+    for split, utts in drawn.items():
         split_dir = out / split
         feat_dir = split_dir / "feats"
         feat_dir.mkdir(parents=True, exist_ok=True)
         t_lines, s_lines = [], []
-        for i in range(counts[phase]):
-            utt = _gen_utterance(rng, spec, vocab, prototypes, kind)
+        for i, utt in enumerate(utts):
             utt.uid = f"{split}-{i:05d}"
             t_lines.append(utt.uid + "\t" + " ".join(vocab.surface(u) for u in utt.labels))
             s_lines.append(
@@ -363,7 +371,7 @@ def load_corpus(path):
                         f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
                         " (expected start:end:M|E)"
                     )
-            if span_list and not _tiles(span_list, feats.shape[0]):
+            if not _tiles(span_list, feats.shape[0]):
                 raise CorpusFormatError(
                     f"{root / s_rel}: utterance {uid}: spans do not tile frames"
                     f" [0, {feats.shape[0]}) in order"

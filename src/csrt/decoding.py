@@ -131,7 +131,7 @@ def _beam(scorer, cap, beam):
 def rnnt_decode(model, x, beam=1):
     """Best label sequence and its log-score; beam=1 is the greedy policy."""
     if beam < 1:
-        raise ValueError(f"beam must be >= 1, got {beam}")
+        raise CsrtError(f"rnnt_decode: beam must be >= 1, got {beam}")
     if not np.isfinite(x).all():
         raise CsrtError("rnnt_decode: features hold a non-finite value")
     h_enc, _ = model.encode_fused(model.params, x)

@@ -15,6 +15,7 @@ heads in fine-tuning.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -93,25 +94,19 @@ def optimizer_step(params, grads, state, config):
     sq = g * g  # the norm sums block by block, as per-block arrays would
     norm = float(np.sqrt(sum(float(sq[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:]))))
     clipped = 0 < config.grad_clip < norm
-    g *= config.grad_clip / norm if clipped else 1.0
+    if clipped:
+        g = g * (config.grad_clip / norm)
     state.step += 1
-    # From here sq is a spare buffer, and g turns into the update once the moments used it;
-    # each in-place op is an op of the block-by-block update, so the bits stay the same.
-    if config.beta1 > 0:
-        m = state.m = np.zeros(g.size) if state.m is None else state.m
-        m *= config.beta1
-        m += np.multiply(1.0 - config.beta1, g, out=sq)
-    if config.beta2 > 0:
-        v = state.v = np.zeros(g.size) if state.v is None else state.v
-        v *= config.beta2
-        v += np.multiply(np.multiply(1.0 - config.beta2, g, out=sq), g, out=sq)
     update = g
     if config.beta1 > 0:
-        np.divide(m, 1.0 - config.beta1**state.step, out=update)
+        m = np.zeros(g.size) if state.m is None else state.m
+        state.m = config.beta1 * m + (1.0 - config.beta1) * g
+        update = state.m / (1.0 - config.beta1**state.step)
     if config.beta2 > 0:
-        vhat = np.divide(v, 1.0 - config.beta2**state.step, out=sq)
-        update /= np.add(np.sqrt(vhat, out=vhat), config.moment_eps, out=vhat)
-    update *= schedule_lr(config, state.step)
+        v = np.zeros(g.size) if state.v is None else state.v
+        state.v = config.beta2 * v + ((1.0 - config.beta2) * g) * g
+        update = update / (np.sqrt(state.v / (1.0 - config.beta2**state.step)) + config.moment_eps)
+    update = update * schedule_lr(config, state.step)
     for arr, lo, hi in zip(params.values(), bounds, bounds[1:]):
         arr -= update[lo:hi].reshape(arr.shape)
     return norm, clipped
@@ -161,8 +156,9 @@ def _finish_checkpoint(model, state, phase):
     return Checkpoint(fingerprint=model.arch.fingerprint(), blocks=blocks)
 
 
-def _read_state(blocks, phase):
-    """TrainState fields of a `phase` checkpoint's state.* blocks; CsrtError names a bad one."""
+def _read_state(blocks, params, phase):
+    """TrainState of a `phase` checkpoint's state.* and opt.* blocks, each moment kind absent
+    or whole over `params`; CsrtError names the first bad block."""
     values = {}
     for k in _STATE_KEYS:
         arr = blocks.get(f"state.{k}")
@@ -175,7 +171,20 @@ def _read_state(blocks, phase):
     batch = blocks.get("state.batch", 0.0)  # older checkpoints hold 0 here: saved at an epoch end
     if np.shape(batch) != () or float(batch) != 0:
         raise CsrtError("checkpoint block 'state.batch' is not 0 (a run resumes at an epoch end)")
-    return values
+    kept = {key: {name[6:]: arr for name, arr in blocks.items() if name.startswith(f"opt.{key}.")}
+            for key in ("m", "v")}
+    missing = [f"opt.{key}.{n}" for key, moment in kept.items() if moment
+               for n in params if n not in moment]
+    if missing:
+        raise CsrtError(f"optimizer block {missing[0]!r} is missing: a kept moment needs "
+                        "every parameter block")
+    misfit = sorted(f"opt.{key}.{n}" for key, moment in kept.items() for n, arr in moment.items()
+                    if n not in params or arr.shape != params[n].shape)
+    if misfit:
+        raise CsrtError(f"optimizer block {misfit[0]!r} does not fit a parameter block")
+    flat = {key: np.concatenate([moment[n].ravel() for n in params])  # in layout order
+            for key, moment in kept.items() if moment}
+    return TrainState(**values, **flat)
 
 
 def start_from(checkpoint, arch, phase, resume):
@@ -186,21 +195,7 @@ def start_from(checkpoint, arch, phase, resume):
             "checkpoint fingerprint does not match the configured variant/dimensions"
         )
     model = Model(arch, params=checkpoint.model_params())
-    if not resume:
-        return model, TrainState()
-    blocks = checkpoint.blocks
-    state = TrainState(**_read_state(blocks, phase))
-    moments = {"m": {}, "v": {}}
-    for name, arr in blocks.items():
-        if name.startswith(("opt.m.", "opt.v.")):
-            if name[6:] not in model.params or arr.shape != model.params[name[6:]].shape:
-                raise CsrtError(f"optimizer block {name!r} does not fit a parameter block")
-            moments[name[4]][name[6:]] = arr
-    for key, kept in moments.items():
-        if kept:  # one flat vector in layout order; a block without a kept moment starts at 0
-            setattr(state, key, np.concatenate([kept.get(n, np.zeros(a.size)).ravel()
-                                                for n, a in model.params.items()]))
-    return model, state
+    return model, _read_state(checkpoint.blocks, model.params, phase) if resume else TrainState()
 
 
 def _pretrain_loss(model, bound, vocab, items):
@@ -301,46 +296,41 @@ def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, resume=Fal
     def loss_fn(bound, batch):
         return _finetune_loss(model, bound, vocab, batch, config)
 
-    def schedule(epoch):
+    def schedule(epoch):  # each source cycles through its own permutation of the epoch
         rng = _epoch_rng(config.seed, 13, epoch)
-        perms = {k: rng.permutation(len(v)).tolist() for k, v in sources.items()}
-        cursors = {k: 0 for k in perms}
+        draws = {k: itertools.cycle([v[i] for i in rng.permutation(len(v)).tolist()])
+                 for k, v in sources.items()}
         mono = [k for k in ("mono-m", "mono-e") if k in sources]
-        total = sum(len(v) for v in sources.values())
-        n_batches = max(1, total // config.batch_size)
+        n_batches = max(1, sum(len(v) for v in sources.values()) // config.batch_size)
         batches = []
         for _ in range(n_batches):
+            src = "cs"
             if mono and rng.random() < config.mono_mix_ratio:
                 src = mono[int(rng.integers(len(mono)))]
-            else:
-                src = "cs"
-            picked = []
-            for _ in range(min(config.batch_size, len(sources[src]))):
-                picked.append(sources[src][perms[src][cursors[src] % len(perms[src])]])
-                cursors[src] += 1
-            batches.append(picked)
+            size = min(config.batch_size, len(sources[src]))
+            batches.append(list(itertools.islice(draws[src], size)))
         return batches
 
     return _train_loop(model, state, config, schedule, list(dev), loss_fn, "finetune", log)
 
 
 def _train_loop(model, state, config, schedule, dev_items, loss_fn, phase, log):
-    def validate():  # mean dev loss over tape-free batches (NaN without dev items), seconds taken
-        start = time.perf_counter()
-        total = sum(loss_fn(model.params, b)[0].item()
-                    for b in _chunks(dev_items, config.batch_size))
-        return total / len(dev_items) if dev_items else float("nan"), time.perf_counter() - start
+    val_losses = []
 
-    best, val_s = validate()
-    if log is not None and dev_items:
-        log(f"epoch={state.epoch} val_loss={best:.6f} best={best:.6f} val_s={val_s:.3f}")
+    def validate():  # mean dev loss over tape-free batches, logged with the best so far
+        start = time.perf_counter()
+        val_losses.append(sum(loss_fn(model.params, b)[0].item()
+                              for b in _chunks(dev_items, config.batch_size)) / len(dev_items))
+        if log is not None:
+            log(f"epoch={state.epoch} val_loss={val_losses[-1]:.6f} best={min(val_losses):.6f} "
+                f"val_s={time.perf_counter() - start:.3f}")
+
+    if dev_items:
+        validate()
     for epoch in range(state.epoch, config.epochs):
         for batch in schedule(epoch):
             _run_batch(model, batch, loss_fn, state, config, log)
         state.epoch = epoch + 1
         if dev_items:
-            val, val_s = validate()
-            best = min(best, val)
-            if log is not None:
-                log(f"epoch={epoch + 1} val_loss={val:.6f} best={best:.6f} val_s={val_s:.3f}")
+            validate()
     return _finish_checkpoint(model, state, phase)

@@ -494,6 +494,26 @@ class TestCheckBeforeWrite:
         assert f"usage error: bad value for '{extra[0][2:]}'" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
+    def test_gen_data_single_unit_utterances_refused(self, tmp_path, capsys):
+        # A code-switched utterance needs a unit of each language, so utt-units-min starts at 2.
+        assert run(gen_args(tmp_path / "d", ["--utt-units-min", "1"])) == 1
+        assert "usage error: bad value for 'utt-units-min': must be >= 2, got 1" in (
+            capsys.readouterr().err)
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("utt-units-min = 1\n", encoding="utf-8")
+        assert run(gen_args(tmp_path / "d", ["--config", str(cfg)])) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:1: bad value for 'utt-units-min': must be >= 2, got 1"]
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("extra", [["--noise-sigma", "1e39"],
+                                       ["--cross-lingual-offset", "1e308"]])
+    def test_gen_data_frames_beyond_float32_exit_2(self, tmp_path, capsys, extra):
+        assert run(gen_args(tmp_path / "d", extra)) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: generated frames reach ")
+        assert not (tmp_path / "d").exists()
+
     def test_gen_data_empty_frame_range_exit_2(self, tmp_path, capsys):
         assert run(gen_args(tmp_path / "d", ["--frames-min", "5", "--frames-max", "2"])) == 2
         err = capsys.readouterr().err
@@ -624,6 +644,25 @@ class TestCheckBeforeWrite:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1 and f"'{block}'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_partial_moment_set_exit_2(self, workdir, tmp_path, capsys):
+        root, data = workdir
+        ck = load_checkpoint(root / "pre" / "checkpoint.csrt")
+        layout = list(Model(ck.architecture(), params=ck.model_params()).params)
+        dropped = [f"opt.m.{layout[i]}" for i in (-1, 3, 1)] + [
+            k for k in ck.blocks if k.startswith("opt.v.")]
+        assert len(dropped) == 3 + len(layout)
+        save_checkpoint(tmp_path / "partial.csrt",
+                        Checkpoint(ck.fingerprint, {k: v for k, v in ck.blocks.items()
+                                                    if k not in dropped}))
+        fast = ["--epochs", "2", "--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+        code = run(["pretrain", "--resume", "--init", str(tmp_path / "partial.csrt"), "--data",
+                    str(data), "--out", str(tmp_path / "o")] + fast)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: optimizer block 'opt.m.{layout[1]}' is missing: a kept moment "
+                       "needs every parameter block"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("split", ["train-mono-m", "dev-mono-m"])

@@ -91,6 +91,17 @@ class TestGeneration:
                         runs.append(lang)
                 assert runs == [s[2] for s in utt.spans]
 
+    def test_spans_outnumbering_matrix_gaps_get_one_gap_each(self, tmp_path):
+        # At 10% matrix tokens up to 5 drawn spans can outnumber the gaps around the matrix
+        # tokens; the span count is capped there, so every span still has a gap to itself.
+        spec = CorpusSpec(cs_matrix_fraction=0.1, cs_spans_max=5, train_count=8, dev_count=1,
+                          test_count=1, seed=3)
+        corpus = gen_corpus(spec, tmp_path / "c")
+        for utt in corpus.split("train-cs"):
+            langs = [lang for _, _, lang in utt.spans]
+            n_m = sum(corpus.vocab.lang_of(u) == "M" for u in utt.labels)
+            assert "M" in langs and "E" in langs and langs.count("E") <= n_m + 1
+
     def test_unique_ids_across_splits(self, tiny_corpus):
         _, corpus, _ = tiny_corpus
         ids = [u.uid for utts in corpus.splits.values() for u in utts]
@@ -351,6 +362,18 @@ class TestLoading:
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
         assert str(err.value) == f"{s}:3: utterance ghost-00009: no transcript"
+
+    def test_empty_span_line_does_not_tile_frames(self, tmp_path):
+        root = tmp_path / "c"
+        utt = gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=2, seed=2),
+                         root).split("test-cs")[0]
+        s = root / "test-cs" / "spans.tsv"
+        lines = s.read_text().splitlines(keepends=True)
+        s.write_text(f"{utt.uid}\t\n" + "".join(lines[1:]))
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(err.value) == (f"{s}: utterance {utt.uid}: spans do not tile frames"
+                                  f" [0, {utt.n_frames}) in order")
 
     def test_utterance_without_a_span_line_names_file_and_utterance(self, tmp_path):
         root = tmp_path / "c"

@@ -271,7 +271,7 @@ class TestRnntDecode:
         assert a == b
 
     def test_beam_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CsrtError, match="^rnnt_decode: beam must be >= 1, got 0$"):
             rnnt_decode(toy_model(seed=0), np.zeros((2, 3)), beam=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

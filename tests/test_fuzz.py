@@ -3,10 +3,12 @@
 Each mutant of a well-formed file (a truncation, a few flipped bytes or two
 swapped fields) must either load or raise CsrtError, never another
 exception. Each bad flag or config-file value must fail the command with
-its one-line diagnostic before it creates an output directory. The draws
-use only the standard library's seeded `random`.
+its one-line diagnostic before it creates an output directory, and in-range
+generation settings must either write a corpus that loads or fail the same
+way. The draws use only the standard library's seeded `random`.
 """
 
+import dataclasses
 import random
 import re
 
@@ -213,3 +215,53 @@ def test_bad_flag_values_fail_before_writing(run_inputs, tmp_path, capsys):
             assert code == 1 and err, f"{where}: exit {code}, stderr {err}"
             assert err[0].startswith(f"usage error: bad value for '{key}'"), f"{where}: {err}"
         assert not out.exists(), f"{where}: created {out}"
+
+
+GEN_DRAWS = 100
+# Texts for each corpus-generation key, some below its range and some whose frames overflow
+# float32; a draw takes only the texts config.REGISTRY accepts, so every value is in range.
+GEN_TEXTS = {
+    "units-per-language": ("1", "2", "3", "6"),
+    "feature-dim": ("1", "2", "5"),
+    "frames-min": ("1", "2", "3", "5"),
+    "frames-max": ("1", "2", "4", "6"),
+    "noise-sigma": ("0", "0.1", "0.5", "3", "1e39", "1e308"),
+    "utt-units-min": ("0", "1", "2", "3", "5"),
+    "utt-units-max": ("1", "2", "3", "6", "9"),
+    "cs-spans-max": ("1", "2", "4", "9"),
+    "cs-matrix-fraction": ("0.01", "0.1", "0.5", "0.7", "0.99"),
+    "cross-lingual-offset": ("0", "0.5", "2", "5", "1e39", "1.7e308"),
+    "train-count": ("1", "2"),
+    "dev-count": ("1", "2"),
+    "test-count": ("1", "2"),
+    "seed": ("0", "1", "99", "4294967295"),
+}
+
+
+def _accepted(key, text):
+    try:
+        config.convert(key, text)
+    except CsrtError:
+        return False
+    return True
+
+
+def test_in_range_generation_settings_generate_or_fail_cleanly(tmp_path, capsys):
+    """gen-data with in-range values either writes a corpus that loads, or fails with one
+    line (a cross-key conflict or unrepresentable frames) and writes nothing."""
+    assert set(GEN_TEXTS) == {config.key_of(f.name) for f in dataclasses.fields(CorpusSpec)}
+    texts = {key: [t for t in options if _accepted(key, t)] for key, options in GEN_TEXTS.items()}
+    rng = random.Random(53)
+    for i in range(GEN_DRAWS):
+        out = tmp_path / f"out{i}"
+        drawn = [(key, rng.choice(options)) for key, options in texts.items()
+                 if key.endswith("-count") or rng.random() < 0.5]  # others keep their default
+        code = run(["gen-data", "--out", str(out)] + [f"--{k}={t}" for k, t in drawn])
+        err = capsys.readouterr().err.splitlines()
+        where = f"draw {i}: {' '.join(f'{k}={t}' for k, t in drawn)}"
+        if code == 0:
+            assert not err, f"{where}: stderr {err}"
+            load_corpus(out)
+        else:
+            assert code == 2 and len(err) == 1, f"{where}: exit {code}, stderr {err}"
+            assert err[0].startswith("error: ") and not out.exists(), f"{where}: {err}"

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,7 +202,6 @@ class TestOptimizerStep:
         for _ in range(2):
             optimizer_step(model.params, grads(), state, cfg)
         ck = _finish_checkpoint(model, state, "finetune")
-        del ck.blocks["opt.v.joint.b"]  # a block without a kept moment starts from zeros
         kept = _bits(ck.blocks)
         later = [grads() for _ in range(3)]
         resumed, st = start_from(ck, arch, "finetune", resume=True)
@@ -229,6 +229,34 @@ class TestOptimizerStep:
             bad = type(ck)(ck.fingerprint, {**ck.blocks, name: arr})
             with pytest.raises(CsrtError, match=f"optimizer block '{name}'"):
                 start_from(bad, arch, "finetune", resume=True)
+
+    def test_resume_refuses_a_partial_moment_set(self):
+        arch = Architecture(family="single", input_dim=2, hidden_dim=3, encoder_layers=1,
+                            encoder_mixing="conv", embed_dim=2, decoder_dim=3, joint_dim=3,
+                            n_m=1, n_e=1)
+        model, state = Model(arch, seed=1), TrainState()
+        optimizer_step(model.params, {k: np.ones(v.shape) for k, v in model.params.items()},
+                       state, tcfg())
+        ck = _finish_checkpoint(model, state, "finetune")
+        layout = list(model.params)
+        for key in "mv":
+            for dropped in ([layout[-1]], [layout[-1], layout[2]], layout[1:]):
+                names = {f"opt.{key}.{n}" for n in dropped}
+                bad = Checkpoint(ck.fingerprint, {k: v for k, v in ck.blocks.items()
+                                                  if k not in names})
+                first = f"opt.{key}.{min(dropped, key=layout.index)}"
+                with pytest.raises(CsrtError, match=f"^optimizer block '{re.escape(first)}' "
+                                                    "is missing: a kept moment needs every"):
+                    start_from(bad, arch, "finetune", resume=True)
+        # Strays are named in name order; a moment kind left out whole resumes from zeros.
+        strays = Checkpoint(ck.fingerprint, {**ck.blocks, "opt.v.zz": np.zeros(1),
+                                             "opt.m.zz": np.zeros(1)})
+        with pytest.raises(CsrtError, match="^optimizer block 'opt.m.zz' does not fit"):
+            start_from(strays, arch, "finetune", resume=True)
+        no_v = {k: v for k, v in ck.blocks.items() if not k.startswith("opt.v.")}
+        _, st = start_from(Checkpoint(ck.fingerprint, no_v), arch, "finetune", resume=True)
+        assert st.v is None and _bits(_slices(st.m, model.params)) == _bits(
+            {k[6:]: v for k, v in ck.blocks.items() if k.startswith("opt.m.")})
 
     def test_non_finite_middle_block_changes_nothing(self):
         rng = np.random.default_rng(6)
