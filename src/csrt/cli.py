@@ -140,36 +140,27 @@ def cmd_gen_data(values):
         run.log(f"split={split} utterances={len(utts)}")
 
 
-def cmd_pretrain(values):
-    out = _require(values, "out", "pretrain")
-    if values["init"] and not values["resume"]:
-        raise UsageError("pretrain --init needs --resume (pretraining starts from scratch)")
-    corpus = load_corpus(_require(values, "data", "pretrain"))
-    arch = arch_for(values["variant"], values, corpus.vocab, corpus.feature_dim)
-    tcfg = TrainingConfig.from_values(values)
-    names = ("train-mono-m", "train-mono-e", "dev-mono-m", "dev-mono-e")
-    train_m, train_e, dev_m, dev_e = map(corpus.split, names)
-    resume_from = None
+def cmd_train(command, values):
+    """Run `command`, pretrain or finetune, into --out. --resume continues the --init run;
+    otherwise pretrain starts from the seed, and finetune from --init or, without it, the seed."""
+    out = _require(values, "out", command)
     if values["resume"]:
-        resume_from = load_checkpoint(_checkpoint_path(_require(values, "init", "pretrain")))
-    run = RunDir(out, values, values["force"])
-    ck = pretrain(train_m, train_e, tcfg, arch, dev_m=dev_m, dev_e=dev_e, vocab=corpus.vocab,
-                  log=run.log, resume_from=resume_from)
-    save_checkpoint(run.path / CHECKPOINT_NAME, ck)
-    run.log(f"saved {run.path / CHECKPOINT_NAME}")
-
-
-def cmd_finetune(values):
-    out = _require(values, "out", "finetune")
-    corpus = load_corpus(_require(values, "data", "finetune"))
+        _require(values, "init", f"{command} --resume")
+    elif values["init"] and command == "pretrain":
+        raise UsageError("pretrain --init needs --resume (pretraining starts from scratch)")
+    corpus = load_corpus(_require(values, "data", command))
     arch = arch_for(values["variant"], values, corpus.vocab, corpus.feature_dim)
-    init = load_checkpoint(_checkpoint_path(_require(values, "init", "finetune")))
+    init = load_checkpoint(_checkpoint_path(values["init"])) if values["init"] else None
     tcfg = TrainingConfig.from_values(values)
-    corpora = {part: corpus.split(f"train-{part}") for part in ("cs", "mono-m", "mono-e")}
-    dev = corpus.split("dev-cs")
     run = RunDir(out, values, values["force"])
-    ck = finetune(corpora, init, tcfg, arch, dev=dev, vocab=corpus.vocab, log=run.log,
-                  resume=values["resume"])
+    if command == "pretrain":
+        ck = pretrain(corpus.split("train-mono-m"), corpus.split("train-mono-e"), tcfg, arch,
+                      dev_m=corpus.split("dev-mono-m"), dev_e=corpus.split("dev-mono-e"),
+                      vocab=corpus.vocab, log=run.log, resume_from=init)
+    else:
+        corpora = {part: corpus.split(f"train-{part}") for part in ("cs", "mono-m", "mono-e")}
+        ck = finetune(corpora, init, tcfg, arch, dev=corpus.split("dev-cs"), vocab=corpus.vocab,
+                      log=run.log, resume=values["resume"])
     save_checkpoint(run.path / CHECKPOINT_NAME, ck)
     run.log(f"saved {run.path / CHECKPOINT_NAME}")
 
@@ -256,13 +247,14 @@ def cmd_oracle_check(values):
     _check_table(worst, 6, "max-abs-diff", 1e-6, "oracle equivalence exceeded 1e-6")
 
 
-_TRAINING = ("out", "force", "data", "init", "resume", "vanilla-hidden-dim") + _keys(Architecture)
+_TRAINING = ("out", "force", "data", "init", "resume") + _keys(Architecture)
 _FINETUNE_ONLY = ("lambda", "fine-tune-data", "mono-mix-ratio")
 
 COMMANDS = {
     "gen-data": (cmd_gen_data, ("out", "force") + _keys(CorpusSpec)),
-    "pretrain": (cmd_pretrain, _TRAINING + _keys(TrainingConfig, _FINETUNE_ONLY)),
-    "finetune": (cmd_finetune, _TRAINING + _keys(TrainingConfig)),
+    "pretrain": (functools.partial(cmd_train, "pretrain"),
+                 _TRAINING + _keys(TrainingConfig, _FINETUNE_ONLY)),
+    "finetune": (functools.partial(cmd_train, "finetune"), _TRAINING + _keys(TrainingConfig)),
     "decode": (cmd_decode, ("out", "force", "data", "model", "split", "beam")),
     "eval": (cmd_eval, ("out", "force", "data", "model", "split", "beam")),
     "eval-ls": (cmd_eval_ls, ("out", "force", "data", "model", "split")),
@@ -286,6 +278,9 @@ def run(argv):
         return 1
     except (CsrtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory while running {args.command}", file=sys.stderr)
         return 2
 
 

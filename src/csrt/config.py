@@ -102,7 +102,6 @@ REGISTRY = {
     # model dimensions
     "variant": (_choice(*VARIANT_FAMILY), "conditional-ls", "model variant"),
     "hidden-dim": (_int_at_least(1), 32, "encoder hidden width"),
-    "vanilla-hidden-dim": (_int_at_least(1), 48, "encoder width for the single-encoder variant"),
     "encoder-layers": (_int_at_least(1), 2, "encoder blocks per stack"),
     "encoder-mixing": (_choice("conv", "recurrent"), "conv", "temporal mixing kind"),
     "embed-dim": (_int_at_least(1), 16, "decoder label embedding size"),

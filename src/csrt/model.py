@@ -137,6 +137,11 @@ def _param_layout(arch):
     ]
 
 
+def param_count(arch):
+    """Number of parameters of `arch`, read off its layout without allocating them."""
+    return sum(math.prod(shape) for _, shape, _ in _param_layout(arch))
+
+
 def init_params(arch, seed):
     """Seeded parameter dict; draw order is the order of _param_layout."""
     rng = np.random.default_rng(seed)

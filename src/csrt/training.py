@@ -15,9 +15,11 @@ heads in fine-tuning.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import config
 from .alignments import mask_labels, min_ctc_length
 from .errors import CsrtError, FingerprintMismatchError, OptimizerError
 from .losses import ctc_loss, ls_loss, rnnt_loss
-from .model import Architecture, Checkpoint, Model, variant_family
+from .model import Architecture, Checkpoint, Model, param_count, variant_family
 
 _PHASES = ("pretrain", "finetune")
 
@@ -50,10 +52,21 @@ class TrainingConfig:
 
 
 def arch_for(variant, values, vocab, input_dim):
-    """Architecture for a variant; vanilla gets its own (wider) encoder width."""
-    hidden = values["vanilla-hidden-dim"] if variant == "vanilla" else values["hidden-dim"]
-    return config.from_values(Architecture, values, family=variant_family(variant),
-                              input_dim=input_dim, hidden_dim=hidden, n_m=vocab.n_m, n_e=vocab.n_e)
+    """Architecture for a variant, with vanilla's encoder width at dual-model parameter parity."""
+    arch = config.from_values(Architecture, values, family=variant_family(variant),
+                              input_dim=input_dim, n_m=vocab.n_m, n_e=vocab.n_e)
+    if arch.family != "single":
+        return arch
+
+    def pair(width):  # rises strictly with the width, as each count does
+        return sum(param_count(replace(arch, hidden_dim=h)) for h in (width, width + 1))
+
+    # Vanilla's width is the one whose count is nearest the dual model's, the smaller on a tie:
+    # the first whose pair reaches twice that target, as below it the next width is nearer.
+    # A count is at least the width squared (a w_ff block), so that width lies in this range.
+    target = param_count(replace(arch, family="dual"))
+    widths = range(1, math.isqrt(target) + 2)
+    return replace(arch, hidden_dim=widths[bisect.bisect_left(widths, 2 * target, key=pair)])
 
 
 @dataclass
@@ -250,7 +263,8 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), *, vocab, log
     CTC losses never touch them. Returns a Checkpoint.
     """
     if not arch.has_ctc_heads:
-        raise CsrtError("the single-encoder variant has no CTC heads to pre-train")
+        raise CsrtError("the single-encoder variant has no CTC heads to pre-train; "
+                        "fine-tune it from its seed (finetune without --init)")
     if not (corpus_m and corpus_e):
         raise CsrtError("pretrain requires training utterances in both languages")
     items = [("M", u) for u in corpus_m] + [("E", u) for u in corpus_e]
@@ -277,10 +291,12 @@ def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, resume=Fal
 
     `corpora` maps {'cs': [...], 'mono-m': [...], 'mono-e': [...]}; the
     monolingual entries are used only when the config asks for cs+mono.
-    `init` is the pre-training Checkpoint (fingerprint-checked), or a
-    finetune checkpoint to run on for more epochs when `resume` is set.
+    `init` is the pre-training Checkpoint (fingerprint-checked), a finetune
+    checkpoint to run on for more epochs when `resume` is set, or None to
+    start from the seeded initialization, as pretrain does.
     """
-    model, state = start_from(init, arch, "finetune", resume)
+    model, state = (start_from(init, arch, "finetune", resume) if init is not None
+                    else (Model(arch, seed=config.seed), TrainState()))
 
     sources = {"cs": list(corpora.get("cs", ()))}
     if config.fine_tune_data == "cs+mono":

@@ -10,7 +10,14 @@ from csrt import cli, config, training
 from csrt.cli import run
 from csrt.data import CorpusSpec, load_corpus, read_features, write_features
 from csrt.errors import CsrtError
-from csrt.model import Architecture, Checkpoint, Model, load_checkpoint, save_checkpoint
+from csrt.model import (
+    Architecture,
+    Checkpoint,
+    Model,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from csrt.training import TrainingConfig
 
 
@@ -106,7 +113,7 @@ class TestFlagTable:
 
         assert settings(CorpusSpec) <= taken["gen-data"]
         for command in ("pretrain", "finetune"):
-            assert settings(Architecture) | {"vanilla-hidden-dim"} <= taken[command]
+            assert settings(Architecture) <= taken[command]
         training_keys = settings(TrainingConfig)
         assert training_keys <= taken["finetune"]
         finetune_only = {"lambda", "fine-tune-data", "mono-mix-ratio"}
@@ -749,6 +756,100 @@ class TestCheckBeforeWrite:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "o").exists()
+
+
+FAST = ["--hidden-dim", "8", "--joint-dim", "8", "--decoder-dim", "8"]
+
+
+@pytest.fixture(scope="module")
+def vanilla_run(workdir, tmp_path_factory):
+    """A vanilla model fine-tuned from its seed, the one way to train that variant."""
+    _, data = workdir
+    out = tmp_path_factory.mktemp("vanilla") / "ft"
+    assert run(["finetune", "--variant", "vanilla", "--data", str(data), "--out", str(out),
+                "--epochs", "1"] + FAST) == 0
+    return out
+
+
+class TestSeededFinetune:
+    def test_vanilla_run_holds_the_derived_width(self, workdir, vanilla_run):
+        _, data = workdir
+        config_text = (vanilla_run / "config.txt").read_text()
+        assert "hidden-dim = 8\n" in config_text and "vanilla" in config_text
+        corpus = load_corpus(data)
+        values = {**config.defaults(), "hidden-dim": 8, "joint-dim": 8, "decoder-dim": 8}
+        arch = training.arch_for("vanilla", values, corpus.vocab, corpus.feature_dim)
+        assert arch.hidden_dim != 8
+        assert load_checkpoint(vanilla_run / "checkpoint.csrt").architecture() == arch
+
+    def test_eval_scores_a_vanilla_run(self, workdir, vanilla_run, capsys):
+        _, data = workdir
+        assert run(["eval", "--model", str(vanilla_run), "--data", str(data), "--beam", "1"]) == 0
+        assert "test-cs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval-ls"], "language-separation evaluation needs a variant with CTC heads"),
+        (["dump-posteriors", "--utt", "dev-cs-00000", "--out", "{tmp}/p.csv"],
+         "posterior dump needs a variant with CTC heads"),
+    ], ids=["eval-ls", "dump-posteriors"])
+    def test_ctc_head_commands_refuse_a_vanilla_run(self, workdir, vanilla_run, tmp_path,
+                                                     capsys, argv, message):
+        _, data = workdir
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert run(argv + ["--model", str(vanilla_run), "--data", str(data)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("variant", ["vanilla", "conditional-ls", "three-encoder"])
+    def test_zero_epochs_without_init_write_the_seeded_parameters(self, workdir, tmp_path,
+                                                                   variant):
+        _, data = workdir
+        assert run(["finetune", "--variant", variant, "--data", str(data), "--out",
+                    str(tmp_path / "o"), "--epochs", "0", "--seed", "5"] + FAST) == 0
+        ck = load_checkpoint(tmp_path / "o" / "checkpoint.csrt")
+        want = init_params(ck.architecture(), 5)
+        got = ck.model_params()
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_resume_without_init_is_usage_error(self, workdir, tmp_path, capsys):
+        _, data = workdir
+        code = run(["finetune", "--resume", "--data", str(data), "--out", str(tmp_path / "o"),
+                    "--epochs", "1"] + FAST)
+        assert code == 1
+        assert "usage error: finetune --resume requires --init" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_pretrain_refuses_vanilla_and_names_the_way_forward(self, workdir, tmp_path,
+                                                                 capsys):
+        _, data = workdir
+        code = run(["pretrain", "--variant", "vanilla", "--data", str(data), "--out",
+                    str(tmp_path / "o"), "--epochs", "1"] + FAST)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finetune without --init" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_old_vanilla_width_key_is_unknown(self, workdir, tmp_path, capsys):
+        _, data = workdir
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("vanilla-hidden-dim = 48\n")
+        code = run(["finetune", "--variant", "vanilla", "--config", str(cfg), "--data",
+                    str(data), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:1: unknown config key 'vanilla-hidden-dim'"]
+        assert not (tmp_path / "o").exists()
+
+
+def test_out_of_memory_is_one_line(workdir, tmp_path, capsys):
+    # numpy refuses this allocation outright, without committing any memory.
+    _, data = workdir
+    code = run(["pretrain", "--hidden-dim", "1000000000000000", "--data", str(data),
+                "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory while running pretrain"]
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

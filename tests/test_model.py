@@ -1,4 +1,7 @@
+import itertools
 import struct
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from csrt.model import (
     Model,
     init_params,
     load_checkpoint,
+    param_count,
     save_checkpoint,
     variant_family,
 )
@@ -290,13 +294,43 @@ class TestVariants:
         with pytest.raises(CsrtError, match="bad value for 'variant': expected one of"):
             variant_family("bogus")
 
-    def test_parameter_parity_vanilla_within_10pct(self, vocab55):
-        vals = defaults()
-        dual = arch_for("conditional", vals, vocab55, 8)
-        single = arch_for("vanilla", vals, vocab55, 8)
-        n_dual = Model(dual).n_params
-        n_single = Model(single).n_params
-        assert abs(n_single - n_dual) / n_dual < 0.10
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_layout_count_is_the_allocated_count(self, family):
+        for mixing in ("conv", "recurrent"):
+            arch = small_arch(family=family, mixing=mixing, encoder_layers=3)
+            assert param_count(arch) == Model(arch).n_params
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    def test_vanilla_within_5pct_of_the_dual_count(self, vocab55, mixing):
+        for hidden, layers in itertools.product(range(4, 129), (1, 2, 3)):
+            vals = {**defaults(), "hidden-dim": hidden, "encoder-layers": layers,
+                    "encoder-mixing": mixing}
+            n_dual = param_count(arch_for("conditional", vals, vocab55, 8))
+            n_single = param_count(arch_for("vanilla", vals, vocab55, 8))
+            assert abs(n_single - n_dual) / n_dual <= 0.05, (hidden, layers)
+
+    def test_vanilla_width_is_the_nearest_to_the_dual_count(self):
+        grid = itertools.product((5, 200), (32, 1), (1, 2, 3), ("conv", "recurrent"), (1, 4, 16))
+        for units, joint, layers, mixing, hidden in grid:
+            vals = {**defaults(), "joint-dim": joint, "encoder-layers": layers,
+                    "encoder-mixing": mixing, "hidden-dim": hidden}
+            vocab = SimpleNamespace(n_m=units, n_e=units)
+            single = arch_for("vanilla", vals, vocab, 8)
+            assert single == replace(arch_for("conditional", vals, vocab, 8), family="single",
+                                     hidden_dim=single.hidden_dim)
+            target = param_count(arch_for("conditional", vals, vocab, 8))
+            counts = [param_count(replace(single, hidden_dim=h)) for h in range(1, 200)]
+            assert counts[-1] > target  # the scan passes the target
+            gaps = [abs(n - target) for n in counts]
+            assert single.hidden_dim == 1 + gaps.index(min(gaps)), (units, joint, layers, mixing,
+                                                                    hidden)
+
+    def test_vanilla_widths_at_two_settings(self, vocab55):
+        # Defaults: 16,519 parameters against the dual model's 16,631. With large heads and a
+        # one-wide joint, the heads outweigh the second encoder: far above 2 * hidden + 1.
+        assert arch_for("vanilla", defaults(), vocab55, 8).hidden_dim == 46
+        vals = {**defaults(), "joint-dim": 1, "encoder-layers": 1, "hidden-dim": 4}
+        assert arch_for("vanilla", vals, SimpleNamespace(n_m=200, n_e=200), 8).hidden_dim == 36
 
 
 class TestGradients:

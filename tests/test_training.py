@@ -331,7 +331,7 @@ class TestPretrain:
     def test_vanilla_has_nothing_to_pretrain(self, world):
         corpus, vocab, _ = world
         arch1 = arch_for("vanilla", defaults(), vocab, 8)
-        with pytest.raises(CsrtError):
+        with pytest.raises(CsrtError, match=r"no CTC heads .*finetune without --init"):
             pretrain([], [], tcfg(variant="vanilla"), arch1, vocab=vocab)
 
     def test_resume_matches_uninterrupted(self, world, pretrained):
@@ -388,6 +388,21 @@ class TestPretrain:
 
 
 class TestFinetune:
+    def test_vanilla_trains_from_its_seed_and_resumes(self, world):
+        corpus, vocab, _ = world
+        arch = arch_for("vanilla", defaults(), vocab, 8)
+        whole = finetune(corpora_of(corpus), None, tcfg(variant="vanilla", epochs=2, seed=3),
+                         arch, vocab=vocab)
+        half = finetune(corpora_of(corpus), None, tcfg(variant="vanilla", epochs=1, seed=3),
+                        arch, vocab=vocab)
+        resumed = finetune(corpora_of(corpus), half, tcfg(variant="vanilla", epochs=2, seed=3),
+                           arch, vocab=vocab, resume=True)
+        assert whole.fingerprint == resumed.fingerprint == arch.fingerprint()
+        assert whole.blocks.keys() == resumed.blocks.keys()
+        assert all(whole.blocks[k].tobytes() == resumed.blocks[k].tobytes() for k in whole.blocks)
+        assert not any(np.array_equal(whole.blocks[k], v)
+                       for k, v in init_params(arch, 3).items() if k.endswith(".w_ff"))
+
     def test_fingerprint_mismatch_rejected(self, world, pretrained):
         corpus, vocab, _ = world
         arch3 = arch_for("three-encoder", defaults(), vocab, 8)
