@@ -27,11 +27,13 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _int_at_least(low):
+def _int_in(low, high=math.inf):
     def convert(text):
         value = int(text)
         if value < low:
             raise ValueError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise ValueError(f"must be <= {high}, got {value}")
         return value
 
     return convert
@@ -74,46 +76,46 @@ VARIANT_FAMILY = {
 # key -> (converter, default, help)
 REGISTRY = {
     # common
-    "seed": (_int_at_least(0), 0, "RNG seed for the command"),
+    "seed": (_int_in(0), 0, "RNG seed for the command"),
     "out": (str, "", "output directory (or file, where noted)"),
     "force": (_bool, False, "allow writing into a non-empty output directory"),
     "data": (str, "", "corpus directory"),
     "init": (str, "", "checkpoint (file or run directory) to initialize from"),
     "model": (str, "", "trained checkpoint (file or run directory) to evaluate"),
     "split": (str, "test-cs", "corpus split name"),
-    "beam": (_int_at_least(1), 10, "beam size for transducer decoding"),
+    "beam": (_int_in(1), 10, "beam size for transducer decoding"),
     "utt": (str, "", "utterance id (dump-posteriors)"),
     "resume": (_bool, False, "continue training from the init checkpoint's saved state"),
-    "trials": (_int_at_least(1), 200, "number of random instances for oracle/gradient sweeps"),
+    "trials": (_int_in(1), 200, "number of random instances for oracle/gradient sweeps"),
     # corpus generation
-    "units-per-language": (_int_at_least(2), 5, "units in each of V^M and V^E"),
-    "feature-dim": (_int_at_least(1), 8, "feature vector dimension"),
-    "frames-min": (_int_at_least(1), 2, "minimum frames per unit"),
-    "frames-max": (_int_at_least(1), 4, "maximum frames per unit"),
+    "units-per-language": (_int_in(2, 100_000), 5, "units in each of V^M and V^E"),
+    "feature-dim": (_int_in(1, 1024), 8, "feature vector dimension"),
+    "frames-min": (_int_in(1, 1000), 2, "minimum frames per unit"),
+    "frames-max": (_int_in(1, 1000), 4, "maximum frames per unit"),
     "noise-sigma": (_NON_NEGATIVE, 0.1, "per-frame Gaussian noise level"),
-    "utt-units-min": (_int_at_least(2), 4, "minimum units per utterance (a CS one needs both languages)"),
-    "utt-units-max": (_int_at_least(1), 8, "maximum units per utterance"),
-    "cs-spans-max": (_int_at_least(1), 2, "maximum embedded-language spans per CS utterance"),
+    "utt-units-min": (_int_in(2, 1000), 4, "minimum units per utterance (a CS one needs both languages)"),
+    "utt-units-max": (_int_in(1, 1000), 8, "maximum units per utterance"),
+    "cs-spans-max": (_int_in(1, 1000), 2, "maximum embedded-language spans per CS utterance"),
     "cs-matrix-fraction": (_float(" in (0, 1)", lambda v: 0 < v < 1), 0.7, "fraction of CS tokens in the matrix language"),
     "cross-lingual-offset": (_NON_NEGATIVE, 0.0, "distance of each E prototype from its M twin (0 = independent)"),
-    "train-count": (_int_at_least(1), 500, "training utterances per corpus"),
-    "dev-count": (_int_at_least(1), 50, "dev utterances per corpus"),
-    "test-count": (_int_at_least(1), 100, "test utterances per corpus"),
+    "train-count": (_int_in(1, 50_000), 500, "training utterances per corpus"),
+    "dev-count": (_int_in(1, 50_000), 50, "dev utterances per corpus"),
+    "test-count": (_int_in(1, 50_000), 100, "test utterances per corpus"),
     # model dimensions
     "variant": (_choice(*VARIANT_FAMILY), "conditional-ls", "model variant"),
-    "hidden-dim": (_int_at_least(1), 32, "encoder hidden width"),
-    "encoder-layers": (_int_at_least(1), 2, "encoder blocks per stack"),
+    "hidden-dim": (_int_in(1, 2048), 32, "encoder hidden width"),
+    "encoder-layers": (_int_in(1, 256), 2, "encoder blocks per stack"),
     "encoder-mixing": (_choice("conv", "recurrent"), "conv", "temporal mixing kind"),
-    "embed-dim": (_int_at_least(1), 16, "decoder label embedding size"),
-    "decoder-dim": (_int_at_least(1), 32, "prediction network hidden size"),
-    "joint-dim": (_int_at_least(1), 32, "joint network hidden size"),
+    "embed-dim": (_int_in(1, 2048), 16, "decoder label embedding size"),
+    "decoder-dim": (_int_in(1, 2048), 32, "prediction network hidden size"),
+    "joint-dim": (_int_in(1, 2048), 32, "joint network hidden size"),
     # training
     "lambda": (_UNIT, 0.5, "transducer weight in the language-separation loss"),
     "learning-rate": (_NON_NEGATIVE, 0.004, "peak learning rate"),
     "schedule": (_choice("constant", "warmup-inverse-sqrt"), "constant", "LR schedule"),
-    "warmup-steps": (_int_at_least(1), 200, "warmup length for warmup-inverse-sqrt"),
-    "epochs": (_int_at_least(0), 12, "training epochs"),
-    "batch-size": (_int_at_least(1), 8, "utterances per optimizer step"),
+    "warmup-steps": (_int_in(1), 200, "warmup length for warmup-inverse-sqrt"),
+    "epochs": (_int_in(0), 12, "training epochs"),
+    "batch-size": (_int_in(1), 8, "utterances per optimizer step"),
     "beta1": (_SMOOTHING, 0.9, "first-moment smoothing (0 disables)"),
     "beta2": (_SMOOTHING, 0.999, "second-moment smoothing (0 disables)"),
     "moment-eps": (_float(" > 0", lambda v: v > 0), 1e-8, "denominator floor for second-moment scaling"),

@@ -2,23 +2,24 @@
 
 Each vocabulary unit gets a fixed prototype vector; a frame is its unit's
 prototype plus iid Gaussian noise. Utterances are unit sequences, either
-monolingual or code-switched (matrix language M with one or two contiguous
-embedded E spans). Everything is a pure function of the CorpusSpec, so a
-seed reproduces a corpus byte for byte. The spec's fields are the
-corpus-generation keys of config.REGISTRY, which states their ranges and
-defaults (config.settings); constructing a CorpusSpec applies the checks.
+monolingual or code-switched (matrix language M with up to cs-spans-max
+contiguous embedded E spans). Everything is a pure function of the
+CorpusSpec, so a seed reproduces a corpus byte for byte. The spec's fields
+are the corpus-generation keys of config.REGISTRY, which states their ranges
+and defaults (config.settings); constructing a CorpusSpec applies the checks.
 
-On-disk layout under the corpus directory:
+On-disk layout under the corpus directory, two files per split:
 
-    vocab.tsv                 id <TAB> surface <TAB> M|E   (line 1: 0 <TAB> <blank> <TAB> -)
-    manifest.tsv              split <TAB> transcripts <TAB> feats dir <TAB> spans
-    <split>/transcripts.tsv   utt-id <TAB> space-joined surfaces
-    <split>/spans.tsv         utt-id <TAB> start:end:M|E ...   (the transcripts' ids)
-    <split>/feats/<utt>.csft  magic "CSFT", u32 T, u32 D, T*D float32 LE (T, D >= 1)
+    vocab.tsv           id <TAB> surface <TAB> M|E   (line 1: 0 <TAB> <blank> <TAB> -)
+    <split>/utts.tsv    utt-id <TAB> space-joined surfaces <TAB> start:end:M|E ...
+                        (non-empty spans tiling the utterance's T frames [0, T) in order)
+    <split>/feats.csft  magic "CSFT", u32 N, u32 D, N*D float32 LE (D >= 1): the split's
+                        frames, utterance after utterance in utts.tsv order, N = sum of T
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,23 +207,15 @@ def gen_corpus(spec, out_dir):
             lang = vocab.lang_of(uid) if uid else "-"
             fh.write(f"{uid}\t{surface}\t{lang}\n")
 
-    manifest_lines = []
     for split, utts in drawn.items():
-        split_dir = out / split
-        feat_dir = split_dir / "feats"
-        feat_dir.mkdir(parents=True, exist_ok=True)
-        t_lines, s_lines = [], []
+        (out / split).mkdir(exist_ok=True)
+        lines = []
         for i, utt in enumerate(utts):
             utt.uid = f"{split}-{i:05d}"
-            t_lines.append(utt.uid + "\t" + " ".join(vocab.surface(u) for u in utt.labels))
-            s_lines.append(
-                utt.uid + "\t" + " ".join(f"{a}:{b}:{lang}" for a, b, lang in utt.spans)
-            )
-            write_features(feat_dir / f"{utt.uid}.csft", utt.features)
-        (split_dir / "transcripts.tsv").write_text("\n".join(t_lines) + "\n", encoding="utf-8")
-        (split_dir / "spans.tsv").write_text("\n".join(s_lines) + "\n", encoding="utf-8")
-        manifest_lines.append(f"{split}\t{split}/transcripts.tsv\t{split}/feats\t{split}/spans.tsv")
-    (out / "manifest.tsv").write_text("\n".join(manifest_lines) + "\n", encoding="utf-8")
+            spans = " ".join(f"{a}:{b}:{lang}" for a, b, lang in utt.spans)
+            lines.append(f"{utt.uid}\t{' '.join(map(vocab.surface, utt.labels))}\t{spans}\n")
+        (out / split / "utts.tsv").write_text("".join(lines), encoding="utf-8")
+        write_features(out / split / "feats.csft", np.concatenate([u.features for u in utts]))
     return load_corpus(out)
 
 
@@ -235,6 +228,7 @@ def write_features(path, features):
 
 
 def read_features(path):
+    """One (N, D) float64 array from a .csft file; N may be 0, D may not."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -244,28 +238,26 @@ def read_features(path):
         raise CorpusFormatError(f"{path}: bad feature-file magic")
     if len(raw) < 12:
         raise CorpusFormatError(f"{path}: truncated feature header")
-    T, D = struct.unpack("<II", raw[4:12])
-    if T == 0:
-        raise CorpusFormatError(f"{path}: zero frames")
+    N, D = struct.unpack("<II", raw[4:12])
     if D == 0:
         raise CorpusFormatError(f"{path}: zero features per frame")
     body = raw[12:]
-    if len(body) != T * D * 4:
-        raise CorpusFormatError(f"{path}: expected {T}x{D} float32 payload, got {len(body)} bytes")
+    if len(body) != N * D * 4:
+        raise CorpusFormatError(f"{path}: expected {N}x{D} float32 payload, got {len(body)} bytes")
     frames = np.frombuffer(body, dtype="<f4")
     if not np.isfinite(frames).all():
         raise CorpusFormatError(f"{path}: non-finite feature value")
-    return frames.astype(np.float64).reshape(T, D)
+    return frames.astype(np.float64).reshape(N, D)
 
 
-def _lines(path, where=""):
-    """Numbered non-empty lines of a UTF-8 file; `where` prefixes its errors."""
+def _lines(path):
+    """Numbered non-empty lines of a UTF-8 file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{where}{path}: not valid UTF-8 (byte {exc.start})")
+        raise CorpusFormatError(f"{path}: not valid UTF-8 (byte {exc.start})")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
-        raise CorpusFormatError(f"{where}cannot read {path}: {exc}")
+        raise CorpusFormatError(f"cannot read {path}: {exc}")
     return [(ln, line) for ln, line in enumerate(text.split("\n"), 1) if line]
 
 
@@ -300,86 +292,62 @@ def load_vocabulary(path):
     return Vocabulary(m_surfaces=tuple(m), e_surfaces=tuple(e))
 
 
-def _read_tsv_map(path, what, where):
-    out = {}
-    for ln, line in _lines(path, where):
-        uid, tab, rest = line.partition("\t")
-        if not tab:
-            raise CorpusFormatError(f"{path}:{ln}: missing tab in {what} line")
-        if uid in out:
-            raise CorpusFormatError(f"{path}:{ln}: repeated utterance id {uid!r}")
-        out[uid] = ln, rest
-    return out
+def _span(token, where):
+    try:
+        a, b, lang = token.split(":")
+        if lang in ("M", "E"):
+            return int(a), int(b), lang
+    except ValueError:
+        pass
+    raise CorpusFormatError(f"{where}malformed span {token!r} (expected start:end:M|E)")
 
 
-def _tiles(spans, T):
-    """Whether non-empty spans cover [0, T) in order, each starting where the last ended."""
-    cursor = 0
-    for a, b, _ in spans:
-        if a != cursor or b <= a:
-            return False
-        cursor = b
-    return cursor == T
+def _read_utts(path, vocab):
+    """(uid, labels, spans) per line of a utts.tsv; the spans tile [0, T) in order, T >= 1."""
+    rows, seen = [], set()
+    for ln, line in _lines(path):
+        where = f"{path}:{ln}: "
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusFormatError(f"{where}expected 3 tab-separated fields")
+        uid, text, span_text = parts
+        if uid in seen:
+            raise CorpusFormatError(f"{where}repeated utterance id {uid!r}")
+        seen.add(uid)
+        try:
+            labels = tuple(vocab.id_of(s) for s in text.split())
+        except CsrtError as exc:  # an unknown surface
+            raise CorpusFormatError(f"{where}{exc}")
+        spans = tuple(_span(token, where) for token in span_text.split())
+        starts = [0] + [b for _, b, _ in spans[:-1]]
+        if not spans or any(a != start or b <= a for (a, b, _), start in zip(spans, starts)):
+            raise CorpusFormatError(f"{where}spans {span_text!r} do not tile frames [0, T) in "
+                                    "order, each span non-empty")
+        rows.append((uid, labels, spans))
+    return rows
 
 
 def load_corpus(path):
-    """Load a generated corpus directory back into memory; exact round trip."""
+    """Load a generated corpus directory back into memory; exact round trip. An utterance's
+    features are its rows of its split's frame matrix."""
     root = Path(path)
-    manifest = root / "manifest.tsv"
     vocab = load_vocabulary(root / "vocab.tsv")
     splits = {}
     first = None  # (path, width) of the first feature file; every one must have that width
-    for ln, line in _lines(manifest):
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise CorpusFormatError(f"{manifest}:{ln}: expected 4 tab-separated fields")
-        split, t_rel, f_rel, s_rel = parts
-        where = f"{manifest}:{ln}: "
-        if split in splits:
-            raise CorpusFormatError(f"{where}repeated split {split!r}")
-        transcripts = _read_tsv_map(root / t_rel, "transcript", where)
-        spans = _read_tsv_map(root / s_rel, "span", where)
-        for uid, (s_ln, _) in spans.items():
-            if uid not in transcripts:
-                raise CorpusFormatError(f"{root / s_rel}:{s_ln}: utterance {uid}: no transcript")
-        utts = []
-        for uid, (t_ln, text) in transcripts.items():
-            try:
-                labels = tuple(vocab.id_of(s) for s in text.split())
-            except CsrtError as exc:  # an unknown surface
-                raise CorpusFormatError(f"{root / t_rel}:{t_ln}: {exc}")
-            feat_path = root / f_rel / f"{uid}.csft"
-            try:
-                feats = read_features(feat_path)
-            except CorpusFormatError as exc:
-                raise CorpusFormatError(f"utterance {uid}: {exc}")
-            first = first or (feat_path, feats.shape[1])
-            if feats.shape[1] != first[1]:
-                raise CorpusFormatError(f"utterance {uid}: {feat_path} has {feats.shape[1]} "
-                                        f"features per frame, {first[0]} has {first[1]}")
-            span_list = []
-            if uid not in spans:
-                raise CorpusFormatError(f"{root / s_rel}: utterance {uid}: no span line")
-            for token in spans[uid][1].split():
-                try:
-                    a, b, lang = token.split(":")
-                    if lang not in ("M", "E"):
-                        raise ValueError(lang)
-                    span_list.append((int(a), int(b), lang))
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{root / s_rel}: utterance {uid}: malformed span {token!r}"
-                        " (expected start:end:M|E)"
-                    )
-            if not _tiles(span_list, feats.shape[0]):
-                raise CorpusFormatError(
-                    f"{root / s_rel}: utterance {uid}: spans do not tile frames"
-                    f" [0, {feats.shape[0]}) in order"
-                )
-            utts.append(
-                Utterance(uid=uid, features=feats, labels=labels, spans=tuple(span_list))
-            )
-        splits[split] = utts
-    if first is None:
+    for split in SPLITS:
+        utts_path, feats_path = root / split / "utts.tsv", root / split / "feats.csft"
+        rows = _read_utts(utts_path, vocab)
+        frames = read_features(feats_path)
+        first = first or (feats_path, frames.shape[1])
+        if frames.shape[1] != first[1]:
+            raise CorpusFormatError(f"{feats_path} has {frames.shape[1]} features per frame, "
+                                    f"{first[0]} has {first[1]}")
+        ends = list(itertools.accumulate((spans[-1][1] for _, _, spans in rows), initial=0))
+        if frames.shape[0] != ends[-1]:
+            raise CorpusFormatError(f"{feats_path} has {frames.shape[0]} frames, but the spans "
+                                    f"of {utts_path} cover {ends[-1]}")
+        splits[split] = [Utterance(uid=uid, features=frames[a:b], labels=labels, spans=spans)
+                         for (uid, labels, spans), a, b in zip(rows, ends, ends[1:])]
+    if not any(splits.values()):
         raise CorpusFormatError(f"corpus {root} has no utterances")
     return Corpus(vocab=vocab, splits=splits, feature_dim=first[1])

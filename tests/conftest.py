@@ -27,6 +27,13 @@ def tiny_corpus(tmp_path_factory):
     return spec, gen_corpus(spec, out), out
 
 
+def edit_fields(path, index, edit):
+    """Replace line `index` of a .tsv file by edit(its tab-separated fields)."""
+    lines = path.read_text().splitlines()
+    lines[index] = "\t".join(edit(lines[index].split("\t")))
+    path.write_text("\n".join(lines) + "\n")
+
+
 def random_log_rows(rng, t, v1):
     logits = rng.standard_normal((t, v1))
     m = logits.max(axis=1, keepdims=True)

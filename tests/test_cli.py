@@ -6,9 +6,10 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import edit_fields
 from csrt import cli, config, training
 from csrt.cli import run
-from csrt.data import CorpusSpec, load_corpus, read_features, write_features
+from csrt.data import SPLITS, CorpusSpec, load_corpus, read_features, write_features
 from csrt.errors import CsrtError
 from csrt.model import (
     Architecture,
@@ -449,27 +450,15 @@ class TestRunDir:
 
 def _write_corpus_fault(root, fault):
     """Write one fault into the corpus at `root`; return the message loading it must give."""
-    manifest = root / "manifest.tsv"
-    if fault == "repeated-split":  # a second test-cs line, pointing at test-mono-m's files
-        lines = manifest.read_text().splitlines()
-        lines.append("test-cs\t" + "\t".join(f"test-mono-m/{rel}" for rel in
-                                             ("transcripts.tsv", "feats", "spans.tsv")))
-        manifest.write_text("\n".join(lines) + "\n")
-        return f"{manifest}:{len(lines)}: repeated split 'test-cs'"
     if fault == "span-language":
-        spans = root / "test-cs" / "spans.tsv"
-        lines = spans.read_text().splitlines()
-        uid, _, tokens = lines[0].partition("\t")
-        first = tokens.split()[0]
-        lines[0] = lines[0].replace(first, first[:-1] + "X", 1)
-        spans.write_text("\n".join(lines) + "\n")
-        return f"{spans}: utterance {uid}: malformed span '{first[:-1]}X' (expected start:end:M|E)"
+        utts = root / "test-cs" / "utts.tsv"
+        first = utts.read_text().splitlines()[0].split("\t")[2].split()[0]
+        edit_fields(utts, 0, lambda f: f[:2] + [f[2].replace(first, first[:-1] + "X", 1)])
+        return f"{utts}:1: malformed span '{first[:-1]}X' (expected start:end:M|E)"
     if fault == "zero-width-features":  # every file agrees on the width, and it is 0
         for path in root.rglob("*.csft"):
             write_features(path, np.zeros((len(read_features(path)), 0)))
-        split = manifest.read_text().partition("\t")[0]
-        uid = f"{split}-00000"
-        return f"utterance {uid}: {root / split / 'feats' / uid}.csft: zero features per frame"
+        return f"{root / 'train-mono-m' / 'feats.csft'}: zero features per frame"
     if fault == "duplicate-surface":
         vocab = root / "vocab.tsv"
         lines = vocab.read_text().splitlines()
@@ -477,11 +466,9 @@ def _write_corpus_fault(root, fault):
         lines[2] = "2\tm1\tM"
         vocab.write_text("\n".join(lines) + "\n")
         return f"{vocab}:3: duplicate vocabulary surface 'm1'"
-    transcripts = root / "train-mono-m" / "transcripts.tsv"  # unknown-surface
-    lines = transcripts.read_text().splitlines()
-    lines[1] += " zz"
-    transcripts.write_text("\n".join(lines) + "\n")
-    return f"{transcripts}:2: unknown vocabulary surface 'zz'"
+    utts = root / "train-mono-m" / "utts.tsv"  # unknown-surface
+    edit_fields(utts, 1, lambda f: [f[0], f[1] + " zz", f[2]])
+    return f"{utts}:2: unknown vocabulary surface 'zz'"
 
 
 class TestCheckBeforeWrite:
@@ -574,8 +561,8 @@ class TestCheckBeforeWrite:
         assert capsys.readouterr().err == f"error: {cfg}:2: repeated key 'epochs'\n"
         assert not (tmp_path / "p").exists()
 
-    @pytest.mark.parametrize("fault", ["repeated-split", "span-language", "zero-width-features",
-                                       "duplicate-surface", "unknown-surface"])
+    @pytest.mark.parametrize("fault", ["span-language", "zero-width-features", "duplicate-surface",
+                                       "unknown-surface"])
     def test_malformed_corpus_exit_2_naming_the_place(self, workdir, tmp_path, capsys, fault):
         _, data = workdir
         root = tmp_path / "data"
@@ -676,11 +663,9 @@ class TestCheckBeforeWrite:
     def test_ctc_target_longer_than_its_frames_exit_2(self, workdir, tmp_path, capsys, split):
         _, data = workdir
         shutil.copytree(data, tmp_path / "data")
-        transcripts = tmp_path / "data" / split / "transcripts.tsv"
-        lines = transcripts.read_text().splitlines()
-        uid = lines[-1].partition("\t")[0]
-        lines[-1] = uid + "\t" + " ".join(["m1", "m2"] * 30)
-        transcripts.write_text("\n".join(lines) + "\n")
+        utts = tmp_path / "data" / split / "utts.tsv"
+        uid = utts.read_text().splitlines()[-1].partition("\t")[0]
+        edit_fields(utts, -1, lambda f: [uid, " ".join(["m1", "m2"] * 30), f[2]])
         T = len(load_corpus(tmp_path / "data").split(split)[-1].features)
         assert T < 60
         code = run(["pretrain", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
@@ -739,17 +724,17 @@ class TestCheckBeforeWrite:
 
     @pytest.mark.parametrize(
         "emptied, message",
-        [(("train-mono-m/transcripts.tsv", "train-mono-m/spans.tsv"),
-          "pretrain requires training utterances in both"),
-         (("manifest.tsv",), "has no utterances")],
-        ids=["empty-first-split", "empty-manifest"],
+        [(("train-mono-m",), "pretrain requires training utterances in both"),
+         (SPLITS, "has no utterances")],
+        ids=["empty-first-split", "empty-corpus"],
     )
     def test_corpus_without_training_utterances_exit_2(self, workdir, tmp_path, capsys, emptied,
                                                        message):
         _, data = workdir
         shutil.copytree(data, tmp_path / "data")
-        for rel in emptied:
-            (tmp_path / "data" / rel).write_text("")
+        for split in emptied:
+            (tmp_path / "data" / split / "utts.tsv").write_text("")
+            write_features(tmp_path / "data" / split / "feats.csft", np.zeros((0, 8)))
         code = run(["pretrain", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "o"),
                     "--epochs", "1", "--hidden-dim", "8"])
         assert code == 2
@@ -842,14 +827,56 @@ class TestSeededFinetune:
         assert not (tmp_path / "o").exists()
 
 
-def test_out_of_memory_is_one_line(workdir, tmp_path, capsys):
-    # numpy refuses this allocation outright, without committing any memory.
+def test_out_of_memory_is_one_line(workdir, tmp_path, capsys, monkeypatch):
+    def pretrain(*args, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "pretrain", pretrain)
     _, data = workdir
-    code = run(["pretrain", "--hidden-dim", "1000000000000000", "--data", str(data),
-                "--out", str(tmp_path / "o")])
+    code = run(["pretrain", "--data", str(data), "--out", str(tmp_path / "o")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == ["error: out of memory while running pretrain"]
     assert not (tmp_path / "o").exists()
+
+
+def _write_old_layout(root):
+    """Rewrite the corpus at `root` in the layout before utts.tsv: manifest.tsv, and per split
+    transcripts.tsv, spans.tsv and one feature file per utterance under feats/."""
+    corpus = load_corpus(root)
+    manifest = []
+    for split, utts in corpus.splits.items():
+        (root / split / "feats").mkdir()
+        for utt in utts:
+            write_features(root / split / "feats" / f"{utt.uid}.csft", utt.features)
+        (root / split / "transcripts.tsv").write_text("".join(
+            f"{u.uid}\t{' '.join(map(corpus.vocab.surface, u.labels))}\n" for u in utts))
+        (root / split / "spans.tsv").write_text("".join(
+            f"{u.uid}\t{' '.join(f'{a}:{b}:{lang}' for a, b, lang in u.spans)}\n" for u in utts))
+        (root / split / "utts.tsv").unlink()
+        (root / split / "feats.csft").unlink()
+        manifest.append(f"{split}\t{split}/transcripts.tsv\t{split}/feats\t{split}/spans.tsv\n")
+    (root / "manifest.tsv").write_text("".join(manifest))
+
+
+def test_old_layout_refused_in_one_line_and_regenerated_from_its_config(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert run(gen_args(old, ["--cs-spans-max", "3"])) == 0
+    _write_old_layout(old)
+    capsys.readouterr()
+    code = run(["pretrain", "--data", str(old), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2 and len(err) == 1 and not (tmp_path / "o").exists()
+    assert err[0].startswith(f"error: cannot read {old / 'train-mono-m' / 'utts.tsv'}: ")
+    assert run(["gen-data", "--config", str(old / "config.txt"), "--out", str(new)]) == 0
+    regenerated = load_corpus(new)
+    for line in (old / "manifest.tsv").read_text().splitlines():
+        split, transcripts, feats, spans = line.split("\t")
+        rows = zip((old / transcripts).read_text().splitlines(),
+                   (old / spans).read_text().splitlines(), strict=True)
+        for utt, (text, span_line) in zip(regenerated.split(split), rows, strict=True):
+            assert f"{utt.uid}\t{' '.join(map(regenerated.vocab.surface, utt.labels))}" == text
+            assert f"{utt.uid}\t{' '.join(f'{a}:{b}:{m}' for a, b, m in utt.spans)}" == span_line
+            assert utt.features.tobytes() == read_features(old / feats / f"{utt.uid}.csft").tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import edit_fields
 from csrt.data import (
     SPLITS,
     CorpusSpec,
@@ -19,6 +20,13 @@ def corpus_bytes(root):
         if p.is_file():
             out[str(p.relative_to(root))] = p.read_bytes()
     return out
+
+
+def small_corpus(tmp_path, **counts):
+    """A generated corpus directory, 2/1/1 utterances per split unless `counts` says otherwise."""
+    root = tmp_path / "c"
+    spec = dict(train_count=2, dev_count=1, test_count=1, seed=2) | counts
+    return root, gen_corpus(CorpusSpec(**spec), root)
 
 
 class TestSpecValidation:
@@ -182,12 +190,22 @@ class TestFeatureFiles:
             read_features(p)
         assert str(p) in str(err.value) and "non-finite" in str(err.value)
 
-    def test_zero_frames_rejected(self, tmp_path):
+    def test_zero_frames_read_as_an_empty_matrix(self, tmp_path):
         p = tmp_path / "empty.csft"
         write_features(p, np.zeros((0, 4)))
-        with pytest.raises(CorpusFormatError) as err:
-            read_features(p)
-        assert "zero frames" in str(err.value)
+        assert read_features(p).shape == (0, 4)
+
+    def test_zero_frames_rejected(self, tmp_path):
+        # A read frame matrix may have no rows, but no utterance may: an added line whose spans
+        # cover no frame leaves the frame total as it was, so the span check refuses it.
+        root, _ = small_corpus(tmp_path)
+        u = root / "test-cs" / "utts.tsv"
+        text = u.read_text()
+        for spans in ("0:0:M", ""):
+            u.write_text(text + f"test-cs-00009\tm1\t{spans}\n")
+            with pytest.raises(CorpusFormatError) as err:
+                load_corpus(root)
+            assert str(err.value).startswith(f"{u}:2: spans {spans!r} do not tile frames")
 
 
 class TestLoading:
@@ -205,71 +223,73 @@ class TestLoading:
         with pytest.raises(CorpusFormatError):
             load_corpus(tmp_path)
 
-    def test_truncated_feature_file_names_utterance(self, tmp_path):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        corpus = gen_corpus(spec, root)
-        uid = corpus.split("train-cs")[0].uid
-        victim = root / "train-cs" / "feats" / f"{uid}.csft"
+    def test_truncated_feature_file_names_the_file(self, tmp_path):
+        root, _ = small_corpus(tmp_path)
+        victim = root / "train-cs" / "feats.csft"
         victim.write_bytes(victim.read_bytes()[:-8])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
-        assert uid in str(err.value)
+        assert str(err.value).startswith(f"{victim}: expected ")
 
     def test_feature_width_unlike_the_first_file_names_the_file(self, tmp_path):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        utt = gen_corpus(spec, root).split("train-cs")[0]
-        victim = root / "train-cs" / "feats" / f"{utt.uid}.csft"
-        write_features(victim, utt.features[:, :7])
+        root, _ = small_corpus(tmp_path)
+        victim = root / "train-cs" / "feats.csft"
+        write_features(victim, read_features(victim)[:, :7])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
-        first = root / "train-mono-m" / "feats" / "train-mono-m-00000.csft"
-        assert f"{victim} has 7 features per frame, {first} has 8" in str(err.value)
+        first = root / "train-mono-m" / "feats.csft"
+        assert str(err.value) == f"{victim} has 7 features per frame, {first} has 8"
+
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_frame_rows_unlike_the_span_total_name_both_files(self, tmp_path, extra):
+        root, corpus = small_corpus(tmp_path)  # dev-cs holds one utterance
+        feats, utts = root / "dev-cs" / "feats.csft", root / "dev-cs" / "utts.tsv"
+        frames = read_features(feats)
+        write_features(feats, np.concatenate([frames, frames[:1]]) if extra > 0 else frames[:-1])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        T = corpus.split("dev-cs")[0].n_frames
+        assert str(err.value) == f"{feats} has {T + extra} frames, but the spans of {utts} cover {T}"
 
     def test_corpus_without_utterances_names_it(self, tmp_path):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        (root / "manifest.tsv").write_text("")
+        root, _ = small_corpus(tmp_path)
+        for split in SPLITS:
+            (root / split / "utts.tsv").write_text("")
+            write_features(root / split / "feats.csft", np.zeros((0, 8)))
         with pytest.raises(CorpusFormatError, match=f"corpus {root} has no utterances"):
             load_corpus(root)
 
     def test_unknown_transcript_unit(self, tmp_path):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        t = root / "train-cs" / "transcripts.tsv"
-        lines = t.read_text().splitlines()
-        uid, _, rest = lines[0].partition("\t")
-        lines[0] = uid + "\t" + rest + " zz9"
-        t.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CsrtError):
+        root, _ = small_corpus(tmp_path)
+        u = root / "train-cs" / "utts.tsv"
+        edit_fields(u, 0, lambda f: [f[0], f[1] + " zz9", f[2]])
+        with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
+        assert str(err.value) == f"{u}:1: unknown vocabulary surface 'zz9'"
 
     @pytest.mark.parametrize("token", ["0:x:M", "0-4-M", "0:4"])
     def test_malformed_span_token_names_file_and_utterance(self, tmp_path, token):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        s = root / "dev-cs" / "spans.tsv"
-        uid, _, _ = s.read_text().splitlines()[0].partition("\t")
-        s.write_text(f"{uid}\t{token}\n")
+        root, _ = small_corpus(tmp_path)
+        u = root / "dev-cs" / "utts.tsv"
+        edit_fields(u, 0, lambda f: f[:2] + [token])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
-        assert str(s) in str(err.value) and uid in str(err.value)
+        assert str(err.value) == f"{u}:1: malformed span {token!r} (expected start:end:M|E)"
 
-    @pytest.mark.parametrize("spans", ["0:{end}:M", "0:2:M 3:{T}:E", "0:3:M 2:{T}:E"])
+    @pytest.mark.parametrize("spans", ["0:{end}:M", "0:2:M 3:{T}:E", "0:3:M 2:{T}:E",
+                                       "0:0:M 0:{T}:E", "0:{T}:M {T}:{T}:E"])
     def test_spans_not_tiling_frames_name_file_and_utterance(self, tmp_path, spans):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        utt = gen_corpus(spec, root).split("dev-cs")[0]
-        T = utt.n_frames
-        s = root / "dev-cs" / "spans.tsv"
-        s.write_text(f"{utt.uid}\t{spans.format(T=T, end=T - 1)}\n")
+        root, corpus = small_corpus(tmp_path)  # dev-cs holds one utterance
+        u = root / "dev-cs" / "utts.tsv"
+        T = corpus.split("dev-cs")[0].n_frames
+        spans = spans.format(T=T, end=T - 1)
+        edit_fields(u, 0, lambda f: f[:2] + [spans])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
-        assert str(s) in str(err.value) and utt.uid in str(err.value)
+        # Spans that tile fewer frames than the utterance has leave the split's total short.
+        assert str(err.value) in (
+            f"{u}:1: spans {spans!r} do not tile frames [0, T) in order, each span non-empty",
+            f"{root / 'dev-cs' / 'feats.csft'} has {T} frames, but the spans of {u} cover {T - 1}")
 
     def test_non_integer_vocab_id_names_line(self, tmp_path):
         spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
@@ -304,43 +324,45 @@ class TestLoading:
             load_corpus(root)
         assert f"{v}:{line}:" in str(err.value)
 
+    # The transcripts and spans cases put the byte at the start of that column of the
+    # first utts.tsv line; the others at byte 3 of the file.
     @pytest.mark.parametrize(
-        "rel", ["vocab.tsv", "manifest.tsv", "train-cs/transcripts.tsv", "train-cs/spans.tsv"]
+        "rel", ["vocab.tsv", "train-cs/utts.tsv", "train-cs/transcripts.tsv", "train-cs/spans.tsv"]
     )
     def test_non_utf8_text_names_file(self, tmp_path, rel):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        victim = root / rel
+        root, _ = small_corpus(tmp_path)
+        column = {"train-cs/transcripts.tsv": 1, "train-cs/spans.tsv": 2}.get(rel)
+        victim = root / (rel if column is None else "train-cs/utts.tsv")
         raw = victim.read_bytes()
-        victim.write_bytes(raw[:3] + b"\xff" + raw[4:])
+        at = 3 if column is None else len(b"\t".join(raw.split(b"\t")[:column])) + 1
+        victim.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
         assert str(victim) in str(err.value) and "UTF-8" in str(err.value)
 
-    def test_manifest_naming_missing_transcripts_names_line(self, tmp_path):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        m = root / "manifest.tsv"
-        lines = m.read_text().splitlines()
-        lines[1] = lines[1].replace("/transcripts.tsv", "/nope.tsv")
-        m.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError) as err:
-            load_corpus(root)
-        assert f"{m}:2" in str(err.value) and "nope.tsv" in str(err.value)
-
-    @pytest.mark.parametrize("name", ["transcripts.tsv", "spans.tsv"])
-    def test_repeated_utterance_id_names_file_and_line(self, tmp_path, name):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=3, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        f = root / "test-cs" / name
+    @pytest.mark.parametrize("rel", ["transcripts.tsv", "spans.tsv"])
+    def test_repeated_utterance_id_names_file_and_line(self, tmp_path, rel):
+        """Line 4 repeats line 2's id, with line 3's transcript or line 3's spans: the id
+        alone is refused, whatever the rest of its line holds."""
+        root, _ = small_corpus(tmp_path, test_count=3)
+        f = root / "test-cs" / "utts.tsv"
         lines = f.read_text().splitlines()
-        f.write_text("\n".join(lines + [lines[1]]) + "\n")  # line 4 repeats line 2's id
+        column = {"transcripts.tsv": 1, "spans.tsv": 2}[rel]
+        repeat = lines[1].split("\t")
+        repeat[column] = lines[2].split("\t")[column]
+        f.write_text("\n".join(lines + ["\t".join(repeat)]) + "\n")
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
         assert str(err.value) == f"{f}:4: repeated utterance id 'test-cs-00001'"
+
+    @pytest.mark.parametrize("fields", [4, 2])
+    def test_utterance_line_needs_three_fields(self, tmp_path, fields):
+        root, _ = small_corpus(tmp_path)
+        u = root / "test-cs" / "utts.tsv"
+        edit_fields(u, 0, lambda f: (f + ["x"])[:fields])
+        with pytest.raises(CorpusFormatError) as err:
+            load_corpus(root)
+        assert str(err.value) == f"{u}:1: expected 3 tab-separated fields"
 
     @pytest.mark.parametrize("line", ["0\tfoo\tM", "0\t<blank>\tM", "0\tm1\t-"])
     def test_vocab_line_one_must_be_the_blank(self, tmp_path, line):
@@ -354,44 +376,28 @@ class TestLoading:
             load_corpus(root)
         assert str(err.value) == f"{v}:1: expected '0\\t<blank>\\t-', got {line!r}"
 
-    def test_span_line_without_a_transcript_names_file_and_line(self, tmp_path):
-        root = tmp_path / "c"
-        gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=2, seed=2), root)
-        s = root / "test-cs" / "spans.tsv"
-        s.write_text(s.read_text() + "ghost-00009\t0:3:M\n")
-        with pytest.raises(CorpusFormatError) as err:
-            load_corpus(root)
-        assert str(err.value) == f"{s}:3: utterance ghost-00009: no transcript"
-
     def test_empty_span_line_does_not_tile_frames(self, tmp_path):
-        root = tmp_path / "c"
-        utt = gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=2, seed=2),
-                         root).split("test-cs")[0]
-        s = root / "test-cs" / "spans.tsv"
-        lines = s.read_text().splitlines(keepends=True)
-        s.write_text(f"{utt.uid}\t\n" + "".join(lines[1:]))
+        root, _ = small_corpus(tmp_path, test_count=2)
+        u = root / "test-cs" / "utts.tsv"
+        edit_fields(u, 0, lambda f: f[:2] + [""])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
-        assert str(err.value) == (f"{s}: utterance {utt.uid}: spans do not tile frames"
-                                  f" [0, {utt.n_frames}) in order")
-
-    def test_utterance_without_a_span_line_names_file_and_utterance(self, tmp_path):
-        root = tmp_path / "c"
-        gen_corpus(CorpusSpec(train_count=2, dev_count=1, test_count=2, seed=2), root)
-        s = root / "test-cs" / "spans.tsv"
-        s.write_text("".join(s.read_text().splitlines(keepends=True)[1:]))
-        with pytest.raises(CorpusFormatError) as err:
-            load_corpus(root)
-        assert str(err.value) == f"{s}: utterance test-cs-00000: no span line"
+        assert str(err.value) == (f"{u}:1: spans '' do not tile frames [0, T) in order, "
+                                  "each span non-empty")
 
     def test_empty_transcript_file_gives_empty_split(self, tmp_path):
-        spec = CorpusSpec(train_count=2, dev_count=1, test_count=1, seed=2)
-        root = tmp_path / "c"
-        gen_corpus(spec, root)
-        (root / "train-cs" / "transcripts.tsv").write_text("")
-        (root / "train-cs" / "spans.tsv").write_text("")
+        root, _ = small_corpus(tmp_path)
+        (root / "train-cs" / "utts.tsv").write_text("")
+        write_features(root / "train-cs" / "feats.csft", np.zeros((0, 8)))
         corpus = load_corpus(root)
-        assert corpus.split("train-cs") == []
+        assert corpus.split("train-cs") == [] and len(corpus.split("train-mono-m")) == 2
+
+    def test_each_split_is_two_files(self, tmp_path):
+        root, corpus = small_corpus(tmp_path)
+        assert sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()) == sorted(
+            ["vocab.tsv"] + [f"{s}/{name}" for s in SPLITS for name in ("utts.tsv", "feats.csft")])
+        for utts in corpus.splits.values():  # each utterance's frames are its rows of the split's
+            assert all(u.features.base is utts[0].features.base for u in utts)
 
     def test_missing_split_name_errors(self, tiny_corpus):
         _, corpus, _ = tiny_corpus

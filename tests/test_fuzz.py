@@ -2,10 +2,11 @@
 
 Each mutant of a well-formed file (a truncation, a few flipped bytes or two
 swapped fields) must either load or raise CsrtError, never another
-exception. Each bad flag or config-file value must fail the command with
-its one-line diagnostic before it creates an output directory, and in-range
-generation settings must either write a corpus that loads or fail the same
-way. The draws use only the standard library's seeded `random`.
+exception. Each bad flag or config-file value, a size above its key's
+bound included, must fail the command with its one-line diagnostic before
+it creates an output directory, and in-range generation settings must
+either write a corpus that loads or fail the same way. The draws use only
+the standard library's seeded `random`.
 """
 
 import dataclasses
@@ -50,20 +51,38 @@ def swap_fields(rng, raw, binary):
 MUTATIONS = (truncate, flip_bytes, swap_fields)
 
 
-def fuzz(path, load, seed, binary=False):
-    """Write MUTANTS mutants of `path` in turn, calling load() on each; restore it after."""
+def column_of(table, column):
+    """The cells of one column of a tab-separated text table, one a line."""
+    return b"\n".join(row.split(b"\t")[column] for row in table.rstrip(b"\n").split(b"\n"))
+
+
+def with_column(table, column, cells):
+    """`table` with its `column` replaced, line by line, by the lines of `cells` (a missing
+    line leaves an empty cell, an extra one is dropped)."""
+    rows = [row.split(b"\t") for row in table.rstrip(b"\n").split(b"\n")]
+    for row, cell in zip(rows, cells.split(b"\n") + [b""] * len(rows)):
+        row[column] = cell
+    return b"".join(b"\t".join(row) + b"\n" for row in rows)
+
+
+def fuzz(path, load, seed, binary=False, column=None):
+    """Write MUTANTS mutants of `path` in turn, calling load() on each; restore it after.
+    With `column`, only that column of a tab-separated table is mutated."""
     original = path.read_bytes()
+    target = original if column is None else column_of(original, column)
     rng = random.Random(seed)
     try:
         for i in range(MUTANTS):
             mutate = MUTATIONS[i % len(MUTATIONS)]
-            path.write_bytes(mutate(rng, original, binary))
+            mutant = mutate(rng, target, binary)
+            path.write_bytes(mutant if column is None else with_column(original, column, mutant))
             try:
                 load()
             except CsrtError:
                 pass
             except Exception as exc:
-                pytest.fail(f"{path.name} mutant {i} ({mutate.__name__}, seed {seed}): "
+                where = path.name if column is None else f"{path.name} column {column}"
+                pytest.fail(f"{where} mutant {i} ({mutate.__name__}, seed {seed}): "
                             f"{type(exc).__name__}: {exc}")
     finally:
         path.write_bytes(original)
@@ -76,20 +95,23 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize(
-    "seed, rel",
-    enumerate(
-        [
-            "vocab.tsv",
-            "manifest.tsv",
-            "train-cs/transcripts.tsv",
-            "train-cs/spans.tsv",
-            "train-cs/feats/train-cs-00000.csft",
-        ]
-    ),
-)
-def test_corpus_mutants_load_or_raise_csrt_error(corpus_dir, seed, rel):
-    fuzz(corpus_dir / rel, lambda: load_corpus(corpus_dir), seed, binary=rel.endswith(".csft"))
+# target: (file, column or None for the whole file). The surfaces and spans columns of
+# utts.tsv are also fuzzed alone, so that mutants which keep a line's three fields reach the
+# surface and span parsers; those two targets carry the names of the tables they replaced.
+CORPUS_TARGETS = {
+    "vocab.tsv": ("vocab.tsv", None),
+    "train-cs/utts.tsv": ("train-cs/utts.tsv", None),
+    "train-cs/transcripts.tsv": ("train-cs/utts.tsv", 1),
+    "train-cs/spans.tsv": ("train-cs/utts.tsv", 2),
+    "train-cs/feats.csft": ("train-cs/feats.csft", None),
+}
+
+
+@pytest.mark.parametrize("seed, target", enumerate(CORPUS_TARGETS))
+def test_corpus_mutants_load_or_raise_csrt_error(corpus_dir, seed, target):
+    rel, column = CORPUS_TARGETS[target]
+    fuzz(corpus_dir / rel, lambda: load_corpus(corpus_dir), seed,
+         binary=rel.endswith(".csft"), column=column)
 
 
 def test_checkpoint_mutants_load_or_raise_csrt_error(tmp_path):
@@ -186,6 +208,31 @@ def run_inputs(tmp_path_factory):
     return valid
 
 
+def _fails_before_writing(i, command, key, text, in_file, run_inputs, tmp_path, capsys):
+    """Run `command` with `key` set to the bad `text` by flag or config file: it must exit 1
+    (flag) or 2 (file) with its one-line diagnostic, and create no output directory."""
+    out = tmp_path / f"out{i}"
+    argv = [command] + run_inputs.get(command, [])
+    if "out" in COMMANDS[command][1]:
+        argv += ["--out", str(out)]
+    if in_file:
+        cfg = tmp_path / f"run{i}.cfg"
+        cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(f"--{key}={text}")
+    code = run(argv)
+    err = capsys.readouterr().err.splitlines()
+    where = f"draw {i}: {command} {key} = {text!r} ({'config file' if in_file else 'flag'})"
+    if in_file:
+        assert code == 2 and len(err) == 1, f"{where}: exit {code}, stderr {err}"
+        assert err[0].startswith(f"error: {cfg}:1: bad value for '{key}'"), f"{where}: {err}"
+    else:
+        assert code == 1 and err, f"{where}: exit {code}, stderr {err}"
+        assert err[0].startswith(f"usage error: bad value for '{key}'"), f"{where}: {err}"
+    assert not out.exists(), f"{where}: created {out}"
+
+
 def test_bad_flag_values_fail_before_writing(run_inputs, tmp_path, capsys):
     rng = random.Random(30)
     draws = {c: [k for k in keys if bad_texts(k)] for c, (_, keys) in COMMANDS.items()}
@@ -193,28 +240,29 @@ def test_bad_flag_values_fail_before_writing(run_inputs, tmp_path, capsys):
     for i in range(FLAG_DRAWS):
         command = rng.choice(sorted(draws))
         key = rng.choice(draws[command])
-        text = rng.choice(bad_texts(key))
-        out = tmp_path / f"out{i}"
-        argv = [command] + run_inputs.get(command, [])
-        if "out" in COMMANDS[command][1]:
-            argv += ["--out", str(out)]
-        in_file = rng.random() < 0.5
-        if in_file:
-            cfg = tmp_path / f"run{i}.cfg"
-            cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
-            argv += ["--config", str(cfg)]
-        else:
-            argv.append(f"--{key}={text}")
-        code = run(argv)
-        err = capsys.readouterr().err.splitlines()
-        where = f"draw {i}: {command} {key} = {text!r} ({'config file' if in_file else 'flag'})"
-        if in_file:
-            assert code == 2 and len(err) == 1, f"{where}: exit {code}, stderr {err}"
-            assert err[0].startswith(f"error: {cfg}:1: bad value for '{key}'"), f"{where}: {err}"
-        else:
-            assert code == 1 and err, f"{where}: exit {code}, stderr {err}"
-            assert err[0].startswith(f"usage error: bad value for '{key}'"), f"{where}: {err}"
-        assert not out.exists(), f"{where}: created {out}"
+        _fails_before_writing(i, command, key, rng.choice(bad_texts(key)), rng.random() < 0.5,
+                              run_inputs, tmp_path, capsys)
+
+
+ABOVE_DRAWS = 100
+# The keys that size what a command allocates; each states an upper bound in its range.
+SIZE_KEYS = {"units-per-language", "feature-dim", "frames-min", "frames-max", "utt-units-min",
+             "utt-units-max", "cs-spans-max", "train-count", "dev-count", "test-count",
+             "hidden-dim", "encoder-layers", "embed-dim", "decoder-dim", "joint-dim"}
+# Above every bound; refused by the converter before anything is allocated.
+ABOVE_TEXTS = ("100001", "1000000000000", "1" + "0" * 30)
+
+
+def test_above_range_sizes_fail_before_writing(run_inputs, tmp_path, capsys):
+    int_keys = [k for k, (_, default, _) in config.REGISTRY.items() if type(default) is int]
+    assert {k for k in int_keys if not _accepted(k, ABOVE_TEXTS[0])} == SIZE_KEYS
+    rng = random.Random(31)
+    draws = {c: sorted(SIZE_KEYS.intersection(keys)) for c, (_, keys) in COMMANDS.items()}
+    draws = {c: keys for c, keys in draws.items() if keys}
+    for i in range(ABOVE_DRAWS):
+        command = rng.choice(sorted(draws))
+        _fails_before_writing(i, command, rng.choice(draws[command]), rng.choice(ABOVE_TEXTS),
+                              rng.random() < 0.5, run_inputs, tmp_path, capsys)
 
 
 GEN_DRAWS = 100
