@@ -13,9 +13,12 @@ buffers, so their gradients are bitwise those of zero-fill-and-add.
 The op set is what the model and losses record: add, mul, matmul, tanh,
 log_softmax (its numpy forward and vjp also serve the joint, search and the
 checks), rows (a read-only row-range view), index_select (a row gather that
-accumulates repeats), concat, and record_custom for hand-differentiated ops
-(the lattice losses, the joint). An op records itself on a tape whenever an
-input is on one; with no tape it only computes. Mixing two live tapes is an error.
+accumulates repeats), concat, stack_sum and select (over the leading axis),
+and record_custom for hand-differentiated ops (the lattice losses, the
+joint). matmul, rows and concat act on the last two axes, broadcasting any
+before them: one encoder's (T, H) rows or a stack's (n_enc, T, H). An op
+records itself on a tape whenever an input is on one; with no tape it only
+computes. Mixing two live tapes is an error.
 
 `arrays` is the op set's twin on plain numpy arrays: each op's forward and
 nothing else (its `lift` leaves an array as is). Layer code written over
@@ -76,10 +79,11 @@ class Tape:
         self._nodes = []
         self.consumed = False
 
-    def leaf(self, data):
-        """Attach an array as a differentiable leaf; its grad starts at zero."""
+    def leaf(self, data, grad=None):
+        """Attach an array as a differentiable leaf; its grad starts at zero, in a fresh buffer
+        or in `grad`, a zero-filled one it adds into in place (a slice of another leaf's)."""
         t = Tensor(data, tape=self)
-        t.grad, t.owns_grad = np.zeros_like(t.data), True
+        t.grad, t.owns_grad = np.zeros_like(t.data) if grad is None else grad, True
         return t
 
     def __len__(self):
@@ -110,8 +114,8 @@ def _emit(out_data, inputs, grad_fn):
 
 
 def _unbroadcast(g, shape):
-    """Sum a broadcast gradient back down to the original operand shape."""
-    if g.shape == shape:
+    """Sum a broadcast gradient back down to the original operand shape (None passes)."""
+    if g is None or g.shape == shape:
         return g
     extra = g.ndim - len(shape)
     if extra > 0:
@@ -150,13 +154,18 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """Matrix product over the last two axes, broadcasting the axes before them."""
     a, b = lift(a), lift(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if min(a.data.ndim, b.data.ndim) < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatchError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
     out = a.data @ b.data
 
-    def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
+    def grad_fn(g):  # none for an operand off the tape, such as the features all encoders read
+        ga = None if a.tape is None else g @ b.data.mT
+        gb = None if b.tape is None else a.data.mT @ g
+        if g.ndim > 2:  # sum each over the leading axes it was broadcast along
+            ga, gb = _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        return ga, gb
 
     return _emit(out, (a, b), grad_fn)
 
@@ -191,20 +200,22 @@ def log_softmax(x, axis):
     return _emit(y, (x,), lambda g: (log_softmax_vjp(y, g, axis),))
 
 
+def _placed(like, at, g):
+    """Zeros shaped like `like`, with `g` at index `at`: the gradient of a view."""
+    gx = np.zeros_like(like)
+    gx[at] = g
+    return gx
+
+
 def rows(x, start, stop):
-    """Rows start..stop-1 (axis 0) as a read-only view; the gradient fills them into zeros."""
+    """Rows start..stop-1 (axis -2) as a read-only view; the gradient fills them into zeros."""
     x = lift(x)
-    if not 0 <= start <= stop <= x.shape[0]:
-        raise ShapeMismatchError(f"rows: [{start}, {stop}) out of range for {x.shape[0]} rows")
-    out = x.data[start:stop]
+    if not 0 <= start <= stop <= x.shape[-2]:
+        raise ShapeMismatchError(f"rows: [{start}, {stop}) out of range for {x.shape[-2]} rows")
+    at = (slice(None),) * (x.data.ndim - 2) + (slice(start, stop),)
+    out = x.data[at]
     out.flags.writeable = False
-
-    def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return (gx,)
-
-    return _emit(out, (x,), grad_fn)
+    return _emit(out, (x,), lambda g: (_placed(x.data, at, g),))
 
 
 def index_select(x, indices):
@@ -224,29 +235,42 @@ def index_select(x, indices):
 
 
 def concat(tensors):
-    """Join tensors along axis 0."""
+    """Join tensors along their rows (axis -2)."""
     tensors = [lift(t) for t in tensors]
     if not tensors:
         raise ShapeMismatchError("concat of zero tensors")
     try:
-        out = np.concatenate([t.data for t in tensors])
+        out = np.concatenate([t.data for t in tensors], axis=-2)
     except ValueError:
         raise ShapeMismatchError(
             "concat: shapes " + ", ".join(str(t.shape) for t in tensors) + " do not align"
         )
-    bounds = np.cumsum([t.shape[0] for t in tensors])[:-1]
+    bounds = np.cumsum([t.shape[-2] for t in tensors])[:-1]
 
     def grad_fn(g):
-        return tuple(np.split(g, bounds))
+        return tuple(np.split(g, bounds, axis=-2))
 
     return _emit(out, tuple(tensors), grad_fn)
 
 
+def stack_sum(x):
+    """Sum over the leading axis, in order; the gradient is `g` broadcast back, read-only."""
+    x = lift(x)
+    return _emit(x.data.sum(axis=0), (x,), lambda g: (np.broadcast_to(g, x.shape),))
+
+
+def select(x, i):
+    """Entry i of the leading axis, a view; the gradient fills it into zeros."""
+    x = lift(x)
+    return _emit(x.data[i], (x,), lambda g: (_placed(x.data, i, g),))
+
+
 arrays = types.SimpleNamespace(
     lift=np.asarray, add=np.add, matmul=np.matmul, tanh=np.tanh,
-    log_softmax=log_softmax_array, rows=lambda x, start, stop: x[start:stop],
+    log_softmax=log_softmax_array, rows=lambda x, start, stop: x[..., start:stop, :],
     index_select=lambda x, indices: x[np.asarray(indices, dtype=np.intp)],
-    concat=np.concatenate,
+    concat=lambda xs: np.concatenate(xs, axis=-2), stack_sum=lambda x: x.sum(axis=0),
+    select=lambda x, i: x[i],
 )
 
 

@@ -94,11 +94,12 @@ def tiny_setup(mixing="conv"):
 def full_model_grad_check(mixing="conv"):
     """grad_check through the whole dual-encoder forward plus the LS loss."""
     model, vocab, x, y = tiny_setup(mixing)
-    names = sorted(model.params)
+    arrays = model.params.roots()  # the encoder stacks and the other blocks, as `bind` has them
+    names = sorted(arrays)
     utt = Utterance("grad-check", x, y)
     cfg = TrainingConfig()
 
     def f(leaves):
         return _finetune_loss(model, dict(zip(names, leaves)), vocab, [utt], cfg)[0]
 
-    return grad_check(f, [model.params[n] for n in names])
+    return grad_check(f, [arrays[n] for n in names])

@@ -269,10 +269,9 @@ def load_vocabulary(path):
         if len(parts) != 3:
             raise CorpusFormatError(f"{path}:{ln}: expected 3 tab-separated fields")
         uid, surface, lang = parts
-        try:
-            uid = int(uid)
-        except ValueError:
+        if not (uid.isascii() and uid.isdigit()):  # int() reads '1_0', '+3', '\u0663' too
             raise CorpusFormatError(f"{path}:{ln}: unit id {uid!r} is not an integer")
+        uid = int(uid)
         if uid != position:
             raise CorpusFormatError(
                 f"{path}:{ln}: unit id {uid} is not its position {position}"
@@ -295,7 +294,7 @@ def load_vocabulary(path):
 def _span(token, where):
     try:
         a, b, lang = token.split(":")
-        if lang in ("M", "E"):
+        if lang in ("M", "E") and (a + b).isascii() and a.isdigit() and b.isdigit():
             return int(a), int(b), lang
     except ValueError:
         pass

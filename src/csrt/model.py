@@ -3,17 +3,20 @@ recurrent prediction network, and the joint network, assembled into the
 single-, dual- and triple-encoder families of config.VARIANT_FAMILY.
 
 All parameters live in one name -> float64 array dict in `_param_layout`
-order, however a checkpoint stored them. The components take a `bound`
-dict and thread it through; there is no whole-model forward, each loss
-calls the ones it reads (see training.py). `bound` is either `bind`'s tape
-leaves, which training records op by op, or `params` itself: tape-free
-inference runs the same layer code over the ops' numpy forwards
-(`autodiff.arrays`, chosen by `_ops`) on plain arrays, with bitwise the
-same values and no Tensor made. The joint and its log-softmax are one
-hand-differentiated node, bitwise equal to the op-by-op graph, that keeps
-only the tanh lattice and the log-probs; it returns a Tensor either way.
-Transducer search reads the prediction and joint networks' arrays from
-`params` directly; `predict` and `joint` are what it is tested against.
+order, however a checkpoint stored them; each encoder block is a view of
+its slice of a stack, one (n_enc, ...) array per layer and weight kind. One
+layer code runs one encoder over its blocks or all at once over the stacks.
+The components take a `bound` dict and thread it through; there is no
+whole-model forward, each loss calls the ones it reads (see training.py).
+`bound` is either `bind`'s tape leaves, which training records op by op,
+or `params` itself: tape-free inference runs the same layer code over the
+ops' numpy forwards (`autodiff.arrays`, chosen by `_ops`) on plain arrays,
+with bitwise the same values and no Tensor made. The joint and its
+log-softmax are one hand-differentiated node, bitwise equal to the op-by-op
+graph, that keeps only the tanh lattice and the log-probs; it returns a
+Tensor either way. Transducer search reads the prediction and joint
+networks' arrays from `params` directly; `predict` and `joint` are what it
+is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
 length-prefixed architecture fingerprint (canonical text, parseable back
@@ -25,7 +28,6 @@ truncated checkpoint.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
@@ -155,6 +157,34 @@ def init_params(arch, seed):
     return params
 
 
+class _Params(dict):
+    """`Model.params`: the blocks in `_param_layout` order, each encoder block a view of its
+    slice of a stack (`stacks` by name; `slices` maps a block to its stack and index there).
+    Reading a stack's name gives the stack."""
+
+    def __init__(self, arch, blocks):
+        super().__init__()
+        self.stacks, self.slices, encs = {}, {}, arch.encoder_names
+        for name, shape, _ in _param_layout(arch):
+            enc, _, kind = name.partition(".")
+            if enc not in encs:
+                self[name] = np.array(blocks[name], dtype=np.float64)
+                continue
+            lead = (1,) * (2 - len(shape))  # a bias stacks as (n_enc, 1, H), to add to rows
+            stack, at = self.slices[name] = f"encs.{kind}", (encs.index(enc),) + (0,) * len(lead)
+            if stack not in self.stacks:
+                self.stacks[stack] = np.stack([np.reshape(blocks[f"{e}.{kind}"], lead + shape)
+                                               for e in encs], dtype=np.float64)
+            self[name] = self.stacks[stack][at]
+
+    def __missing__(self, name):
+        return self.stacks[name]
+
+    def roots(self):
+        """Each array that owns parameter memory, by name: the stacks, then the other blocks."""
+        return {**self.stacks, **{k: v for k, v in self.items() if k not in self.slices}}
+
+
 def _ops(weight):
     """The op set for a weight from `bound`: autodiff's ops for `bind`'s Tensors, their
     numpy forwards (`ad.arrays`) for the plain arrays of `Model.params`."""
@@ -165,12 +195,13 @@ def _recur(pre, u):
     """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state.
 
     The shared recurrence of the recurrent encoder and the prediction net;
-    `pre` holds each step's input projection with its bias already added.
+    `pre` holds each step's input projection with its bias already added, as
+    (T, H) rows or a stack's (n_enc, T, H).
     """
     ops = _ops(u)
     state = ops.tanh(ops.rows(pre, 0, 1))
     rows = [state]
-    for t in range(1, pre.shape[0]):
+    for t in range(1, pre.shape[-2]):
         state = ops.tanh(ops.add(ops.rows(pre, t, t + 1), ops.matmul(state, u)))
         rows.append(state)
     return ops.concat(rows) if len(rows) > 1 else state
@@ -186,8 +217,7 @@ class Model:
     def __init__(self, arch, params=None, seed=0):
         self.arch = arch
         if params is None:
-            self.params = init_params(arch, seed)
-            return
+            params = init_params(arch, seed)
         # A checkpoint's blocks come from outside; check them before any use.
         layout = {name: shape for name, shape, _ in _param_layout(arch)}
         for name in sorted(layout.keys() | params.keys()):
@@ -198,21 +228,26 @@ class Model:
             if np.shape(params[name]) != layout[name]:
                 raise CsrtError(f"parameter block {name!r} has shape {np.shape(params[name])},"
                                 f" expected {layout[name]}")
+            if not np.isfinite(params[name]).all():
+                raise CsrtError(f"parameter block {name!r} holds a non-finite value")
         # Copy incoming arrays, in layout order (the optimizer's flat order): training
         # updates parameters in place, and a caller's checkpoint must stay untouched.
-        self.params = {name: np.array(params[name], dtype=np.float64) for name in layout}
-        for name, arr in self.params.items():
-            if not np.isfinite(arr).all():
-                raise CsrtError(f"parameter block {name!r} holds a non-finite value")
+        self.params = _Params(arch, params)
 
     def bind(self, tape):
-        """Attach every parameter to a tape; tape-free inference passes `params` instead."""
-        return {k: tape.leaf(v) for k, v in self.params.items()}
+        """Attach the parameters to a tape: a leaf per array of `params.roots()`, and per
+        encoder block a leaf whose gradient is its slice of its stack's. Tape-free inference
+        passes `params` instead."""
+        leaves = {name: tape.leaf(arr) for name, arr in self.params.roots().items()}
+        for name, (stack, at) in self.params.slices.items():
+            leaves[name] = tape.leaf(self.params[name], grad=leaves[stack].grad[at])
+        return leaves
 
     # --- components -----------------------------------------------------
 
     def encode(self, bound, x, enc):
-        """Run one encoder stack over a (T, input_dim) feature array.
+        """Run encoder `enc`'s layers over a (T, input_dim) feature array, giving (T, H) rows;
+        with `enc` "encs", every encoder's at once over the stacks, giving (n_enc, T, H).
 
         `bound` is `bind`'s Tensors, or `params` itself for tape-free inference on plain
         arrays; the components take either and return the same kind (see `_ops`).
@@ -229,7 +264,7 @@ class Model:
         for layer in range(self.arch.encoder_layers):
             p = f"{enc}.{layer}"
             if self.arch.encoder_mixing == "conv":
-                pad = ops.lift(np.zeros((1, h.shape[1])))
+                pad = ops.lift(np.zeros(h.shape[:-2] + (1, h.shape[-1])))
                 padded = ops.concat([pad, h, pad])
                 prev, nxt = ops.rows(padded, 0, T), ops.rows(padded, 2, T + 2)
                 mix = ops.matmul(prev, bound[f"{p}.w_prev"])
@@ -261,9 +296,11 @@ class Model:
         return self.ctc_head(bound, h, lang)
 
     def encode_fused(self, bound, x):
-        """Sum of the encoders' (equal-shape) outputs, and the list of those outputs."""
-        hs = [self.encode(bound, x, enc) for enc in self.arch.encoder_names]
-        return functools.reduce(_ops(hs[0]).add, hs), hs
+        """Sum of the encoders' (equal-shape) outputs, in encoder order, and the list of those
+        outputs; one encoder's output is its own sum."""
+        hs, ops = self.encode(bound, x, "encs"), _ops(bound["encs.0.b_mix"])
+        outs = [ops.select(hs, i) for i in range(len(self.arch.encoder_names))]
+        return (outs[0] if len(outs) == 1 else ops.stack_sum(hs)), outs
 
     def predict(self, bound, y):
         """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""

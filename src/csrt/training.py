@@ -16,6 +16,7 @@ heads in fine-tuning.
 from __future__ import annotations
 
 import bisect
+import copy
 import itertools
 import math
 import time
@@ -26,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import config
 from .alignments import mask_labels, min_ctc_length
-from .errors import CsrtError, FingerprintMismatchError, OptimizerError
+from .errors import ConfigError, CsrtError, FingerprintMismatchError, OptimizerError
 from .losses import ctc_loss, ls_loss, rnnt_loss
 from .model import Architecture, Checkpoint, Model, param_count, variant_family
 
@@ -58,15 +59,26 @@ def arch_for(variant, values, vocab, input_dim):
     if arch.family != "single":
         return arch
 
+    def count(width):  # of an unchecked copy: a width tried may pass the hidden-dim bound
+        probe = copy.copy(arch)
+        object.__setattr__(probe, "hidden_dim", width)
+        return param_count(probe)
+
     def pair(width):  # rises strictly with the width, as each count does
-        return sum(param_count(replace(arch, hidden_dim=h)) for h in (width, width + 1))
+        return count(width) + count(width + 1)
 
     # Vanilla's width is the one whose count is nearest the dual model's, the smaller on a tie:
     # the first whose pair reaches twice that target, as below it the next width is nearer.
     # A count is at least the width squared (a w_ff block), so that width lies in this range.
     target = param_count(replace(arch, family="dual"))
     widths = range(1, math.isqrt(target) + 2)
-    return replace(arch, hidden_dim=widths[bisect.bisect_left(widths, 2 * target, key=pair)])
+    width = widths[bisect.bisect_left(widths, 2 * target, key=pair)]
+    try:
+        return replace(arch, hidden_dim=width)
+    except ConfigError as exc:
+        bound = str(exc).rpartition(": ")[2].partition(",")[0]  # "must be <= <high>"
+        raise ConfigError(f"bad value for 'hidden-dim': {arch.hidden_dim} gives vanilla the "
+                          f"parameter-parity width {width}, which {bound}") from None
 
 
 @dataclass

@@ -1,9 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from csrt import autodiff as ad
 from csrt.alignments import Vocabulary
 from csrt.data import CorpusSpec, gen_corpus
+from csrt.model import _ops, _recur
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +61,32 @@ def zero_fill_accumulate(self, g):
     if self.grad is None:
         self.grad = np.zeros_like(self.data)
     self.grad += g
+
+
+def reference_encode(model, bound, x, enc):
+    """Model.encode of one encoder over its own blocks, as it ran before the encoders were
+    stacked: 2-D ops only, and every op once per encoder."""
+    x = np.asarray(x, dtype=np.float64)
+    ops, T = _ops(bound[f"{enc}.0.b_mix"]), x.shape[0]
+    h = ops.lift(x)
+    for layer in range(model.arch.encoder_layers):
+        p = f"{enc}.{layer}"
+        if model.arch.encoder_mixing == "conv":
+            pad = ops.lift(np.zeros((1, h.shape[1])))
+            padded = ops.concat([pad, h, pad])
+            prev, nxt = ops.rows(padded, 0, T), ops.rows(padded, 2, T + 2)
+            mix = ops.matmul(prev, bound[f"{p}.w_prev"])
+            mix = ops.add(mix, ops.matmul(h, bound[f"{p}.w_cur"]))
+            mix = ops.add(mix, ops.matmul(nxt, bound[f"{p}.w_next"]))
+            mix = ops.tanh(ops.add(mix, bound[f"{p}.b_mix"]))
+        else:
+            pre = ops.add(ops.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
+            mix = _recur(pre, bound[f"{p}.u"])
+        h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
+    return h
+
+
+def reference_encode_fused(model, bound, x):
+    """Model.encode_fused as one encoder after another, summed pairwise in encoder order."""
+    hs = [reference_encode(model, bound, x, enc) for enc in model.arch.encoder_names]
+    return functools.reduce(_ops(hs[0]).add, hs), hs

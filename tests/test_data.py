@@ -267,10 +267,13 @@ class TestLoading:
             load_corpus(root)
         assert str(err.value) == f"{u}:1: unknown vocabulary surface 'zz9'"
 
-    @pytest.mark.parametrize("token", ["0:x:M", "0-4-M", "0:4"])
+    # int() reads the last three as the span [0, T); span ends are ASCII digits only.
+    @pytest.mark.parametrize("token", ["0:x:M", "0-4-M", "0:4", "0:0_{T}:M", "+0:{T}:M",
+                                       "\u0660:{T}:M"])
     def test_malformed_span_token_names_file_and_utterance(self, tmp_path, token):
-        root, _ = small_corpus(tmp_path)
+        root, corpus = small_corpus(tmp_path)  # dev-cs holds one utterance
         u = root / "dev-cs" / "utts.tsv"
+        token = token.format(T=corpus.split("dev-cs")[0].n_frames)
         edit_fields(u, 0, lambda f: f[:2] + [token])
         with pytest.raises(CorpusFormatError) as err:
             load_corpus(root)
@@ -297,11 +300,13 @@ class TestLoading:
         gen_corpus(spec, root)
         v = root / "vocab.tsv"
         lines = v.read_text().splitlines()
-        lines[2] = "two\t" + lines[2].partition("\t")[2]
-        v.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError) as err:
-            load_corpus(root)
-        assert f"{v}:3" in str(err.value)
+        # int() reads the last three as 2, line 3's id; ids are ASCII digits only.
+        for uid in ("two", "0_2", "+2", "\u0662"):
+            lines[2] = f"{uid}\t" + lines[2].partition("\t")[2]
+            v.write_text("\n".join(lines) + "\n")
+            with pytest.raises(CorpusFormatError) as err:
+                load_corpus(root)
+            assert str(err.value) == f"{v}:3: unit id {uid!r} is not an integer"
 
     @pytest.mark.parametrize(
         "edits, line",

@@ -117,13 +117,13 @@ def separating_model(vocab):
         n_e=vocab.n_e,
     )
     model = Model(arch, seed=0)
-    for k in model.params:
-        model.params[k] = np.zeros_like(model.params[k])
+    for arr in model.params.values():
+        arr[...] = 0.0  # in place: an encoder block is a view of its stack
     big = 50.0
     # encoders pass one-hot features through (tanh squashes, sign survives)
     for enc in ("enc_m", "enc_e"):
-        model.params[f"{enc}.0.w_cur"] = big * np.eye(n + 1)
-        model.params[f"{enc}.0.w_ff"] = big * np.eye(n + 1)
+        model.params[f"{enc}.0.w_cur"][...] = big * np.eye(n + 1)
+        model.params[f"{enc}.0.w_ff"][...] = big * np.eye(n + 1)
     # heads: language's own unit columns fire on the unit row, blank wins on
     # other-language rows and the silence row (index n)
     for lang, name in (("M", "head_m"), ("E", "head_e")):

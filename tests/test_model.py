@@ -1,3 +1,4 @@
+import functools
 import itertools
 import struct
 from dataclasses import replace
@@ -6,19 +7,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import sum_all, zero_fill_accumulate
+from conftest import reference_encode_fused, sum_all, zero_fill_accumulate
 from csrt import autodiff as ad
 from csrt.autodiff import Tape, Tensor, backward
 from csrt.checks import full_model_grad_check, tiny_setup
 from csrt.config import defaults
 from csrt.data import Utterance
 from csrt.decoding import rnnt_decode
-from csrt.errors import CsrtError, ShapeMismatchError
+from csrt.errors import ConfigError, CsrtError, ShapeMismatchError
 from csrt.losses import rnnt_loss
 from csrt.model import (
     Architecture,
     Checkpoint,
     Model,
+    _param_layout,
     init_params,
     load_checkpoint,
     param_count,
@@ -73,8 +75,8 @@ class TestEncoder:
 
     def test_zero_weights_zero_input_zero_output(self):
         model = Model(small_arch(), seed=1)
-        for k in model.params:
-            model.params[k] = np.zeros_like(model.params[k])
+        for arr in model.params.values():
+            arr[...] = 0.0  # in place: an encoder block is a view of its stack
         h = model.encode(model.params, np.zeros((4, 3)), "enc_m")
         assert np.array_equal(h, np.zeros((4, 4)))
 
@@ -130,6 +132,109 @@ class TestHeadsAndFusion:
         assert [h.tobytes() for h in outs] == [h.tobytes() for h in hs]
         if family == "single":
             assert fused is outs[0]  # one encoder: its output is the sum, not a copy
+
+
+def per_block_bind(model, tape):
+    """`Model.bind` as it was before the encoders were stacked: one fresh leaf per block."""
+    return {name: tape.leaf(arr.copy()) for name, arr in model.params.items()}
+
+
+FAMILY_VARIANT = {"single": "vanilla", "dual": "conditional-ls", "triple": "three-encoder"}
+
+
+class TestStackedEncoders:
+    """The stacked encoders against `reference_encode`, one encoder after another."""
+
+    @staticmethod
+    def outputs(model, bound, fused, hs):
+        """The fused sum, each encoder's output and, where the family has them, both heads."""
+        heads = ([model.ctc_head(bound, h, lang) for h, lang in zip(hs, "ME")]
+                 if model.arch.has_ctc_heads else [])
+        return [fused, *hs, *heads]
+
+    @pytest.mark.parametrize("T", [1, 6])
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_values_and_gradients_bitwise_equal_the_reference(self, family, mixing, T):
+        model = Model(small_arch(family, mixing), seed=21)
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal((T, 3))
+        got = self.outputs(model, model.params, *model.encode_fused(model.params, x))
+        want = self.outputs(model, model.params, *reference_encode_fused(model, model.params, x))
+        assert all(type(a) is np.ndarray for a in got)
+        assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
+        upstream = [Tensor(rng.standard_normal(a.shape)) for a in got]
+
+        def run(encode_fused, bind):
+            bound = bind(model, Tape())
+            outs = self.outputs(model, bound, *encode_fused(model, bound, x))
+            backward(sum_all(functools.reduce(
+                ad.add, [sum_all(ad.mul(o, u)) for o, u in zip(outs, upstream)])))
+            return [o.data for o in outs], [bound[name].grad for name in model.params]
+
+        values, grads = run(Model.encode_fused, Model.bind)
+        want_values, want_grads = run(reference_encode_fused, per_block_bind)
+        assert [a.tobytes() for a in values] == [w.tobytes() for w in got]
+        assert [a.tobytes() for a in want_values] == [w.tobytes() for w in got]
+        assert [g.tobytes() for g in grads] == [w.tobytes() for w in want_grads]
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("variant", ["vanilla", "conditional", "conditional-ls",
+                                         "three-encoder"])
+    def test_finetune_loss_and_gradients_bitwise_equal_the_reference(self, variant, mixing,
+                                                                      vocab22, monkeypatch):
+        model = Model(small_arch(variant_family(variant), mixing), seed=22)
+        rng = np.random.default_rng(23)
+        utts = [Utterance("a", rng.standard_normal((5, 3)), (1, 3, 2)),
+                Utterance("b", rng.standard_normal((1, 3)), (4,))]
+        cfg = TrainingConfig(variant=variant)
+
+        def run(bind):
+            bound = bind(model, Tape())
+            loss, parts = _finetune_loss(model, bound, vocab22, utts, cfg)
+            backward(loss)
+            return loss.item(), parts, [bound[name].grad.tobytes() for name in model.params]
+
+        got = run(Model.bind)
+        monkeypatch.setattr(Model, "encode_fused", reference_encode_fused)
+        assert got == run(per_block_bind)
+
+    def test_blocks_are_views_of_the_stacks(self):
+        model = Model(small_arch("triple"), seed=24)
+        stack = model.params["encs.1.w_ff"]
+        assert stack.shape == (3, 4, 4) and model.params["encs.0.b_mix"].shape == (3, 1, 4)
+        model.params["enc_e.1.w_ff"][0, 0] = 7.0
+        assert stack[1, 0, 0] == 7.0 and "encs.1.w_ff" not in model.params
+        assert list(model.params) == [name for name, _, _ in _param_layout(model.arch)]
+
+
+class TestTapeNodes:
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_the_encoders_record_one_encoders_worth_per_batch(self, family, mixing, vocab22,
+                                                              monkeypatch):
+        model = Model(small_arch(family, mixing), seed=25)
+        rng = np.random.default_rng(26)
+        utts = [Utterance(str(t), rng.standard_normal((t, 3)), (1, 3)[: t]) for t in (1, 2, 7, 4)]
+        cfg = TrainingConfig(variant=FAMILY_VARIANT[family])
+
+        def batch_nodes():  # the tape's length before backward, as perfbench counts it
+            tape = Tape()
+            _finetune_loss(model, model.bind(tape), vocab22, utts, cfg)
+            return len(tape)
+
+        def encoder_nodes(utt):
+            tape = Tape()
+            model.encode(model.bind(tape), utt.features, model.arch.encoder_names[0])
+            return len(tape)
+
+        total = batch_nodes()
+        monkeypatch.setattr(Model, "encode_fused",  # the encoders on arrays, recording nothing
+                            lambda self, bound, x, f=Model.encode_fused: f(self, self.params, x))
+        outside = batch_nodes()
+        one_encoder = sum(encoder_nodes(utt) for utt in utts)
+        # Per utterance, beyond one encoder's ops: the sum and a pick of each encoder.
+        assert total - outside <= one_encoder + (1 + len(model.arch.encoder_names)) * len(utts)
 
 
 class TestArrayForwards:
@@ -324,6 +429,14 @@ class TestVariants:
             gaps = [abs(n - target) for n in counts]
             assert single.hidden_dim == 1 + gaps.index(min(gaps)), (units, joint, layers, mixing,
                                                                     hidden)
+
+    def test_vanilla_parity_width_above_the_bound_names_both_widths(self, vocab55):
+        # At 1,290 the search once tried a width past 2,048 and refused a legal one.
+        assert arch_for("vanilla", {**defaults(), "hidden-dim": 1290}, vocab55, 8).hidden_dim == 1825
+        with pytest.raises(ConfigError) as err:
+            arch_for("vanilla", {**defaults(), "hidden-dim": 1500}, vocab55, 8)
+        assert str(err.value) == ("bad value for 'hidden-dim': 1500 gives vanilla the "
+                                  "parameter-parity width 2122, which must be <= 2048")
 
     def test_vanilla_widths_at_two_settings(self, vocab55):
         # Defaults: 16,519 parameters against the dual model's 16,631. With large heads and a
