@@ -14,11 +14,11 @@ The op set is what the model and losses record: add, mul, matmul, tanh,
 log_softmax (its numpy forward and vjp also serve the joint, search and the
 checks), rows (a read-only row-range view), index_select (a row gather that
 accumulates repeats), concat, stack_sum and select (over the leading axis),
-and record_custom for hand-differentiated ops (the lattice losses, the
-joint). matmul, rows and concat act on the last two axes, broadcasting any
-before them: one encoder's (T, H) rows or a stack's (n_enc, T, H). An op
-records itself on a tape whenever an input is on one; with no tape it only
-computes. Mixing two live tapes is an error.
+and record_custom for hand-differentiated ops (the lattice losses, a conv
+encoder layer, the joint). matmul, rows and concat act on the last two
+axes, broadcasting any before them: one encoder's (T, H) rows or a stack's
+(n_enc, T, H). An op records itself on a tape whenever an input is on one;
+with no tape it only computes. Mixing two live tapes is an error.
 
 `arrays` is the op set's twin on plain numpy arrays: each op's forward and
 nothing else (its `lift` leaves an array as is). Layer code written over
@@ -275,10 +275,10 @@ arrays = types.SimpleNamespace(
 
 
 def record_custom(out_data, inputs, grad_fn):
-    """Record a hand-differentiated operation (the lattice losses, the joint).
+    """Record a hand-differentiated operation (the lattice losses, a conv layer, the joint).
 
-    `grad_fn(g)` must return one gradient array per input, already in the
-    input's shape, and write into no array it did not create, `g` included.
+    `grad_fn(g)` returns one gradient per input, in its shape (None off the
+    tape), and writes into no array it did not create, `g` included.
     """
     return _emit(np.asarray(out_data, dtype=np.float64), tuple(inputs), grad_fn)
 

@@ -8,15 +8,15 @@ its slice of a stack, one (n_enc, ...) array per layer and weight kind. One
 layer code runs one encoder over its blocks or all at once over the stacks.
 The components take a `bound` dict and thread it through; there is no
 whole-model forward, each loss calls the ones it reads (see training.py).
-`bound` is either `bind`'s tape leaves, which training records op by op,
-or `params` itself: tape-free inference runs the same layer code over the
+`bound` is either `bind`'s tape leaves, which training records, or
+`params` itself: tape-free inference runs the same layer code over the
 ops' numpy forwards (`autodiff.arrays`, chosen by `_ops`) on plain arrays,
-with bitwise the same values and no Tensor made. The joint and its
-log-softmax are one hand-differentiated node, bitwise equal to the op-by-op
-graph, that keeps only the tanh lattice and the log-probs; it returns a
-Tensor either way. Transducer search reads the prediction and joint
-networks' arrays from `params` directly; `predict` and `joint` are what it
-is tested against.
+with bitwise the same values and no Tensor made. A conv encoder layer (its
+numpy forward is its tape-free path) and the joint with its log-softmax are
+each one hand-differentiated node, bitwise equal to the op-by-op graph; the
+joint keeps only the tanh lattice and log-probs, and returns a Tensor either
+way. Transducer search reads the prediction and joint networks' arrays from
+`params` directly; `predict` and `joint` are what it is tested against.
 
 Checkpoints are a self-describing binary format: magic "CSRT1", a
 length-prefixed architecture fingerprint (canonical text, parseable back
@@ -160,7 +160,7 @@ def init_params(arch, seed):
 class _Params(dict):
     """`Model.params`: the blocks in `_param_layout` order, each encoder block a view of its
     slice of a stack (`stacks` by name; `slices` maps a block to its stack and index there).
-    Reading a stack's name gives the stack."""
+    Reading a stack's name gives the stack; an encoder block is only written in place."""
 
     def __init__(self, arch, blocks):
         super().__init__()
@@ -175,7 +175,13 @@ class _Params(dict):
             if stack not in self.stacks:
                 self.stacks[stack] = np.stack([np.reshape(blocks[f"{e}.{kind}"], lead + shape)
                                                for e in encs], dtype=np.float64)
-            self[name] = self.stacks[stack][at]
+            super().__setitem__(name, self.stacks[stack][at])
+
+    def __setitem__(self, name, value):
+        if name in self.slices and value is not self.get(name):  # `+=` gives back the view
+            raise CsrtError(f"parameter block {name!r} is a view of its encoder stack;"
+                            f" write it in place: params[{name!r}][...] = ...")
+        super().__setitem__(name, value)
 
     def __missing__(self, name):
         return self.stacks[name]
@@ -205,6 +211,35 @@ def _recur(pre, u):
         state = ops.tanh(ops.add(ops.rows(pre, t, t + 1), ops.matmul(state, u)))
         rows.append(state)
     return ops.concat(rows) if len(rows) > 1 else state
+
+
+def _conv_layer(*inputs):
+    """A conv encoder layer, one node on Tensors: tanh(tanh(prev @ w_prev + h @ w_cur + next @
+    w_next + b_mix) @ w_ff + b_ff), prev and next the rows around h's (zero past the ends)."""
+    h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff = (t.data if isinstance(t, Tensor) else t
+                                                  for t in inputs)
+    pad = np.zeros(h.shape[:-2] + (1, h.shape[-1]))
+    padded = np.concatenate([pad, h, pad], axis=-2)
+    mix = padded[..., :-2, :] @ w_prev
+    mix += h @ w_cur
+    mix += padded[..., 2:, :] @ w_next
+    y = np.tanh(np.add(mix, b_mix, out=mix), out=mix) @ w_ff
+    y = np.tanh(np.add(y, b_ff, out=y), out=y)
+
+    def grad_fn(g):  # the tape is single-use: mix becomes 1 - mix*mix once read
+        g_ff = g * (1.0 - y * y)
+        g_mix, g_w_ff = g_ff @ w_ff.mT, mix.mT @ g_ff
+        g_mix *= np.subtract(1.0, np.multiply(mix, mix, out=mix), out=mix)
+        g_h = None if inputs[0].tape is None else np.zeros(padded.shape)  # not for features
+        if g_h is not None:
+            g_h[..., 2:, :] = g_mix @ w_next.mT
+            g_h[..., :-2, :] += g_mix @ w_prev.mT
+            g_h = g_mix @ w_cur.mT + g_h[..., 1:-1, :]
+        return (g_h, padded[..., :-2, :].mT @ g_mix, h.mT @ g_mix, padded[..., 2:, :].mT @ g_mix,
+                g_mix.sum(axis=-2).reshape(b_mix.shape), g_w_ff,
+                g_ff.sum(axis=-2).reshape(b_ff.shape))
+
+    return ad.record_custom(y, inputs, grad_fn) if isinstance(inputs[-1], Tensor) else y
 
 
 class Model:
@@ -259,22 +294,17 @@ class Model:
             )
         if x.shape[0] == 0:
             raise ShapeMismatchError("encode: features have zero frames")
-        ops, T = _ops(bound[f"{enc}.0.b_mix"]), x.shape[0]
+        ops = _ops(bound[f"{enc}.0.b_mix"])
         h = ops.lift(x)
         for layer in range(self.arch.encoder_layers):
             p = f"{enc}.{layer}"
             if self.arch.encoder_mixing == "conv":
-                pad = ops.lift(np.zeros(h.shape[:-2] + (1, h.shape[-1])))
-                padded = ops.concat([pad, h, pad])
-                prev, nxt = ops.rows(padded, 0, T), ops.rows(padded, 2, T + 2)
-                mix = ops.matmul(prev, bound[f"{p}.w_prev"])
-                mix = ops.add(mix, ops.matmul(h, bound[f"{p}.w_cur"]))
-                mix = ops.add(mix, ops.matmul(nxt, bound[f"{p}.w_next"]))
-                mix = ops.tanh(ops.add(mix, bound[f"{p}.b_mix"]))
+                h = _conv_layer(h, *(bound[f"{p}.{k}"] for k in
+                                     ("w_prev", "w_cur", "w_next", "b_mix", "w_ff", "b_ff")))
             else:
                 pre = ops.add(ops.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
                 mix = _recur(pre, bound[f"{p}.u"])
-            h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
+                h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
         return h
 
     def _side(self, lang):

@@ -63,26 +63,35 @@ def zero_fill_accumulate(self, g):
     self.grad += g
 
 
+def reference_conv_layer(h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff):
+    """model._conv_layer recorded op by op, as it was before it became one node."""
+    ops, T = _ops(b_ff), h.shape[-2]
+    pad = ops.lift(np.zeros(h.shape[:-2] + (1, h.shape[-1])))
+    padded = ops.concat([pad, h, pad])
+    prev, nxt = ops.rows(padded, 0, T), ops.rows(padded, 2, T + 2)
+    mix = ops.matmul(prev, w_prev)
+    mix = ops.add(mix, ops.matmul(h, w_cur))
+    mix = ops.add(mix, ops.matmul(nxt, w_next))
+    mix = ops.tanh(ops.add(mix, b_mix))
+    return ops.tanh(ops.add(ops.matmul(mix, w_ff), b_ff))
+
+
 def reference_encode(model, bound, x, enc):
-    """Model.encode of one encoder over its own blocks, as it ran before the encoders were
-    stacked: 2-D ops only, and every op once per encoder."""
+    """Model.encode recorded op by op. Run per encoder (`reference_encode_fused`), it is the
+    encoders as they ran before they were stacked: 2-D ops only, and every op once per
+    encoder; with `enc` "encs", the stacked encoders before the conv layer became one node."""
     x = np.asarray(x, dtype=np.float64)
-    ops, T = _ops(bound[f"{enc}.0.b_mix"]), x.shape[0]
+    ops = _ops(bound[f"{enc}.0.b_mix"])
     h = ops.lift(x)
     for layer in range(model.arch.encoder_layers):
         p = f"{enc}.{layer}"
         if model.arch.encoder_mixing == "conv":
-            pad = ops.lift(np.zeros((1, h.shape[1])))
-            padded = ops.concat([pad, h, pad])
-            prev, nxt = ops.rows(padded, 0, T), ops.rows(padded, 2, T + 2)
-            mix = ops.matmul(prev, bound[f"{p}.w_prev"])
-            mix = ops.add(mix, ops.matmul(h, bound[f"{p}.w_cur"]))
-            mix = ops.add(mix, ops.matmul(nxt, bound[f"{p}.w_next"]))
-            mix = ops.tanh(ops.add(mix, bound[f"{p}.b_mix"]))
+            h = reference_conv_layer(h, *(bound[f"{p}.{k}"] for k in
+                                          ("w_prev", "w_cur", "w_next", "b_mix", "w_ff", "b_ff")))
         else:
             pre = ops.add(ops.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
             mix = _recur(pre, bound[f"{p}.u"])
-        h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
+            h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
     return h
 
 

@@ -7,12 +7,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import reference_encode_fused, sum_all, zero_fill_accumulate
+from conftest import (
+    reference_conv_layer,
+    reference_encode,
+    reference_encode_fused,
+    sum_all,
+    zero_fill_accumulate,
+)
 from csrt import autodiff as ad
 from csrt.autodiff import Tape, Tensor, backward
 from csrt.checks import full_model_grad_check, tiny_setup
 from csrt.config import defaults
-from csrt.data import Utterance
+from csrt.data import CorpusSpec, Utterance, gen_corpus
 from csrt.decoding import rnnt_decode
 from csrt.errors import ConfigError, CsrtError, ShapeMismatchError
 from csrt.losses import rnnt_loss
@@ -20,6 +26,7 @@ from csrt.model import (
     Architecture,
     Checkpoint,
     Model,
+    _conv_layer,
     _param_layout,
     init_params,
     load_checkpoint,
@@ -207,8 +214,102 @@ class TestStackedEncoders:
         assert stack[1, 0, 0] == 7.0 and "encs.1.w_ff" not in model.params
         assert list(model.params) == [name for name, _, _ in _param_layout(model.arch)]
 
+    def test_an_encoder_block_is_written_in_place_not_assigned(self):
+        model = Model(small_arch(), seed=24)
+        block, stack = model.params["enc_e.0.w_cur"], model.params["encs.0.w_cur"]
+        with pytest.raises(CsrtError, match=r"^parameter block 'enc_e.0.w_cur' is a view of its"
+                                            r" encoder stack; write it in place: "):
+            model.params["enc_e.0.w_cur"] = np.zeros_like(block)
+        assert model.params["enc_e.0.w_cur"] is block
+        model.params["enc_e.0.w_cur"] += 1.0  # in place: `+=` hands back the view itself
+        assert model.params["enc_e.0.w_cur"] is block and stack[1].tobytes() == block.tobytes()
+        joint_b = np.ones(4)
+        model.params["joint.b"] = joint_b  # a block outside the stacks stays assignable
+        assert model.params["joint.b"] is joint_b
+
+
+class TestConvLayerNode:
+    """The conv layer's node against `reference_conv_layer`, its op-by-op graph."""
+
+    @staticmethod
+    def run(model, encode, enc, x, upstream):
+        """Output and every parameter gradient of sum(encode's output * upstream)."""
+        bound = model.bind(Tape())
+        out = encode(model, bound, x, enc)
+        backward(sum_all(ad.mul(out, Tensor(upstream))))
+        return [out.data] + [bound[name].grad for name in model.params]
+
+    @pytest.mark.parametrize("T", [1, 2, 6])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("family,enc", [("dual", "enc_e"), ("single", "encs"),
+                                            ("dual", "encs"), ("triple", "encs")])
+    def test_encode_values_and_gradients_bitwise_equal_the_reference(self, family, enc,
+                                                                      layers, T):
+        # Layer 0 reads the features, off the tape; a deeper layer's input is on it.
+        model = Model(small_arch(family, encoder_layers=layers), seed=30 + T)
+        rng = np.random.default_rng(T)
+        x = rng.standard_normal((T, 3))
+        value = model.encode(model.params, x, enc)
+        assert type(value) is np.ndarray
+        assert value.tobytes() == reference_encode(model, model.params, x, enc).tobytes()
+        upstream = rng.standard_normal(value.shape)
+        got = self.run(model, Model.encode, enc, x, upstream)
+        want = self.run(model, reference_encode, enc, x, upstream)
+        assert got[0].tobytes() == value.tobytes()
+        assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("T", [1, 2, 6])
+    @pytest.mark.parametrize("n_enc", [None, 1, 3])  # one encoder's 2-D blocks, or a stack
+    def test_input_gradient_bitwise_equals_the_reference(self, n_enc, T):
+        rng = np.random.default_rng(40 + T)
+        lead, bias = ((), (4,)) if n_enc is None else ((n_enc,), (n_enc, 1, 4))
+        shapes = [lead + (T, 5)] + [lead + (5, 4)] * 3 + [bias, lead + (4, 4), bias]
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        upstream = rng.standard_normal(lead + (T, 4))
+
+        def run(layer):
+            tape = Tape()
+            leaves = [tape.leaf(a) for a in arrays]
+            backward(sum_all(ad.mul(layer(*leaves), Tensor(upstream))))
+            return [leaf.grad.tobytes() for leaf in leaves]
+
+        assert run(_conv_layer) == run(reference_conv_layer)
+
+    def test_an_off_tape_input_gets_no_gradient(self):
+        rng = np.random.default_rng(50)
+        tape = Tape()
+        h = Tensor(rng.standard_normal((3, 2)))
+        weights = [tape.leaf(rng.standard_normal(s)) for s in [(2, 4)] * 3 + [(4,), (4, 4), (4,)]]
+        out = _conv_layer(h, *weights)
+        _, inputs, grad_fn = tape._nodes[-1]
+        assert len(tape) == 1 and inputs[0] is h
+        assert grad_fn(np.ones(out.shape))[0] is None and h.grad is None
+
 
 class TestTapeNodes:
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("enc", ["enc_m", "encs"])
+    def test_a_conv_encode_call_records_one_node_per_layer(self, enc, layers):
+        model = Model(small_arch("triple", encoder_layers=layers), seed=27)
+        tape = Tape()
+        model.encode(model.bind(tape), np.ones((5, 3)), enc)
+        assert len(tape) == layers
+
+    def test_default_width_batches(self, tmp_path):
+        # 8 utterances of CorpusSpec(seed=0, train_count=8) at default widths, conv mixing:
+        # pre-training records 8 x (2 layer nodes + 3 head nodes) + the CTC loss node.
+        corpus = gen_corpus(CorpusSpec(seed=0, train_count=8), tmp_path)
+        vocab = corpus.vocab
+        model = Model(arch_for("conditional-ls", defaults(), vocab, corpus.feature_dim), seed=0)
+        items = [(lang, u) for lang in "ME" for u in corpus.split(f"train-mono-{lang.lower()}")[:4]]
+        tape = Tape()
+        _pretrain_loss(model, model.bind(tape), vocab, items)
+        assert len(tape) == 41
+        tape = Tape()
+        _finetune_loss(model, model.bind(tape), vocab, corpus.split("train-cs")[:8],
+                       TrainingConfig(variant="conditional-ls"))
+        assert len(tape) <= 355
+
     @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
     @pytest.mark.parametrize("family", ["single", "dual", "triple"])
     def test_the_encoders_record_one_encoders_worth_per_batch(self, family, mixing, vocab22,

@@ -70,7 +70,8 @@ def test_training_and_checks_call_the_loss_objects_the_benchmark_times(monkeypat
 
 def test_model_joint_records_through_autodiff_record_custom(monkeypatch):
     # perfbench/tracer.py times hand-written grad functions by rebinding
-    # autodiff.record_custom; the joint must look it up at call time.
+    # autodiff.record_custom; the conv encoder layer and the joint must look it up at call
+    # time. Each records one 7-input node: a layer per conv layer, then the joint.
     recorded = []
     orig = autodiff.record_custom
 
@@ -83,7 +84,7 @@ def test_model_joint_records_through_autodiff_record_custom(monkeypatch):
     bound = model.bind(autodiff.Tape())
     h_enc, _ = model.encode_fused(bound, x)
     model.joint(bound, h_enc, model.predict(bound, y))
-    assert recorded == [7]
+    assert recorded == [7] * (model.arch.encoder_layers + 1)
 
 
 def test_finetune_calls_each_model_layer_the_benchmark_times(monkeypatch):
