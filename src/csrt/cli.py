@@ -170,9 +170,9 @@ def _write_text(path, text):
 
 
 def _hyps_text(hyps, vocab):
-    """hyps.tsv text: per (uid, hyp) pair, the id, a tab and the space-joined surfaces."""
-    lines = [uid + "\t" + " ".join(vocab.surface(u) for u in hyp) for uid, hyp in hyps]
-    return "\n".join(lines) + "\n"
+    """hyps.tsv text: per (uid, hyp) pair, a line of the id, a tab and the space-joined
+    surfaces; no pairs, no text."""
+    return "".join(uid + "\t" + " ".join(map(vocab.surface, hyp)) + "\n" for uid, hyp in hyps)
 
 
 def cmd_decode(values):
@@ -248,7 +248,7 @@ def cmd_oracle_check(values):
 
 
 _TRAINING = ("out", "force", "data", "init", "resume") + _keys(Architecture)
-_FINETUNE_ONLY = ("lambda", "fine-tune-data", "mono-mix-ratio")
+_FINETUNE_ONLY = ("lambda", "mono-mix-ratio")
 
 COMMANDS = {
     "gen-data": (cmd_gen_data, ("out", "force") + _keys(CorpusSpec)),

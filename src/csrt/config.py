@@ -112,16 +112,14 @@ REGISTRY = {
     # training
     "lambda": (_UNIT, 0.5, "transducer weight in the language-separation loss"),
     "learning-rate": (_NON_NEGATIVE, 0.004, "peak learning rate"),
-    "schedule": (_choice("constant", "warmup-inverse-sqrt"), "constant", "LR schedule"),
-    "warmup-steps": (_int_in(1), 200, "warmup length for warmup-inverse-sqrt"),
+    "warmup-steps": (_int_in(0), 0, "warmup steps, then inverse-sqrt decay (0: constant learning rate)"),
     "epochs": (_int_in(0), 12, "training epochs"),
     "batch-size": (_int_in(1), 8, "utterances per optimizer step"),
     "beta1": (_SMOOTHING, 0.9, "first-moment smoothing (0 disables)"),
     "beta2": (_SMOOTHING, 0.999, "second-moment smoothing (0 disables)"),
     "moment-eps": (_float(" > 0", lambda v: v > 0), 1e-8, "denominator floor for second-moment scaling"),
     "grad-clip": (_NON_NEGATIVE, 5.0, "global-norm gradient clip (0 disables)"),
-    "fine-tune-data": (_choice("cs-only", "cs+mono"), "cs+mono", "fine-tuning data mix"),
-    "mono-mix-ratio": (_UNIT, 2.0 / 3.0, "probability a fine-tuning batch is monolingual"),
+    "mono-mix-ratio": (_UNIT, 2.0 / 3.0, "probability a fine-tuning batch is monolingual (0: code-switched data only)"),
 }
 
 

@@ -108,9 +108,10 @@ def variant_family(variant):
     return config.VARIANT_FAMILY[config.convert("variant", variant)]
 
 
-def _param_layout(arch):
-    """(name, shape, fan_in) of every parameter block in draw order; biases have fan_in None."""
-    h, d, j, v = arch.hidden_dim, arch.decoder_dim, arch.joint_dim, arch.n_units + 1
+def _param_layout(arch, hidden_dim=None):
+    """(name, shape, fan_in) of every parameter block in draw order; biases have fan_in None.
+    `hidden_dim`, if given, stands in for the architecture's own, unchecked."""
+    h, d, j, v = hidden_dim or arch.hidden_dim, arch.decoder_dim, arch.joint_dim, arch.n_units + 1
     layout = []
     for enc in arch.encoder_names:
         k = arch.input_dim
@@ -139,9 +140,10 @@ def _param_layout(arch):
     ]
 
 
-def param_count(arch):
-    """Number of parameters of `arch`, read off its layout without allocating them."""
-    return sum(math.prod(shape) for _, shape, _ in _param_layout(arch))
+def param_count(arch, hidden_dim=None):
+    """Number of parameters of `arch` (at `hidden_dim`, if given), read off its layout without
+    allocating them."""
+    return sum(math.prod(shape) for _, shape, _ in _param_layout(arch, hidden_dim))
 
 
 def init_params(arch, seed):

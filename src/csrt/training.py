@@ -16,7 +16,6 @@ heads in fine-tuning.
 from __future__ import annotations
 
 import bisect
-import copy
 import itertools
 import math
 import time
@@ -38,13 +37,11 @@ _PHASES = ("pretrain", "finetune")
 class TrainingConfig:
     lam: float
     learning_rate: float
-    schedule: str
     warmup_steps: int
     epochs: int
     batch_size: int
     seed: int
     variant: str
-    fine_tune_data: str
     mono_mix_ratio: float
     beta1: float
     beta2: float
@@ -59,26 +56,21 @@ def arch_for(variant, values, vocab, input_dim):
     if arch.family != "single":
         return arch
 
-    def count(width):  # of an unchecked copy: a width tried may pass the hidden-dim bound
-        probe = copy.copy(arch)
-        object.__setattr__(probe, "hidden_dim", width)
-        return param_count(probe)
-
     def pair(width):  # rises strictly with the width, as each count does
-        return count(width) + count(width + 1)
+        return param_count(arch, width) + param_count(arch, width + 1)
 
     # Vanilla's width is the one whose count is nearest the dual model's, the smaller on a tie:
     # the first whose pair reaches twice that target, as below it the next width is nearer.
-    # A count is at least the width squared (a w_ff block), so that width lies in this range.
+    # A count is at least the width squared (a w_ff block), so that width lies in this range;
+    # it is searched past the hidden-dim bound, which the result alone must meet.
     target = param_count(replace(arch, family="dual"))
     widths = range(1, math.isqrt(target) + 2)
     width = widths[bisect.bisect_left(widths, 2 * target, key=pair)]
     try:
         return replace(arch, hidden_dim=width)
     except ConfigError as exc:
-        bound = str(exc).rpartition(": ")[2].partition(",")[0]  # "must be <= <high>"
-        raise ConfigError(f"bad value for 'hidden-dim': {arch.hidden_dim} gives vanilla the "
-                          f"parameter-parity width {width}, which {bound}") from None
+        raise ConfigError(f"hidden-dim {arch.hidden_dim} gives vanilla the parameter-parity "
+                          f"width {width}: {exc}") from None
 
 
 @dataclass
@@ -91,10 +83,11 @@ class TrainState:
 
 
 def schedule_lr(config, step):
-    """Learning rate at 1-based optimizer step."""
-    if config.schedule == "constant":
-        return config.learning_rate
+    """Learning rate at 1-based optimizer step: constant at warmup-steps 0, else a linear
+    warmup over warmup-steps W that peaks at step W and decays as 1/sqrt(step) after it."""
     w = config.warmup_steps
+    if not w:
+        return config.learning_rate
     return config.learning_rate * min(step / w, np.sqrt(w / step))
 
 
@@ -212,9 +205,11 @@ def _read_state(blocks, params, phase):
     return TrainState(**values, **flat)
 
 
-def start_from(checkpoint, arch, phase, resume):
-    """Model and TrainState of a `phase` run from `checkpoint`, checked against `arch`
-    (and, when resuming, for that phase's state)."""
+def start_from(checkpoint, arch, phase, resume, seed=0):
+    """Model and TrainState of a `phase` run: seeded by `seed` without a checkpoint, else
+    from `checkpoint`, checked against `arch` (and, when resuming, for that phase's state)."""
+    if checkpoint is None:
+        return Model(arch, seed=seed), TrainState()
     if checkpoint.fingerprint != arch.fingerprint():
         raise FingerprintMismatchError(
             "checkpoint fingerprint does not match the configured variant/dimensions"
@@ -283,10 +278,7 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), *, vocab, log
     dev_items = [("M", u) for u in dev_m] + [("E", u) for u in dev_e]
     _check_monolingual(items + dev_items, vocab)
 
-    if resume_from is None:
-        model, state = Model(arch, seed=config.seed), TrainState()
-    else:
-        model, state = start_from(resume_from, arch, "pretrain", resume=True)
+    model, state = start_from(resume_from, arch, "pretrain", resume=True, seed=config.seed)
 
     def loss_fn(bound, batch):
         return _pretrain_loss(model, bound, vocab, batch), {}
@@ -301,21 +293,18 @@ def pretrain(corpus_m, corpus_e, config, arch, dev_m=(), dev_e=(), *, vocab, log
 def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, resume=False):
     """Fine-tune all parameters with the transducer or LS loss.
 
-    `corpora` maps {'cs': [...], 'mono-m': [...], 'mono-e': [...]}; the
-    monolingual entries are used only when the config asks for cs+mono.
+    `corpora` maps {'cs': [...], 'mono-m': [...], 'mono-e': [...]}; at a
+    mono-mix-ratio of 0 the monolingual entries are left out: they form no
+    batch and do not count in the epoch length.
     `init` is the pre-training Checkpoint (fingerprint-checked), a finetune
     checkpoint to run on for more epochs when `resume` is set, or None to
     start from the seeded initialization, as pretrain does.
     """
-    model, state = (start_from(init, arch, "finetune", resume) if init is not None
-                    else (Model(arch, seed=config.seed), TrainState()))
+    model, state = start_from(init, arch, "finetune", resume, seed=config.seed)
 
-    sources = {"cs": list(corpora.get("cs", ()))}
-    if config.fine_tune_data == "cs+mono":
-        for key in ("mono-m", "mono-e"):
-            if corpora.get(key):
-                sources[key] = list(corpora[key])
-    if not sources["cs"]:
+    parts = ("cs", "mono-m", "mono-e") if config.mono_mix_ratio > 0 else ("cs",)
+    sources = {k: list(corpora[k]) for k in parts if corpora.get(k)}
+    if "cs" not in sources:
         raise CsrtError("finetune requires code-switched training data")
     if config.variant == "conditional-ls":
         utts = [u for v in sources.values() for u in v] + list(dev)
@@ -328,7 +317,7 @@ def finetune(corpora, init, config, arch, dev=(), *, vocab, log=None, resume=Fal
         rng = _epoch_rng(config.seed, 13, epoch)
         draws = {k: itertools.cycle([v[i] for i in rng.permutation(len(v)).tolist()])
                  for k, v in sources.items()}
-        mono = [k for k in ("mono-m", "mono-e") if k in sources]
+        mono = [k for k in sources if k != "cs"]
         n_batches = max(1, sum(len(v) for v in sources.values()) // config.batch_size)
         batches = []
         for _ in range(n_batches):

@@ -19,7 +19,7 @@ import pytest
 from csrt import autodiff as ad
 from csrt.alignments import BLANK
 from csrt.checks import full_model_grad_check, loss_grad_sweep, oracle_sweep
-from csrt.config import defaults
+from csrt.config import resolved
 from csrt.data import CorpusSpec, gen_corpus
 from csrt.decoding import rnnt_decode
 from csrt.losses import ctc_loss
@@ -37,9 +37,8 @@ def report(criterion, ok, detail):
 
 
 def train_cfg(**overrides):
-    vals = defaults()
-    vals.update(overrides)
-    return vals
+    """The defaults and `overrides`, by key; an unknown key raises."""
+    return resolved(None, overrides)
 
 
 def run_pretrain(corpus, vals, variant):
@@ -64,8 +63,6 @@ def run_finetune(corpus, ck_pre, arch, vals):
         "mono-m": corpus.split("train-mono-m"),
         "mono-e": corpus.split("train-mono-e"),
     }
-    if vals["fine-tune-data"] == "cs-only":
-        corpora = {"cs": corpora["cs"]}
     ck = finetune(corpora, ck_pre, tcfg, arch, dev=corpus.split("dev-cs"), vocab=corpus.vocab)
     return Model(arch, params=ck.model_params()), ck
 
@@ -233,7 +230,7 @@ def test_criterion_6_separation_insertion_direction(confusable_worlds):
 def test_criterion_7_finetune_data_direction(confusable_worlds):
     corpus, ck_pre, arch, ft_vals, model_mix, _ = confusable_worlds[0]
     model_cs_only, _ = run_finetune(
-        corpus, ck_pre, arch, dict(ft_vals, variant="conditional-ls", **{"fine-tune-data": "cs-only"})
+        corpus, ck_pre, arch, dict(ft_vals, variant="conditional-ls", **{"mono-mix-ratio": 0.0})
     )
     rates = {}
     for tag, model in (("cs+mono", model_mix), ("cs-only", model_cs_only)):

@@ -117,7 +117,7 @@ class TestFlagTable:
             assert settings(Architecture) <= taken[command]
         training_keys = settings(TrainingConfig)
         assert training_keys <= taken["finetune"]
-        finetune_only = {"lambda", "fine-tune-data", "mono-mix-ratio"}
+        finetune_only = {"lambda", "mono-mix-ratio"}
         assert training_keys & taken["pretrain"] == training_keys - finetune_only
         assert set().union(*taken.values()) == config.REGISTRY.keys()
 
@@ -243,6 +243,17 @@ class TestPipeline:
         assert "replace failed" in capsys.readouterr().err
         assert (out / "hyps.tsv").read_bytes() == b"old\thyps\n"
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "hyps.tsv", "log.txt"]
+
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_empty_split_writes_an_empty_hyps_file(self, workdir, tmp_path, command):
+        root, data = workdir
+        shutil.copytree(data, tmp_path / "data")
+        (tmp_path / "data" / "test-cs" / "utts.tsv").write_text("")
+        write_features(tmp_path / "data" / "test-cs" / "feats.csft", np.zeros((0, 8)))
+        code = run([command, "--model", str(root / "ft"), "--data", str(tmp_path / "data"),
+                    "--split", "test-cs", "--beam", "1", "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "hyps.tsv").read_bytes() == b""
 
     @pytest.mark.parametrize("command, evaluator",
                              [("eval", "evaluate_split"), ("eval-ls", "eval_language_separation")])
@@ -521,7 +532,7 @@ class TestCheckBeforeWrite:
     )
     def test_pretrain_bad_flag_exit_1(self, workdir, tmp_path, capsys, extra):
         _, data = workdir
-        fast = ["--epochs", "1", "--hidden-dim", "8", "--schedule", "warmup-inverse-sqrt"]
+        fast = ["--epochs", "1", "--hidden-dim", "8"]
         code = run(["pretrain", "--data", str(data), "--out", str(tmp_path / "p")] + fast + extra)
         assert code == 1
         assert f"usage error: bad value for '{extra[0][2:]}'" in capsys.readouterr().err
@@ -824,6 +835,32 @@ class TestSeededFinetune:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {cfg}:1: unknown config key 'vanilla-hidden-dim'"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["schedule = warmup-inverse-sqrt", "fine-tune-data = cs-only"])
+    def test_removed_training_key_in_a_config_file_is_unknown(self, workdir, tmp_path, capsys,
+                                                              line):
+        # warmup-steps 0 is the constant schedule, mono-mix-ratio 0 code-switched-only data.
+        _, data = workdir
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"epochs = 1\n{line}\n")
+        code = run(["finetune", "--config", str(cfg), "--data", str(data),
+                    "--out", str(tmp_path / "o")] + FAST)
+        assert code == 2
+        key = line.partition(" ")[0]
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {cfg}:2: unknown config key {key!r}"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", [("pretrain", ["--schedule", "constant"]),
+                                               ("finetune", ["--schedule", "constant"]),
+                                               ("finetune", ["--fine-tune-data", "cs-only"])])
+    def test_removed_training_flag_is_usage_error(self, workdir, tmp_path, capsys, command, flag):
+        _, data = workdir
+        code = run([command, "--data", str(data), "--out", str(tmp_path / "o"), "--epochs", "1"]
+                   + FAST + flag)
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 

@@ -536,8 +536,8 @@ class TestVariants:
         assert arch_for("vanilla", {**defaults(), "hidden-dim": 1290}, vocab55, 8).hidden_dim == 1825
         with pytest.raises(ConfigError) as err:
             arch_for("vanilla", {**defaults(), "hidden-dim": 1500}, vocab55, 8)
-        assert str(err.value) == ("bad value for 'hidden-dim': 1500 gives vanilla the "
-                                  "parameter-parity width 2122, which must be <= 2048")
+        assert str(err.value) == ("hidden-dim 1500 gives vanilla the parameter-parity width 2122: "
+                                  "bad value for 'hidden-dim': must be <= 2048, got 2122")
 
     def test_vanilla_widths_at_two_settings(self, vocab55):
         # Defaults: 16,519 parameters against the dual model's 16,631. With large heads and a

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csrt.autodiff import Tape
-from csrt.config import defaults
+from csrt.config import defaults, resolved
 from csrt.data import Utterance
 from csrt.errors import CsrtError, FingerprintMismatchError, OptimizerError
 from csrt.model import (
@@ -31,10 +31,9 @@ from csrt.training import (
 
 
 def tcfg(**kw):
-    vals = defaults()
+    """TrainingConfig of the defaults and `kw`, by field name; an unknown key raises."""
     overrides = {k.replace("_", "-"): v for k, v in kw.items()}
-    vals.update(overrides)
-    return TrainingConfig.from_values(vals)
+    return TrainingConfig.from_values(resolved(None, overrides))
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +131,11 @@ def _state_bits(params, state):
 
 class TestSchedules:
     def test_constant(self):
-        c = tcfg(schedule="constant", learning_rate=0.01)
+        c = tcfg(warmup_steps=0, learning_rate=0.01)
         assert schedule_lr(c, 1) == schedule_lr(c, 999) == 0.01
 
     def test_warmup_peak_at_warmup_steps(self):
-        c = tcfg(schedule="warmup-inverse-sqrt", learning_rate=0.01, warmup_steps=50)
+        c = tcfg(learning_rate=0.01, warmup_steps=50)
         assert schedule_lr(c, 50) == pytest.approx(0.01)
         assert schedule_lr(c, 25) == pytest.approx(0.005)
         assert schedule_lr(c, 200) == pytest.approx(0.01 * 0.5)
@@ -171,7 +170,7 @@ class TestOptimizerStep:
     @pytest.mark.parametrize("overrides", [
         {}, {"grad_clip": 0.5}, {"grad_clip": 1000.0}, {"grad_clip": 0.0}, {"beta1": 0.0},
         {"beta2": 0.0}, {"beta1": 0.0, "beta2": 0.0},
-        {"schedule": "warmup-inverse-sqrt", "warmup_steps": 2},
+        {"warmup_steps": 2},
     ], ids=["default", "clipped", "clip-unreached", "clip-off", "beta1-0", "beta2-0",
             "plain-descent", "warmup"])
     def test_bitwise_equals_block_by_block_reference(self, overrides):
@@ -443,14 +442,14 @@ class TestFinetune:
         ck_a = finetune(
             corpora_of(corpus),
             pretrained,
-            tcfg(epochs=1, fine_tune_data="cs-only"),
+            tcfg(epochs=1, mono_mix_ratio=0.0),
             arch,
             vocab=vocab,
         )
         ck_b = finetune(
             {"cs": corpus.split("train-cs")},
             pretrained,
-            tcfg(epochs=1, fine_tune_data="cs-only"),
+            tcfg(epochs=1, mono_mix_ratio=0.0),
             arch,
             vocab=vocab,
         )
