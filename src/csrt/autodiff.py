@@ -79,11 +79,10 @@ class Tape:
         self._nodes = []
         self.consumed = False
 
-    def leaf(self, data, grad=None):
-        """Attach an array as a differentiable leaf; its grad starts at zero, in a fresh buffer
-        or in `grad`, a zero-filled one it adds into in place (a slice of another leaf's)."""
+    def leaf(self, data):
+        """Attach an array as a differentiable leaf; its grad starts as an owned zero buffer."""
         t = Tensor(data, tape=self)
-        t.grad, t.owns_grad = np.zeros_like(t.data) if grad is None else grad, True
+        t.grad, t.owns_grad = np.zeros_like(t.data), True
         return t
 
     def __len__(self):
@@ -242,9 +241,8 @@ def concat(tensors):
     try:
         out = np.concatenate([t.data for t in tensors], axis=-2)
     except ValueError:
-        raise ShapeMismatchError(
-            "concat: shapes " + ", ".join(str(t.shape) for t in tensors) + " do not align"
-        )
+        shapes = ", ".join(str(t.shape) for t in tensors)
+        raise ShapeMismatchError(f"concat: shapes {shapes} do not align")
     bounds = np.cumsum([t.shape[-2] for t in tensors])[:-1]
 
     def grad_fn(g):

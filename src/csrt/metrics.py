@@ -37,12 +37,8 @@ class ErrorStats:
         return self.errors / max(1, self.ref_len)
 
     def __add__(self, other):
-        return ErrorStats(
-            self.sub + other.sub,
-            self.ins + other.ins,
-            self.dele + other.dele,
-            self.ref_len + other.ref_len,
-        )
+        return ErrorStats(self.sub + other.sub, self.ins + other.ins, self.dele + other.dele,
+                          self.ref_len + other.ref_len)
 
 
 def error_stats(hyp, ref):
@@ -140,9 +136,8 @@ def eval_language_separation(model, cs_utts, vocab):
     totals = {"M": ErrorStats(), "E": ErrorStats()}
     leaked = {"M": 0, "E": 0}
     for utt in cs_utts:
-        for lang in ("M", "E"):
-            local = greedy_ctc_decode(model.subnet(model.params, utt.features, lang))
-            hyp = tuple(vocab.to_global(lang, u) for u in local)
+        for lang, logp in zip("ME", model.subnets(model.params, [(k, utt.features) for k in "ME"])):
+            hyp = tuple(vocab.to_global(lang, u) for u in greedy_ctc_decode(logp))
             ref = mask_labels(utt.labels, lang, vocab)
             stats = error_stats(hyp, ref)
             if ref:
@@ -160,21 +155,13 @@ def dump_frame_posteriors(model, x, out_path, vocab):
     """
     if not model.arch.has_ctc_heads:
         raise CsrtError("posterior dump needs a variant with CTC heads")
-    heads = {lang: np.exp(model.subnet(model.params, x, lang)) for lang in ("M", "E")}
-    T = heads["M"].shape[0]
+    heads = [np.exp(logp) for logp in model.subnets(model.params, [("M", x), ("E", x)])]
     lines = ["frame,m_blank,m_units,m_top,e_blank,e_units,e_top"]
-    for t in range(T):
+    for t in range(len(heads[0])):
         cells = [str(t)]
-        for lang in ("M", "E"):
-            p = heads[lang][t]
-            top_local = 1 + int(p[1:].argmax())
-            cells.extend(
-                [
-                    f"{p[0]:.9f}",
-                    f"{p[1:].sum():.9f}",
-                    vocab.surface(vocab.to_global(lang, top_local)),
-                ]
-            )
+        for lang, p in zip("ME", (head[t] for head in heads)):
+            top = vocab.surface(vocab.to_global(lang, 1 + int(p[1:].argmax())))
+            cells += [f"{p[0]:.9f}", f"{p[1:].sum():.9f}", top]
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     write_atomic(out_path, lambda tmp: tmp.write_text(text, encoding="utf-8"))
@@ -189,11 +176,8 @@ def _percent(rate, ref_len):
 def format_split_report(title, report):
     """Plain-text metric row in the shape of the paper-style results table."""
     cells = [_percent(s.rate, s.ref_len) for s in (report.mer, report.cer, report.wer)]
-    lines = [
-        f"{'Split':<14} {'Utts':>5} {'MER':>7} {'CER':>7} {'WER':>7}",
-        f"{title:<14} {report.n_utts:>5} " + " ".join(cells),
-    ]
-    return "\n".join(lines)
+    return (f"{'Split':<14} {'Utts':>5} {'MER':>7} {'CER':>7} {'WER':>7}\n"
+            f"{title:<14} {report.n_utts:>5} " + " ".join(cells))
 
 
 def format_separation_report(results):

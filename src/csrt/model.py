@@ -4,8 +4,9 @@ single-, dual- and triple-encoder families of config.VARIANT_FAMILY.
 
 All parameters live in one name -> float64 array dict in `_param_layout`
 order, however a checkpoint stored them; each encoder block is a view of
-its slice of a stack, one (n_enc, ...) array per layer and weight kind. One
-layer code runs one encoder over its blocks or all at once over the stacks.
+its slice of a stack, one (n_enc, ...) array per layer and weight kind. The
+layer code runs every encoder at once over the stacks; pre-training packs
+its batch along rows, one language per encoder (`subnets`).
 The components take a `bound` dict and thread it through; there is no
 whole-model forward, each loss calls the ones it reads (see training.py).
 `bound` is either `bind`'s tape leaves, which training records, or
@@ -192,6 +193,11 @@ class _Params(dict):
         """Each array that owns parameter memory, by name: the stacks, then the other blocks."""
         return {**self.stacks, **{k: v for k, v in self.items() if k not in self.slices}}
 
+    def grads(self, bound):
+        """Each block's gradient from `bind`'s leaves; an encoder block's is its stack's slice."""
+        return {name: bound[self.slices[name][0]].grad[self.slices[name][1]]
+                if name in self.slices else bound[name].grad for name in self}
+
 
 def _ops(weight):
     """The op set for a weight from `bound`: autodiff's ops for `bind`'s Tensors, their
@@ -199,25 +205,25 @@ def _ops(weight):
     return ad if isinstance(weight, Tensor) else ad.arrays
 
 
-def _recur(pre, u):
-    """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state.
+def _recur(pre, u, starts=(0,)):
+    """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state at each row of
+    `starts` (no matmul there), so no state crosses from one packed slot into the next.
 
     The shared recurrence of the recurrent encoder and the prediction net;
     `pre` holds each step's input projection with its bias already added, as
     (T, H) rows or a stack's (n_enc, T, H).
     """
-    ops = _ops(u)
-    state = ops.tanh(ops.rows(pre, 0, 1))
-    rows = [state]
-    for t in range(1, pre.shape[-2]):
-        state = ops.tanh(ops.add(ops.rows(pre, t, t + 1), ops.matmul(state, u)))
-        rows.append(state)
-    return ops.concat(rows) if len(rows) > 1 else state
+    ops, rows = _ops(u), []
+    for t in range(pre.shape[-2]):
+        step = ops.rows(pre, t, t + 1)
+        rows.append(ops.tanh(step if t in starts else ops.add(step, ops.matmul(rows[-1], u))))
+    return ops.concat(rows) if len(rows) > 1 else rows[0]
 
 
-def _conv_layer(*inputs):
+def _conv_layer(*inputs, dead=None):
     """A conv encoder layer, one node on Tensors: tanh(tanh(prev @ w_prev + h @ w_cur + next @
-    w_next + b_mix) @ w_ff + b_ff), prev and next the rows around h's (zero past the ends)."""
+    w_next + b_mix) @ w_ff + b_ff), prev and next the rows around h's (zero past the ends); the
+    rows a (n_enc, N) mask `dead` marks are 0 after it, their gradient 0 before it is read."""
     h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff = (t.data if isinstance(t, Tensor) else t
                                                   for t in inputs)
     pad = np.zeros(h.shape[:-2] + (1, h.shape[-1]))
@@ -227,9 +233,13 @@ def _conv_layer(*inputs):
     mix += padded[..., 2:, :] @ w_next
     y = np.tanh(np.add(mix, b_mix, out=mix), out=mix) @ w_ff
     y = np.tanh(np.add(y, b_ff, out=y), out=y)
+    if dead is not None:
+        y[dead] = 0.0
 
     def grad_fn(g):  # the tape is single-use: mix becomes 1 - mix*mix once read
         g_ff = g * (1.0 - y * y)
+        if dead is not None:
+            g_ff[dead] = 0.0
         g_mix, g_w_ff = g_ff @ w_ff.mT, mix.mT @ g_ff
         g_mix *= np.subtract(1.0, np.multiply(mix, mix, out=mix), out=mix)
         g_h = None if inputs[0].tape is None else np.zeros(padded.shape)  # not for features
@@ -272,40 +282,44 @@ class Model:
         self.params = _Params(arch, params)
 
     def bind(self, tape):
-        """Attach the parameters to a tape: a leaf per array of `params.roots()`, and per
-        encoder block a leaf whose gradient is its slice of its stack's. Tape-free inference
-        passes `params` instead."""
-        leaves = {name: tape.leaf(arr) for name, arr in self.params.roots().items()}
-        for name, (stack, at) in self.params.slices.items():
-            leaves[name] = tape.leaf(self.params[name], grad=leaves[stack].grad[at])
-        return leaves
+        """Attach the parameters to a tape: a leaf per array of `params.roots()` (`params.grads`
+        reads their gradients back per block). Tape-free inference passes `params` instead."""
+        return {name: tape.leaf(arr) for name, arr in self.params.roots().items()}
 
     # --- components -----------------------------------------------------
 
-    def encode(self, bound, x, enc):
-        """Run encoder `enc`'s layers over a (T, input_dim) feature array, giving (T, H) rows;
-        with `enc` "encs", every encoder's at once over the stacks, giving (n_enc, T, H).
+    def _features(self, x, where):
+        """x as a (T, input_dim) float64 array with T >= 1; ShapeMismatchError names `where`."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
+            raise ShapeMismatchError(
+                f"{where}: features {x.shape} do not match input dim {self.arch.input_dim}")
+        if x.shape[0] == 0:
+            raise ShapeMismatchError(f"{where}: features have zero frames")
+        return x
+
+    def encode(self, bound, x, dead=None, starts=(0,)):
+        """Every encoder's layers over the stacks, giving (n_enc, T, H): over one (T, input_dim)
+        feature array that every encoder reads, or, with a `dead` row mask, over one packed
+        (n_enc, N, input_dim) block per encoder (`subnets`), whose dead rows a conv layer zeroes
+        and whose recurrence restarts at each row of `starts`.
 
         `bound` is `bind`'s Tensors, or `params` itself for tape-free inference on plain
         arrays; the components take either and return the same kind (see `_ops`).
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.arch.input_dim:
-            raise ShapeMismatchError(
-                f"encode: features {x.shape} do not match input dim {self.arch.input_dim}"
-            )
-        if x.shape[0] == 0:
-            raise ShapeMismatchError("encode: features have zero frames")
-        ops = _ops(bound[f"{enc}.0.b_mix"])
+        if dead is None:
+            x = self._features(x, "encode")
+        ops = _ops(bound["encs.0.b_mix"])
         h = ops.lift(x)
         for layer in range(self.arch.encoder_layers):
-            p = f"{enc}.{layer}"
+            p = f"encs.{layer}"
             if self.arch.encoder_mixing == "conv":
                 h = _conv_layer(h, *(bound[f"{p}.{k}"] for k in
-                                     ("w_prev", "w_cur", "w_next", "b_mix", "w_ff", "b_ff")))
+                                     ("w_prev", "w_cur", "w_next", "b_mix", "w_ff", "b_ff")),
+                                dead=dead)
             else:
                 pre = ops.add(ops.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
-                mix = _recur(pre, bound[f"{p}.u"])
+                mix = _recur(pre, bound[f"{p}.u"], starts)
                 h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
         return h
 
@@ -322,15 +336,35 @@ class Model:
         ops = _ops(bound[f"{p}.w"])
         return ops.log_softmax(ops.add(ops.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
 
-    def subnet(self, bound, x, lang):
-        """One language's sub-net: its encoder and CTC head over a feature array."""
-        h = self.encode(bound, x, f"enc_{self._side(lang)}")
-        return self.ctc_head(bound, h, lang)
+    def subnets(self, bound, items):
+        """Each (lang, features) item's CTC log-posteriors, in item order, from one encoder pass.
+
+        M items are packed along rows on encoder 0 and E items on encoder 1 (a third encoder
+        reads only dead rows). The k-th longest item of each language takes slot k; slots lie
+        end to end, one zero separator row apart. An item's rows are a view of its head's.
+        """
+        sides = [self._side(lang) for lang, _ in items]
+        xs = [self._features(x, f"subnets: item {i}") for i, (_, x) in enumerate(items)]
+        slots = [sorted((i for i, s in enumerate(sides) if s == side), key=lambda i: -len(xs[i]))
+                 for side in "me"]
+        widths = [max(len(xs[at[k]]) for at in slots if k < len(at))
+                  for k in range(max(map(len, slots)))]
+        starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()  # a slot and its separator
+        x = np.zeros((len(self.arch.encoder_names), starts[-1] - 1, self.arch.input_dim))
+        dead, spans = np.ones(x.shape[:2], dtype=bool), {}
+        for e, at in enumerate(slots):
+            for k, i in enumerate(at):
+                spans[i] = starts[k], starts[k] + len(xs[i])
+                x[e, slice(*spans[i])], dead[e, slice(*spans[i])] = xs[i], False
+        h, ops = self.encode(bound, x, dead, starts[:-1]), _ops(bound["encs.0.b_mix"])
+        heads = [self.ctc_head(bound, ops.select(h, e), "ME"[e]) if at else None
+                 for e, at in enumerate(slots)]
+        return [ops.rows(heads["me".index(s)], *spans[i]) for i, s in enumerate(sides)]
 
     def encode_fused(self, bound, x):
         """Sum of the encoders' (equal-shape) outputs, in encoder order, and the list of those
         outputs; one encoder's output is its own sum."""
-        hs, ops = self.encode(bound, x, "encs"), _ops(bound["encs.0.b_mix"])
+        hs, ops = self.encode(bound, x), _ops(bound["encs.0.b_mix"])
         outs = [ops.select(hs, i) for i in range(len(self.arch.encoder_names))]
         return (outs[0] if len(outs) == 1 else ops.stack_sum(hs)), outs
 

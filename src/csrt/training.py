@@ -219,8 +219,8 @@ def start_from(checkpoint, arch, phase, resume, seed=0):
 
 
 def _pretrain_loss(model, bound, vocab, items):
-    """Summed CTC loss of (lang, utt) items: one node over both languages' heads."""
-    logps = [model.subnet(bound, utt.features, lang) for lang, utt in items]
+    """Summed CTC loss of (lang, utt) items, packed on the encoders: one node over both heads."""
+    logps = model.subnets(bound, [(lang, utt.features) for lang, utt in items])
     return ctc_loss(logps, [_local_labels(vocab, utt.labels, lang) for lang, utt in items])
 
 
@@ -251,8 +251,7 @@ def _run_batch(model, items, loss_fn, state, config, log):
     total, sums = loss_fn(bound, items)  # sums: the loss terms its phase and variant have
     batch_loss = ad.mul(total, 1.0 / len(items))
     ad.backward(batch_loss)
-    grads = {name: bound[name].grad for name in model.params}
-    norm, clipped = optimizer_step(model.params, grads, state, config)
+    norm, clipped = optimizer_step(model.params, model.params.grads(bound), state, config)
     if log is not None:
         step_ms = (time.perf_counter() - start) * 1e3
         comp = " ".join(f"{k}={sums[k] / len(items):.6f}" if k in sums else f"{k}=-"

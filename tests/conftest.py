@@ -63,8 +63,17 @@ def zero_fill_accumulate(self, g):
     self.grad += g
 
 
-def reference_conv_layer(h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff):
-    """model._conv_layer recorded op by op, as it was before it became one node."""
+def _zero_rows(y, dead):
+    """y with the rows `dead` marks set to 0, and their gradient too: a test-side custom node."""
+    if not isinstance(y, ad.Tensor):
+        return np.where(dead[..., None], 0.0, y)
+    return ad.record_custom(np.where(dead[..., None], 0.0, y.data), [y],
+                            lambda g: (np.where(dead[..., None], 0.0, g),))
+
+
+def reference_conv_layer(h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff, dead=None):
+    """model._conv_layer recorded op by op, as it was before it became one node; the `dead`
+    rows are zeroed by one more node after it."""
     ops, T = _ops(b_ff), h.shape[-2]
     pad = ops.lift(np.zeros(h.shape[:-2] + (1, h.shape[-1])))
     padded = ops.concat([pad, h, pad])
@@ -73,25 +82,40 @@ def reference_conv_layer(h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff):
     mix = ops.add(mix, ops.matmul(h, w_cur))
     mix = ops.add(mix, ops.matmul(nxt, w_next))
     mix = ops.tanh(ops.add(mix, b_mix))
-    return ops.tanh(ops.add(ops.matmul(mix, w_ff), b_ff))
+    y = ops.tanh(ops.add(ops.matmul(mix, w_ff), b_ff))
+    return y if dead is None else _zero_rows(y, dead)
+
+
+def _block(model, bound, name):
+    """Parameter block `name` from `bound`: its own entry (`params`, `per_block_bind`), or else
+    a leaf over its slice of a stack among `bind`'s leaves that adds its gradient into the
+    stack's in place, as `bind` once made one per encoder block."""
+    if name in bound or name not in model.params.slices:  # `params` reads a stack by name
+        return bound[name]
+    stack, at = model.params.slices[name]
+    leaf = ad.Tensor(bound[stack].data[at], tape=bound[stack].tape)
+    leaf.grad, leaf.owns_grad = bound[stack].grad[at], True
+    return leaf
 
 
 def reference_encode(model, bound, x, enc):
-    """Model.encode recorded op by op. Run per encoder (`reference_encode_fused`), it is the
-    encoders as they ran before they were stacked: 2-D ops only, and every op once per
-    encoder; with `enc` "encs", the stacked encoders before the conv layer became one node."""
+    """Model.encode recorded op by op over encoder `enc`'s blocks, or with `enc` "encs" over
+    the stacks. Run per encoder (`reference_encode_fused`), it is the encoders as they ran
+    before they were stacked: 2-D ops only, and every op once per encoder."""
     x = np.asarray(x, dtype=np.float64)
-    ops = _ops(bound[f"{enc}.0.b_mix"])
+    ops = _ops(_block(model, bound, f"{enc}.0.b_mix"))
     h = ops.lift(x)
     for layer in range(model.arch.encoder_layers):
         p = f"{enc}.{layer}"
         if model.arch.encoder_mixing == "conv":
-            h = reference_conv_layer(h, *(bound[f"{p}.{k}"] for k in
+            h = reference_conv_layer(h, *(_block(model, bound, f"{p}.{k}") for k in
                                           ("w_prev", "w_cur", "w_next", "b_mix", "w_ff", "b_ff")))
         else:
-            pre = ops.add(ops.matmul(h, bound[f"{p}.w_in"]), bound[f"{p}.b_mix"])
-            mix = _recur(pre, bound[f"{p}.u"])
-            h = ops.tanh(ops.add(ops.matmul(mix, bound[f"{p}.w_ff"]), bound[f"{p}.b_ff"]))
+            pre = ops.add(ops.matmul(h, _block(model, bound, f"{p}.w_in")),
+                          _block(model, bound, f"{p}.b_mix"))
+            mix = _recur(pre, _block(model, bound, f"{p}.u"))
+            h = ops.tanh(ops.add(ops.matmul(mix, _block(model, bound, f"{p}.w_ff")),
+                                 _block(model, bound, f"{p}.b_ff")))
     return h
 
 
@@ -99,3 +123,40 @@ def reference_encode_fused(model, bound, x):
     """Model.encode_fused as one encoder after another, summed pairwise in encoder order."""
     hs = [reference_encode(model, bound, x, enc) for enc in model.arch.encoder_names]
     return functools.reduce(_ops(hs[0]).add, hs), hs
+
+
+def per_block_bind(model, tape):
+    """`Model.bind` as it was before the encoders were stacked: one fresh leaf per block."""
+    return {name: tape.leaf(arr.copy()) for name, arr in model.params.items()}
+
+
+def block_grads(model, bound):
+    """Each block's gradient in `params` order, from `bind`'s leaves or `per_block_bind`'s."""
+    if "encs.0.b_mix" not in bound:
+        return [bound[name].grad for name in model.params]
+    return list(model.params.grads(bound).values())
+
+
+def reference_pretrain_logps(model, bound, items):
+    """Model.subnets as it was before packing: per (lang, features) item, its language's
+    encoder on its own rows, then that language's head. `bound` is `params` or the leaves of
+    `per_block_bind`."""
+    return [model.ctc_head(bound, reference_encode(model, bound, x, f"enc_{lang.lower()}"), lang)
+            for lang, x in items]
+
+
+def _reshape(x, shape):
+    """The reshape op the joint was once recorded with, as a test-side custom node."""
+    return ad.record_custom(x.data.reshape(shape), [x], lambda g: (g.reshape(x.shape),))
+
+
+def reference_joint(model, bound, h_enc, h_dec):
+    """Model.joint recorded op by op, as it was before it became one node."""
+    T = h_enc.shape[0]
+    U = h_dec.shape[0]
+    J = model.arch.joint_dim
+    e = ad.add(ad.matmul(h_enc, bound["joint.w_enc"]), bound["joint.b"])
+    d = ad.matmul(h_dec, bound["joint.w_dec"])
+    a = ad.tanh(ad.add(_reshape(e, (T, 1, J)), _reshape(d, (1, U, J))))
+    logits = ad.add(ad.matmul(_reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
+    return _reshape(ad.log_softmax(logits, axis=1), (T, U, model.arch.n_units + 1))

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import (
+    block_grads,
+    per_block_bind,
     reference_conv_layer,
     reference_encode,
     reference_encode_fused,
+    reference_joint,
+    reference_pretrain_logps,
     sum_all,
     zero_fill_accumulate,
 )
@@ -21,7 +25,8 @@ from csrt.config import defaults
 from csrt.data import CorpusSpec, Utterance, gen_corpus
 from csrt.decoding import rnnt_decode
 from csrt.errors import ConfigError, CsrtError, ShapeMismatchError
-from csrt.losses import rnnt_loss
+from csrt import model as model_module
+from csrt.losses import ctc_loss, rnnt_loss
 from csrt.model import (
     Architecture,
     Checkpoint,
@@ -54,67 +59,50 @@ def small_arch(family="dual", mixing="conv", **kw):
     return Architecture(**base)
 
 
-def _reshape(x, shape):
-    """The reshape op the joint was once recorded with, as a test-side custom node."""
-    return ad.record_custom(x.data.reshape(shape), [x], lambda g: (g.reshape(x.shape),))
-
-
-def reference_joint(model, bound, h_enc, h_dec):
-    """Model.joint recorded op by op, as it was before it became one node."""
-    T = h_enc.shape[0]
-    U = h_dec.shape[0]
-    J = model.arch.joint_dim
-    e = ad.add(ad.matmul(h_enc, bound["joint.w_enc"]), bound["joint.b"])
-    d = ad.matmul(h_dec, bound["joint.w_dec"])
-    a = ad.tanh(ad.add(_reshape(e, (T, 1, J)), _reshape(d, (1, U, J))))
-    logits = ad.add(ad.matmul(_reshape(a, (T * U, J)), bound["joint.w_out"]), bound["joint.b_out"])
-    return _reshape(ad.log_softmax(logits, axis=1), (T, U, model.arch.n_units + 1))
-
-
 class TestEncoder:
     @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
     def test_output_shape_preserves_length(self, mixing):
         model = Model(small_arch(mixing=mixing), seed=1)
         bound = model.params
         for t in (1, 2, 7):
-            h = model.encode(bound, np.random.default_rng(t).standard_normal((t, 3)), "enc_m")
-            assert h.shape == (t, 4)
+            h = model.encode(bound, np.random.default_rng(t).standard_normal((t, 3)))
+            assert h.shape == (2, t, 4)
 
     def test_zero_weights_zero_input_zero_output(self):
         model = Model(small_arch(), seed=1)
         for arr in model.params.values():
             arr[...] = 0.0  # in place: an encoder block is a view of its stack
-        h = model.encode(model.params, np.zeros((4, 3)), "enc_m")
-        assert np.array_equal(h, np.zeros((4, 4)))
+        h = model.encode(model.params, np.zeros((4, 3)))
+        assert np.array_equal(h, np.zeros((2, 4, 4)))
 
     def test_dim_mismatch(self):
         model = Model(small_arch(), seed=1)
         for bound in (model.bind(Tape()), model.params):  # Tensors, and the plain arrays
             with pytest.raises(ShapeMismatchError, match=r"\(4, 5\) do not match input dim 3"):
-                model.encode(bound, np.zeros((4, 5)), "enc_m")
+                model.encode(bound, np.zeros((4, 5)))
             with pytest.raises(ShapeMismatchError, match=r"\(3,\) do not match input dim 3"):
-                model.encode(bound, np.zeros(3), "enc_m")
+                model.encode(bound, np.zeros(3))
 
     def test_zero_frames_rejected(self):
         model = Model(small_arch(), seed=1)
         for bound in (model.bind(Tape()), model.params):
             with pytest.raises(ShapeMismatchError, match="zero frames"):
-                model.encode(bound, np.zeros((0, 3)), "enc_m")
+                model.encode(bound, np.zeros((0, 3)))
         with pytest.raises(ShapeMismatchError):
             rnnt_decode(model, np.zeros((0, 3)))
 
     def test_deterministic(self):
         model = Model(small_arch(), seed=2)
         x = np.random.default_rng(0).standard_normal((5, 3))
-        a = model.encode(model.params, x, "enc_e")
-        b = model.encode(model.params, x, "enc_e")
+        a = model.encode(model.params, x)
+        b = model.encode(model.params, x)
         assert a.tobytes() == b.tobytes()
 
 
 class TestHeadsAndFusion:
     def test_head_rows_normalize(self):
         model = Model(small_arch(), seed=3)
-        h = model.encode(model.params, np.random.default_rng(1).standard_normal((6, 3)), "enc_m")
+        h = model.encode(model.params, np.random.default_rng(1).standard_normal((6, 3)))[0]
         logp = model.ctc_head(model.params, h, "M")
         assert logp.shape == (6, 3)
         assert np.max(np.abs(np.exp(logp).sum(axis=1) - 1.0)) < 1e-9
@@ -130,7 +118,7 @@ class TestHeadsAndFusion:
     def test_encode_fused_sums_the_encoders(self, family):
         model = Model(small_arch(family), seed=3)
         x = np.random.default_rng(2).standard_normal((5, 3))
-        hs = [model.encode(model.params, x, enc) for enc in model.arch.encoder_names]
+        hs = [reference_encode(model, model.params, x, enc) for enc in model.arch.encoder_names]
         fused, outs = model.encode_fused(model.params, x)
         total = hs[0] if family == "single" else hs[0] + hs[1]
         if family == "triple":
@@ -139,11 +127,6 @@ class TestHeadsAndFusion:
         assert [h.tobytes() for h in outs] == [h.tobytes() for h in hs]
         if family == "single":
             assert fused is outs[0]  # one encoder: its output is the sum, not a copy
-
-
-def per_block_bind(model, tape):
-    """`Model.bind` as it was before the encoders were stacked: one fresh leaf per block."""
-    return {name: tape.leaf(arr.copy()) for name, arr in model.params.items()}
 
 
 FAMILY_VARIANT = {"single": "vanilla", "dual": "conditional-ls", "triple": "three-encoder"}
@@ -177,7 +160,7 @@ class TestStackedEncoders:
             outs = self.outputs(model, bound, *encode_fused(model, bound, x))
             backward(sum_all(functools.reduce(
                 ad.add, [sum_all(ad.mul(o, u)) for o, u in zip(outs, upstream)])))
-            return [o.data for o in outs], [bound[name].grad for name in model.params]
+            return [o.data for o in outs], block_grads(model, bound)
 
         values, grads = run(Model.encode_fused, Model.bind)
         want_values, want_grads = run(reference_encode_fused, per_block_bind)
@@ -200,7 +183,7 @@ class TestStackedEncoders:
             bound = bind(model, Tape())
             loss, parts = _finetune_loss(model, bound, vocab22, utts, cfg)
             backward(loss)
-            return loss.item(), parts, [bound[name].grad.tobytes() for name in model.params]
+            return loss.item(), parts, [g.tobytes() for g in block_grads(model, bound)]
 
         got = run(Model.bind)
         monkeypatch.setattr(Model, "encode_fused", reference_encode_fused)
@@ -232,48 +215,58 @@ class TestConvLayerNode:
     """The conv layer's node against `reference_conv_layer`, its op-by-op graph."""
 
     @staticmethod
-    def run(model, encode, enc, x, upstream):
+    def run(model, encode, x, upstream):
         """Output and every parameter gradient of sum(encode's output * upstream)."""
         bound = model.bind(Tape())
-        out = encode(model, bound, x, enc)
+        out = encode(bound, x)
         backward(sum_all(ad.mul(out, Tensor(upstream))))
-        return [out.data] + [bound[name].grad for name in model.params]
+        return [out.data] + block_grads(model, bound)
 
     @pytest.mark.parametrize("T", [1, 2, 6])
     @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("family,enc", [("dual", "enc_e"), ("single", "encs"),
-                                            ("dual", "encs"), ("triple", "encs")])
-    def test_encode_values_and_gradients_bitwise_equal_the_reference(self, family, enc,
-                                                                      layers, T):
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_encode_values_and_gradients_bitwise_equal_the_reference(self, family, layers, T):
         # Layer 0 reads the features, off the tape; a deeper layer's input is on it.
         model = Model(small_arch(family, encoder_layers=layers), seed=30 + T)
         rng = np.random.default_rng(T)
         x = rng.standard_normal((T, 3))
-        value = model.encode(model.params, x, enc)
+
+        def reference(bound, x):  # the stacked encoders with the layer recorded op by op
+            return reference_encode(model, bound, x, "encs")
+
+        value = model.encode(model.params, x)
         assert type(value) is np.ndarray
-        assert value.tobytes() == reference_encode(model, model.params, x, enc).tobytes()
+        assert value.tobytes() == reference(model.params, x).tobytes()
         upstream = rng.standard_normal(value.shape)
-        got = self.run(model, Model.encode, enc, x, upstream)
-        want = self.run(model, reference_encode, enc, x, upstream)
+        got = self.run(model, model.encode, x, upstream)
+        want = self.run(model, reference, x, upstream)
         assert got[0].tobytes() == value.tobytes()
         assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("T", [1, 2, 6])
-    @pytest.mark.parametrize("n_enc", [None, 1, 3])  # one encoder's 2-D blocks, or a stack
-    def test_input_gradient_bitwise_equals_the_reference(self, n_enc, T):
+    @pytest.mark.parametrize("n_enc,dead", [(None, False), (1, False), (3, False), (3, True)])
+    def test_input_gradient_bitwise_equals_the_reference(self, n_enc, dead, T):
+        # n_enc None: one encoder's 2-D blocks; else a stack, with or without dead rows.
         rng = np.random.default_rng(40 + T)
         lead, bias = ((), (4,)) if n_enc is None else ((n_enc,), (n_enc, 1, 4))
         shapes = [lead + (T, 5)] + [lead + (5, 4)] * 3 + [bias, lead + (4, 4), bias]
         arrays = [rng.standard_normal(shape) for shape in shapes]
         upstream = rng.standard_normal(lead + (T, 4))
+        mask = rng.random(lead + (T,)) < 0.5 if dead else None
 
         def run(layer):
             tape = Tape()
             leaves = [tape.leaf(a) for a in arrays]
-            backward(sum_all(ad.mul(layer(*leaves), Tensor(upstream))))
-            return [leaf.grad.tobytes() for leaf in leaves]
+            out = layer(*leaves, dead=mask)
+            backward(sum_all(ad.mul(out, Tensor(upstream))))
+            return [out.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves]
 
-        assert run(_conv_layer) == run(reference_conv_layer)
+        got = run(_conv_layer)
+        assert got == run(reference_conv_layer)
+        if dead:  # dead rows read 0, and a gradient arriving at them goes nowhere
+            assert not np.frombuffer(got[0]).reshape(lead + (T, 4))[mask].any()
+            upstream[mask] = rng.standard_normal(upstream[mask].shape)
+            assert run(_conv_layer) == got
 
     def test_an_off_tape_input_gets_no_gradient(self):
         rng = np.random.default_rng(50)
@@ -286,29 +279,167 @@ class TestConvLayerNode:
         assert grad_fn(np.ones(out.shape))[0] is None and h.grad is None
 
 
+def _ctc_targets(lengths):
+    """A feasible local CTC target per item length: alternating units 1, 2, up to 3 labels."""
+    return [tuple(1 + k % 2 for k in range(min(3, (t + 1) // 2))) for t in lengths]
+
+
+# (lang, T) items: unequal M/E counts with T = 1 items and a tie, one language only, one item.
+PACKED_BATCHES = {
+    "mixed": [("M", 5), ("E", 2), ("M", 1), ("E", 4), ("M", 3), ("E", 1), ("M", 5)],
+    "m-only": [("M", 3), ("M", 1), ("M", 4)],
+    "e-only": [("E", 1), ("E", 6)],
+    "single": [("E", 2)],
+    "t1": [("M", 1), ("E", 1)],
+}
+
+
+def _close(a, b):
+    """Within 1e-12 of b's largest magnitude."""
+    return np.abs(np.asarray(a) - b).max() <= 1e-12 * np.abs(b).max()
+
+
+class TestPackedSubnets:
+    """`Model.subnets`, the packed pre-training pass, against `reference_pretrain_logps`: each
+    item on its own language's encoder, recorded op by op over per-block leaves.
+
+    Log-posteriors and the loss are bitwise equal, with one exception: a one-frame item packed
+    among longer ones. Alone, its products are one-row matrix products, which BLAS computes
+    with its matrix-vector kernel; packed, they are rows of a matrix product, and the two
+    kernels may round the last bit differently. Gradients sum in another order, within 1e-12.
+    """
+
+    @staticmethod
+    def check(items, logps, want_logps, loss, want_loss):
+        packed_rows = max(len(x) for _, x in items) > 1
+        exact = [len(x) > 1 or not packed_rows for _, x in items]
+        for ok, got, want in zip(exact, logps, want_logps):
+            assert got.tobytes() == want.tobytes() if ok else _close(got, want)
+        assert loss == want_loss if all(exact) else _close(loss, want_loss)
+
+    @staticmethod
+    def items(batch, seed):
+        rng = np.random.default_rng(seed)
+        return [(lang, rng.standard_normal((t, 3))) for lang, t in PACKED_BATCHES[batch]]
+
+    @staticmethod
+    def run(model, items, packed):
+        """Log-posteriors, summed CTC loss and every block gradient, taped."""
+        tape = Tape()
+        if packed:
+            bound = model.bind(tape)
+            logps = model.subnets(bound, items)
+        else:
+            bound = per_block_bind(model, tape)
+            logps = reference_pretrain_logps(model, bound, items)
+        loss = ctc_loss(logps, _ctc_targets([len(x) for _, x in items]))
+        backward(loss)
+        return [lp.data for lp in logps], loss.item(), dict(zip(model.params,
+                                                                 block_grads(model, bound)))
+
+    @pytest.mark.parametrize("batch", list(PACKED_BATCHES))
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("family", ["dual", "triple"])
+    def test_logps_and_loss_bitwise_gradients_within_1e12(self, family, mixing, layers, batch):
+        model = Model(small_arch(family, mixing, encoder_layers=layers), seed=60 + layers)
+        items = self.items(batch, seed=len(batch))
+        got = model.subnets(model.params, items)  # tape-free, as validation and eval-ls run
+        want = reference_pretrain_logps(model, model.params, items)
+        assert [g.shape for g in got] == [(len(x), 3) for _, x in items]
+        self.check(items, got, want, 0.0, 0.0)
+        logps, loss, grads = self.run(model, items, packed=True)
+        want_logps, want_loss, want_grads = self.run(model, items, packed=False)
+        self.check(items, logps, want_logps, loss, want_loss)
+        for name, g in grads.items():
+            assert _close(g, want_grads[name]), name
+            if name.startswith("enc_a."):  # the third encoder reads only dead rows
+                assert not g.any(), name
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    def test_random_batches(self, mixing):
+        rng = np.random.default_rng(70)
+        model = Model(small_arch("dual", mixing, hidden_dim=6), seed=71)
+        for _ in range(6):
+            items = [("ME"[int(rng.integers(2))], rng.standard_normal((int(rng.integers(2, 9)), 3)))
+                     for _ in range(int(rng.integers(1, 9)))]
+            logps, loss, grads = self.run(model, items, packed=True)
+            want_logps, want_loss, want_grads = self.run(model, items, packed=False)
+            self.check(items, logps, want_logps, loss, want_loss)
+            assert all(_close(g, want_grads[n]) for n, g in grads.items())
+
+    @pytest.mark.parametrize("family,mixing", [("dual", "conv"), ("dual", "recurrent"),
+                                               ("triple", "conv")])
+    def test_default_width_batch(self, family, mixing, tmp_path):
+        # 5 + 3 utterances of CorpusSpec(seed=0, train_count=8) at default widths.
+        corpus = gen_corpus(CorpusSpec(seed=0, train_count=8), tmp_path)
+        variant = "three-encoder" if family == "triple" else "conditional"
+        values = {**defaults(), "encoder-mixing": mixing}
+        model = Model(arch_for(variant, values, corpus.vocab, corpus.feature_dim), seed=75)
+        items = [("M", u.features) for u in corpus.split("train-mono-m")[:5]]
+        items += [("E", u.features) for u in corpus.split("train-mono-e")[:3]]
+        assert min(len(x) for _, x in items) > 1
+        logps, loss, grads = self.run(model, items, packed=True)
+        want_logps, want_loss, want_grads = self.run(model, items, packed=False)
+        self.check(items, logps, want_logps, loss, want_loss)
+        assert all(_close(g, want_grads[n]) for n, g in grads.items())
+
+    def test_a_layer_that_keeps_its_dead_rows_leaks(self, monkeypatch):
+        # The check above catches a conv layer that no longer zeroes the separator rows.
+        model = Model(small_arch(encoder_layers=2), seed=72)
+        items = self.items("m-only", seed=73)
+        want = reference_pretrain_logps(model, model.params, items)
+        assert [g.tobytes() for g in model.subnets(model.params, items)] == [
+            w.tobytes() for w in want]
+        layer = model_module._conv_layer
+        monkeypatch.setattr(model_module, "_conv_layer", lambda *inputs, dead: layer(*inputs))
+        got = model.subnets(model.params, items)
+        assert any(g.tobytes() != w.tobytes() for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("features, message", [
+        (np.zeros((0, 3)), r"subnets: item 1: features have zero frames"),
+        (np.zeros((2, 5)), r"subnets: item 1: features \(2, 5\) do not match input dim 3"),
+        (np.zeros(3), r"subnets: item 1: features \(3,\) do not match input dim 3"),
+    ], ids=["zero-frames", "wrong-width", "one-dimensional"])
+    def test_a_bad_item_is_a_one_line_shape_error(self, features, message):
+        model = Model(small_arch(), seed=74)
+        for bound in (model.params, model.bind(Tape())):
+            with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
+                model.subnets(bound, [("M", np.ones((2, 3))), ("E", features)])
+
+
 class TestTapeNodes:
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("enc", ["enc_m", "encs"])
-    def test_a_conv_encode_call_records_one_node_per_layer(self, enc, layers):
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_a_conv_encode_call_records_one_node_per_layer(self, packed, layers):
         model = Model(small_arch("triple", encoder_layers=layers), seed=27)
         tape = Tape()
-        model.encode(model.bind(tape), np.ones((5, 3)), enc)
+        if packed:  # one block per encoder, as `subnets` packs them
+            model.encode(model.bind(tape), np.ones((3, 5, 3)), np.zeros((3, 5), dtype=bool))
+        else:
+            model.encode(model.bind(tape), np.ones((5, 3)))
         assert len(tape) == layers
 
-    def test_default_width_batches(self, tmp_path):
-        # 8 utterances of CorpusSpec(seed=0, train_count=8) at default widths, conv mixing:
-        # pre-training records 8 x (2 layer nodes + 3 head nodes) + the CTC loss node.
+    @pytest.mark.parametrize("mixing,pretrain_nodes,finetune_nodes", [("conv", 19, 355),
+                                                                     ("recurrent", 621, 1555)])
+    def test_default_width_batches(self, tmp_path, mixing, pretrain_nodes, finetune_nodes):
+        # 8 utterances of CorpusSpec(seed=0, train_count=8) at default widths. With conv
+        # mixing, pre-training records 2 layer nodes for the packed batch, per language a pick
+        # of its encoder and 3 head nodes, a row view per utterance and the CTC loss node.
         corpus = gen_corpus(CorpusSpec(seed=0, train_count=8), tmp_path)
         vocab = corpus.vocab
-        model = Model(arch_for("conditional-ls", defaults(), vocab, corpus.feature_dim), seed=0)
+        values = {**defaults(), "encoder-mixing": mixing}
+        model = Model(arch_for("conditional-ls", values, vocab, corpus.feature_dim), seed=0)
         items = [(lang, u) for lang in "ME" for u in corpus.split(f"train-mono-{lang.lower()}")[:4]]
         tape = Tape()
-        _pretrain_loss(model, model.bind(tape), vocab, items)
-        assert len(tape) == 41
+        bound = model.bind(tape)
+        assert len(bound) == (25 if mixing == "conv" else 23)  # a leaf per stack, per other block
+        _pretrain_loss(model, bound, vocab, items)
+        assert len(tape) == pretrain_nodes
         tape = Tape()
         _finetune_loss(model, model.bind(tape), vocab, corpus.split("train-cs")[:8],
                        TrainingConfig(variant="conditional-ls"))
-        assert len(tape) <= 355
+        assert len(tape) == finetune_nodes
 
     @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
     @pytest.mark.parametrize("family", ["single", "dual", "triple"])
@@ -324,9 +455,11 @@ class TestTapeNodes:
             _finetune_loss(model, model.bind(tape), vocab22, utts, cfg)
             return len(tape)
 
+        single = Model(small_arch("single", mixing), seed=25)  # a stack of one encoder
+
         def encoder_nodes(utt):
             tape = Tape()
-            model.encode(model.bind(tape), utt.features, model.arch.encoder_names[0])
+            single.encode(single.bind(tape), utt.features)
             return len(tape)
 
         total = batch_nodes()
@@ -355,7 +488,8 @@ class TestArrayForwards:
         got, want = [fused, *hs, pred], [want_fused, *want_hs, want_pred]
         if model.arch.has_ctc_heads:
             for lang, h, want_h in zip("ME", hs, want_hs):
-                got += [model.ctc_head(model.params, h, lang), model.subnet(model.params, x, lang)]
+                got += [model.ctc_head(model.params, h, lang),
+                        *model.subnets(model.params, [(lang, x)])]
                 want += [model.ctc_head(bound, want_h, lang)] * 2
         assert all(type(a) is np.ndarray for a in got)
         assert [a.tobytes() for a in got] == [w.data.tobytes() for w in want]
@@ -480,7 +614,7 @@ class TestVariants:
         x = np.zeros((2, 3))
         for bound in (model.params, model.bind(Tape())):
             with pytest.raises(CsrtError, match=message):
-                model.subnet(bound, x, lang)
+                model.subnets(bound, [(lang, x)])
             with pytest.raises(CsrtError, match=message):
                 model.ctc_head(bound, model.encode_fused(bound, x)[0], lang)
 
@@ -559,13 +693,14 @@ class TestGradients:
         from csrt import autodiff as ad
 
         model, _, x, _ = tiny_setup()
-        names = sorted(model.params)
+        arrays = model.params.roots()  # the encoder stacks and the other blocks, as bound
+        names = sorted(arrays)
 
         def f(leaves):
             bound = dict(zip(names, leaves))
-            return sum_all(ad.tanh(model.encode(bound, x, "enc_m")))
+            return sum_all(ad.tanh(model.encode(bound, x)))
 
-        assert grad_check(f, [model.params[n] for n in names]) < 1e-4
+        assert grad_check(f, [arrays[n] for n in names]) < 1e-4
 
 
 class TestCheckpointIO:

@@ -4,9 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import reference_conv_layer, reference_encode_fused, reference_joint
+from csrt import model as model_module
 from csrt.autodiff import Tape
 from csrt.config import defaults, resolved
-from csrt.data import Utterance
+from csrt.data import CorpusSpec, Utterance, gen_corpus
 from csrt.errors import CsrtError, FingerprintMismatchError, OptimizerError
 from csrt.model import (
     Architecture,
@@ -543,8 +545,7 @@ def test_pretrained_subnet_greedy_cer_under_10pct(world):
     bound = model.params  # tape-free: greedy_ctc_decode takes the head's plain array
     total = None
     for utt in corpus.split("test-mono-m"):
-        h = model.encode(bound, utt.features, "enc_m")
-        hyp_local = greedy_ctc_decode(model.ctc_head(bound, h, "M"))
+        hyp_local = greedy_ctc_decode(model.subnets(bound, [("M", utt.features)])[0])
         ref_local = tuple(vocab.to_local("M", u) for u in utt.labels)
         s = error_stats(hyp_local, ref_local)
         total = s if total is None else total + s
@@ -585,3 +586,45 @@ def test_ls_finetune_rejects_a_masked_target_longer_than_its_frames(world, pretr
                 finetune(corpora, pretrained, cfg, arch, dev=dev, vocab=vocab)
         else:
             finetune(corpora, pretrained, cfg, arch, dev=dev, vocab=vocab)
+
+
+class TestSameBits:
+    """Whole runs, through `bind`, the optimizer, validation, the checkpoint and a resume, write
+    the same bytes with every fused node swapped for its op-by-op reference."""
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    def test_checkpoints_equal_with_the_references_swapped_in(self, mixing, tmp_path,
+                                                              monkeypatch):
+        spec = CorpusSpec(seed=3, train_count=24, dev_count=6, test_count=4)
+        corpus = gen_corpus(spec, tmp_path / "corpus")
+        vocab, split = corpus.vocab, corpus.split
+        values = {**defaults(), "hidden-dim": 16, "joint-dim": 16, "encoder-mixing": mixing}
+
+        def checkpoint_bytes(ck):
+            save_checkpoint(tmp_path / "ck.csrt", ck)
+            return (tmp_path / "ck.csrt").read_bytes()
+
+        def runs():  # pretrain, finetune and its resume, 2 epochs each, for every variant
+            out, pretrained = [], {}
+            for variant in ("conditional-ls", "conditional", "three-encoder", "vanilla"):
+                arch = arch_for(variant, values, vocab, spec.feature_dim)
+                cfg = tcfg(epochs=2, seed=5, variant=variant)
+                if arch.has_ctc_heads and arch not in pretrained:
+                    pretrained[arch] = pretrain(split("train-mono-m"), split("train-mono-e"), cfg,
+                                                arch, split("dev-mono-m"), split("dev-mono-e"),
+                                                vocab=vocab)
+                    out.append(pretrained[arch])
+                init = pretrained.get(arch)
+                for epochs, resume in ((1, False), (2, True)):
+                    init = finetune(corpora_of(corpus), init, tcfg(epochs=epochs, seed=5,
+                                                                   variant=variant),
+                                    arch, split("dev-cs"), vocab=vocab, resume=resume)
+                    out.append(init)
+            return [checkpoint_bytes(ck) for ck in out]
+
+        fused = runs()
+        assert len(fused) == 10
+        monkeypatch.setattr(model_module, "_conv_layer", reference_conv_layer)
+        monkeypatch.setattr(Model, "encode_fused", reference_encode_fused)
+        monkeypatch.setattr(Model, "joint", reference_joint)
+        assert runs() == fused
