@@ -79,10 +79,11 @@ class Tape:
         self._nodes = []
         self.consumed = False
 
-    def leaf(self, data):
-        """Attach an array as a differentiable leaf; its grad starts as an owned zero buffer."""
+    def leaf(self, data, grad=None):
+        """Attach an array as a differentiable leaf; its gradient adds in place into `grad`, an
+        owned zero buffer (a new one if None), e.g. a view of a flat gradient (`Model.bind`)."""
         t = Tensor(data, tape=self)
-        t.grad, t.owns_grad = np.zeros_like(t.data), True
+        t.grad, t.owns_grad = np.zeros_like(t.data) if grad is None else grad, True
         return t
 
     def __len__(self):
@@ -313,10 +314,9 @@ def grad_check(f, params):
 
     `f` maps a list of leaf Tensors to a scalar Tensor and must be
     deterministic; it is re-evaluated once to verify that. `params` is a
-    list of numpy arrays, perturbed in place (and restored) during the
-    numeric sweep.
+    list of numpy arrays; the numeric sweep perturbs copies of them.
     """
-    params = [np.asarray(p, dtype=np.float64) for p in params]
+    params = [np.array(p, dtype=np.float64) for p in params]
 
     def value(arrs):
         return float(f([Tensor(a) for a in arrs]).data)

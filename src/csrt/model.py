@@ -2,11 +2,12 @@
 recurrent prediction network, and the joint network, assembled into the
 single-, dual- and triple-encoder families of config.VARIANT_FAMILY.
 
-All parameters live in one name -> float64 array dict in `_param_layout`
-order, however a checkpoint stored them; each encoder block is a view of
-its slice of a stack, one (n_enc, ...) array per layer and weight kind. The
-layer code runs every encoder at once over the stacks; pre-training packs
-its batch along rows, one language per encoder (`subnets`).
+All parameters live in one float64 vector, `Model.vec`, in `_param_layout`
+order, however a checkpoint stored them. `params` (`ParamViews`) views each
+block and, per layer and weight kind, an (n_enc, ...) stack of the encoders'
+blocks; a step's gradient and the Adam moments are vectors of that layout,
+viewed alike. The layer code runs every encoder at once over the stacks;
+pre-training packs its batch along rows, one language per encoder (`subnets`).
 The components take a `bound` dict and thread it through; there is no
 whole-model forward, each loss calls the ones it reads (see training.py).
 `bound` is either `bind`'s tape leaves, which training records, or
@@ -160,43 +161,46 @@ def init_params(arch, seed):
     return params
 
 
-class _Params(dict):
-    """`Model.params`: the blocks in `_param_layout` order, each encoder block a view of its
-    slice of a stack (`stacks` by name; `slices` maps a block to its stack and index there).
-    Reading a stack's name gives the stack; an encoder block is only written in place."""
+class ParamViews(dict):
+    """Views of `vec`, a float64 vector in `_param_layout` order (the parameters, a gradient or
+    an Adam moment): each block by name, in layout order, and in `stacks`, also read by name,
+    each encoder stack `encs.<layer>.<kind>`, an (n_enc, ...) view of the encoders' blocks of
+    that kind (a bias as (n_enc, 1, H), to add to rows). A block is written in place."""
 
-    def __init__(self, arch, blocks):
-        super().__init__()
-        self.stacks, self.slices, encs = {}, {}, arch.encoder_names
+    def __init__(self, arch, vec):
+        views, first, lo, enc0 = {}, [], 0, f"{arch.encoder_names[0]}."
         for name, shape, _ in _param_layout(arch):
-            enc, _, kind = name.partition(".")
-            if enc not in encs:
-                self[name] = np.array(blocks[name], dtype=np.float64)
-                continue
-            lead = (1,) * (2 - len(shape))  # a bias stacks as (n_enc, 1, H), to add to rows
-            stack, at = self.slices[name] = f"encs.{kind}", (encs.index(enc),) + (0,) * len(lead)
-            if stack not in self.stacks:
-                self.stacks[stack] = np.stack([np.reshape(blocks[f"{e}.{kind}"], lead + shape)
-                                               for e in encs], dtype=np.float64)
-            super().__setitem__(name, self.stacks[stack][at])
+            n = math.prod(shape)
+            views[name] = vec[lo : lo + n].reshape(shape)
+            if name.startswith(enc0):
+                first.append((name.partition(".")[2], lo, n, (1,) * (2 - len(shape)) + shape))
+            lo += n
+        super().__init__(views)
+        n_enc, size = len(arch.encoder_names), sum(n for _, _, n, _ in first)
+        rows = vec[: n_enc * size].reshape(n_enc, size)  # the encoders share one layout
+        self.arch, self.stacks = arch, {f"encs.{k}": rows[:, lo : lo + n].reshape((n_enc, *shape))
+                                        for k, lo, n, shape in first}
 
     def __setitem__(self, name, value):
-        if name in self.slices and value is not self.get(name):  # `+=` gives back the view
-            raise CsrtError(f"parameter block {name!r} is a view of its encoder stack;"
+        if value is not self.get(name):  # `+=` gives back the view itself
+            raise CsrtError(f"parameter block {name!r} is a view of the parameter vector;"
                             f" write it in place: params[{name!r}][...] = ...")
-        super().__setitem__(name, value)
 
     def __missing__(self, name):
         return self.stacks[name]
 
     def roots(self):
-        """Each array that owns parameter memory, by name: the stacks, then the other blocks."""
-        return {**self.stacks, **{k: v for k, v in self.items() if k not in self.slices}}
+        """The stacks, then the blocks outside the encoders: between them, all of `vec` once."""
+        return {**self.stacks, **{k: v for k, v in self.items()
+                                  if k.partition(".")[0] not in self.arch.encoder_names}}
 
-    def grads(self, bound):
-        """Each block's gradient from `bind`'s leaves; an encoder block's is its stack's slice."""
-        return {name: bound[self.slices[name][0]].grad[self.slices[name][1]]
-                if name in self.slices else bound[name].grad for name in self}
+
+def flat_params(arch, blocks):
+    """A new float64 vector in `_param_layout` order holding `blocks` (name -> array)."""
+    vec = np.zeros(param_count(arch))
+    for name, view in ParamViews(arch, vec).items():
+        view[...] = blocks[name]
+    return vec
 
 
 def _ops(weight):
@@ -277,14 +281,16 @@ class Model:
                                 f" expected {layout[name]}")
             if not np.isfinite(params[name]).all():
                 raise CsrtError(f"parameter block {name!r} holds a non-finite value")
-        # Copy incoming arrays, in layout order (the optimizer's flat order): training
-        # updates parameters in place, and a caller's checkpoint must stay untouched.
-        self.params = _Params(arch, params)
+        self.vec = flat_params(arch, params)  # a copy: training updates it in place
+        self.params = ParamViews(arch, self.vec)
 
     def bind(self, tape):
-        """Attach the parameters to a tape: a leaf per array of `params.roots()` (`params.grads`
-        reads their gradients back per block). Tape-free inference passes `params` instead."""
-        return {name: tape.leaf(arr) for name, arr in self.params.roots().items()}
+        """A leaf per array of `params.roots()`, by name, and the step's zero gradient vector,
+        into whose views they add. Tape-free inference passes `params` instead."""
+        grad = np.zeros(self.vec.size)
+        grads = ParamViews(self.arch, grad)
+        return {name: tape.leaf(arr, grads[name])
+                for name, arr in self.params.roots().items()}, grad
 
     # --- components -----------------------------------------------------
 
@@ -403,7 +409,7 @@ class Model:
 
     @property
     def n_params(self):
-        return sum(int(a.size) for a in self.params.values())
+        return self.vec.size
 
 
 # --- checkpoint serialization -------------------------------------------

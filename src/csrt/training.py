@@ -28,7 +28,8 @@ from . import config
 from .alignments import mask_labels, min_ctc_length
 from .errors import ConfigError, CsrtError, FingerprintMismatchError, OptimizerError
 from .losses import ctc_loss, ls_loss, rnnt_loss
-from .model import Architecture, Checkpoint, Model, param_count, variant_family
+from .model import (Architecture, Checkpoint, Model, ParamViews, flat_params, param_count,
+                    variant_family)
 
 _PHASES = ("pretrain", "finetune")
 
@@ -91,29 +92,22 @@ def schedule_lr(config, step):
     return config.learning_rate * min(step / w, np.sqrt(w / step))
 
 
-def _bounds(params):
-    """Offsets of each block in a flat vector over `params`, in the dict's order."""
-    return np.cumsum([0] + [arr.size for arr in params.values()]).tolist()
-
-
-def optimizer_step(params, grads, state, config):
-    """One in-place update of every parameter block; returns (grad norm, clipped).
+def optimizer_step(model, grad, state, config):
+    """One in-place update of `model.vec` by its gradient vector; returns (grad norm, clipped).
 
     Plain gradient descent, optionally smoothed by first/second moments
-    (bias-corrected), over all blocks at once. Gradients are clipped to a global
-    norm first; any non-finite gradient aborts, naming the block. The returned
+    (bias-corrected), over the whole vector at once. Gradients are clipped to a global
+    norm first; any non-finite gradient aborts, naming its block. The returned
     norm is the global norm before clipping, and `clipped` whether it was scaled.
     """
-    g = np.concatenate([grads[name].ravel() for name in params])
-    if not np.isfinite(g).all():
-        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+    if not np.isfinite(grad).all():
+        bad = next(name for name, g in ParamViews(model.arch, grad).items()
+                   if not np.isfinite(g).all())
         raise OptimizerError(f"non-finite gradient in parameter block {bad!r}")
-    bounds = _bounds(params)
-    sq = g * g  # the norm sums block by block, as per-block arrays would
-    norm = float(np.sqrt(sum(float(sq[lo:hi].sum()) for lo, hi in zip(bounds, bounds[1:]))))
+    sq = ParamViews(model.arch, grad * grad)  # summed block by block: per-block norms' bits
+    norm = float(np.sqrt(sum(float(block.sum()) for block in sq.values())))
     clipped = 0 < config.grad_clip < norm
-    if clipped:
-        g = g * (config.grad_clip / norm)
+    g = grad * (config.grad_clip / norm) if clipped else grad
     state.step += 1
     update = g
     if config.beta1 > 0:
@@ -124,9 +118,7 @@ def optimizer_step(params, grads, state, config):
         v = np.zeros(g.size) if state.v is None else state.v
         state.v = config.beta2 * v + ((1.0 - config.beta2) * g) * g
         update = update / (np.sqrt(state.v / (1.0 - config.beta2**state.step)) + config.moment_eps)
-    update = update * schedule_lr(config, state.step)
-    for arr, lo, hi in zip(params.values(), bounds, bounds[1:]):
-        arr -= update[lo:hi].reshape(arr.shape)
+    model.vec -= update * schedule_lr(config, state.step)
     return norm, clipped
 
 
@@ -161,13 +153,11 @@ _STATE_KEYS = ("step", "epoch", "phase")  # state.<key> blocks: non-negative int
 
 
 def _finish_checkpoint(model, state, phase):
-    blocks = {k: v.copy() for k, v in model.params.items()}
-    bounds = _bounds(model.params)
+    blocks = dict(ParamViews(model.arch, model.vec.copy()))
     for key in ("m", "v"):
-        flat = getattr(state, key)
-        if flat is not None:
-            for (name, arr), lo, hi in zip(model.params.items(), bounds, bounds[1:]):
-                blocks[f"opt.{key}.{name}"] = flat[lo:hi].reshape(arr.shape).copy()
+        if getattr(state, key) is not None:
+            moment = ParamViews(model.arch, getattr(state, key).copy())
+            blocks.update((f"opt.{key}.{name}", arr) for name, arr in moment.items())
     for k in _STATE_KEYS:  # all but phase are TrainState fields
         value = _PHASES.index(phase) if k == "phase" else getattr(state, k)
         blocks[f"state.{k}"] = np.array(float(value))
@@ -200,8 +190,7 @@ def _read_state(blocks, params, phase):
                     if n not in params or arr.shape != params[n].shape)
     if misfit:
         raise CsrtError(f"optimizer block {misfit[0]!r} does not fit a parameter block")
-    flat = {key: np.concatenate([moment[n].ravel() for n in params])  # in layout order
-            for key, moment in kept.items() if moment}
+    flat = {key: flat_params(params.arch, moment) for key, moment in kept.items() if moment}
     return TrainState(**values, **flat)
 
 
@@ -247,11 +236,11 @@ def _finetune_loss(model, bound, vocab, utts, config):
 
 def _run_batch(model, items, loss_fn, state, config, log):
     start = time.perf_counter()
-    bound = model.bind(ad.Tape())
+    bound, grad = model.bind(ad.Tape())
     total, sums = loss_fn(bound, items)  # sums: the loss terms its phase and variant have
     batch_loss = ad.mul(total, 1.0 / len(items))
     ad.backward(batch_loss)
-    norm, clipped = optimizer_step(model.params, model.params.grads(bound), state, config)
+    norm, clipped = optimizer_step(model, grad, state, config)
     if log is not None:
         step_ms = (time.perf_counter() - start) * 1e3
         comp = " ".join(f"{k}={sums[k] / len(items):.6f}" if k in sums else f"{k}=-"

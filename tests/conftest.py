@@ -6,7 +6,7 @@ import pytest
 from csrt import autodiff as ad
 from csrt.alignments import Vocabulary
 from csrt.data import CorpusSpec, gen_corpus
-from csrt.model import _ops, _recur
+from csrt.model import ParamViews, _ops, _recur
 
 
 @pytest.fixture(scope="session")
@@ -90,11 +90,13 @@ def _block(model, bound, name):
     """Parameter block `name` from `bound`: its own entry (`params`, `per_block_bind`), or else
     a leaf over its slice of a stack among `bind`'s leaves that adds its gradient into the
     stack's in place, as `bind` once made one per encoder block."""
-    if name in bound or name not in model.params.slices:  # `params` reads a stack by name
+    enc, _, kind = name.partition(".")
+    if name in bound or enc not in model.arch.encoder_names:  # `params` reads a stack by name
         return bound[name]
-    stack, at = model.params.slices[name]
-    leaf = ad.Tensor(bound[stack].data[at], tape=bound[stack].tape)
-    leaf.grad, leaf.owns_grad = bound[stack].grad[at], True
+    stack, at = bound[f"encs.{kind}"], model.arch.encoder_names.index(enc)
+    shape = model.params[name].shape
+    leaf = ad.Tensor(stack.data[at].reshape(shape), tape=stack.tape)
+    leaf.grad, leaf.owns_grad = stack.grad[at].reshape(shape), True
     return leaf
 
 
@@ -126,15 +128,16 @@ def reference_encode_fused(model, bound, x):
 
 
 def per_block_bind(model, tape):
-    """`Model.bind` as it was before the encoders were stacked: one fresh leaf per block."""
-    return {name: tape.leaf(arr.copy()) for name, arr in model.params.items()}
+    """`Model.bind` as it was before the encoders were stacked: a leaf per block, over a copy of
+    it, adding its gradient into its view of the zero gradient vector returned with the leaves."""
+    grad = np.zeros(model.n_params)
+    grads = ParamViews(model.arch, grad)
+    return {name: tape.leaf(arr.copy(), grads[name]) for name, arr in model.params.items()}, grad
 
 
-def block_grads(model, bound):
-    """Each block's gradient in `params` order, from `bind`'s leaves or `per_block_bind`'s."""
-    if "encs.0.b_mix" not in bound:
-        return [bound[name].grad for name in model.params]
-    return list(model.params.grads(bound).values())
+def block_grads(model, grad):
+    """Each block's gradient in `params` order: its view of `grad`, a step's gradient vector."""
+    return list(ParamViews(model.arch, grad).values())
 
 
 def reference_pretrain_logps(model, bound, items):

@@ -45,7 +45,7 @@ def reference_greedy(model, x, frames=None):
 
     When given a list as `frames`, appends the frame of each emission to it.
     """
-    bound = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
+    bound, _ = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
     h_enc, _ = model.encode_fused(bound, x)
     prefix = []
     h_dec = _state(model, bound, ())
@@ -75,7 +75,7 @@ def reference_beam(model, x, beam):
     only extensions above its worst entry survive. Like rnnt_decode, the
     result falls back to the greedy chain when that scores higher.
     """
-    bound = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
+    bound, _ = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
     h_enc, _ = model.encode_fused(bound, x)
     T = h_enc.shape[0]
     cap = 3 * T
@@ -163,8 +163,8 @@ def one_row_at_a_time(monkeypatch):
 def rigged_emitter(seed):
     """A toy model whose joint always prefers unit 1, so only the cap stops emission."""
     model = toy_model(seed=seed)
-    model.params["joint.b_out"] = np.array([-1e3, 10.0, 0.0, 0.0, 0.0])
-    model.params["joint.w_out"] = np.zeros_like(model.params["joint.w_out"])
+    model.params["joint.b_out"][...] = [-1e3, 10.0, 0.0, 0.0, 0.0]
+    model.params["joint.w_out"][...] = 0.0
     return model
 
 

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from csrt import checks
 from csrt.alignments import mask_labels
-from csrt.data import CorpusSpec, gen_corpus
+from csrt.data import CorpusSpec, Utterance, gen_corpus
 from csrt.errors import CsrtError
 from csrt.metrics import (
     ErrorStats,
@@ -118,7 +119,7 @@ def separating_model(vocab):
     )
     model = Model(arch, seed=0)
     for arr in model.params.values():
-        arr[...] = 0.0  # in place: an encoder block is a view of its stack
+        arr[...] = 0.0  # in place: every block is a view of the parameter vector
     big = 50.0
     # encoders pass one-hot features through (tanh squashes, sign survives)
     for enc in ("enc_m", "enc_e"):
@@ -127,14 +128,13 @@ def separating_model(vocab):
     # heads: language's own unit columns fire on the unit row, blank wins on
     # other-language rows and the silence row (index n)
     for lang, name in (("M", "head_m"), ("E", "head_e")):
-        w = np.zeros((n + 1, len(vocab.lang_ids(lang)) + 1))
+        w = model.params[f"{name}.w"]
         own = vocab.lang_ids(lang)
         for col, u in enumerate(own, start=1):
             w[u - 1, col] = big
         for u in range(n + 1):
             if (u + 1) not in own:
                 w[u, 0] = big
-        model.params[f"{name}.w"] = w
     return model
 
 
@@ -250,9 +250,19 @@ class TestReports:
         assert "INS" in text and "3.70" in text and "7.90" in text
 
     def test_separation_report_prints_dash_without_reference_tokens(self, vocab22):
-        # Pure E: the M sub-net has no reference tokens, so neither of its rates exists.
+        # Pure E: the M sub-net has no reference tokens, so its rates do not exist; INS
+        # gives the count of tokens it inserted, none for a separating model.
         utts = [make_utterance(vocab22, (3, 4, 3))]
         res = eval_language_separation(separating_model(vocab22), utts, vocab22)
         assert (res["M"]["ref_len"], res["E"]["ref_len"]) == (0, 3)
         rows = [line.split() for line in format_separation_report(res).splitlines()[1:]]
-        assert rows == [["M", "(CER)", "-", "-"], ["E", "(WER)", "0.00", "0.00"]]
+        assert rows == [["M", "(CER)", "-", "0"], ["E", "(WER)", "0.00", "0.00"]]
+
+    def test_separation_report_shows_leakage_without_reference_tokens(self):
+        # Only M labels: the E sub-net's every token is leakage, reported as a count.
+        model, vocab, x, _ = checks.tiny_setup()
+        utts = [Utterance(f"u{i}", x, (1,)) for i in range(3)]
+        res = eval_language_separation(model, utts, vocab)
+        assert res["E"] == {"rate": 0.0, "ins": 3.0, "ref_len": 0} and res["M"]["ref_len"] == 3
+        rows = [line.split() for line in format_separation_report(res).splitlines()[1:]]
+        assert rows[1] == ["E", "(WER)", "-", "3"]

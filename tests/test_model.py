@@ -77,7 +77,7 @@ class TestEncoder:
 
     def test_dim_mismatch(self):
         model = Model(small_arch(), seed=1)
-        for bound in (model.bind(Tape()), model.params):  # Tensors, and the plain arrays
+        for bound in (model.bind(Tape())[0], model.params):  # Tensors, and the plain arrays
             with pytest.raises(ShapeMismatchError, match=r"\(4, 5\) do not match input dim 3"):
                 model.encode(bound, np.zeros((4, 5)))
             with pytest.raises(ShapeMismatchError, match=r"\(3,\) do not match input dim 3"):
@@ -85,7 +85,7 @@ class TestEncoder:
 
     def test_zero_frames_rejected(self):
         model = Model(small_arch(), seed=1)
-        for bound in (model.bind(Tape()), model.params):
+        for bound in (model.bind(Tape())[0], model.params):
             with pytest.raises(ShapeMismatchError, match="zero frames"):
                 model.encode(bound, np.zeros((0, 3)))
         with pytest.raises(ShapeMismatchError):
@@ -110,7 +110,7 @@ class TestHeadsAndFusion:
     def test_zero_logits_uniform(self):
         model = Model(small_arch(), seed=3)
         for k in ("head_m.w", "head_m.b"):
-            model.params[k] = np.zeros_like(model.params[k])
+            model.params[k][...] = 0.0
         logp = model.ctc_head(model.params, np.zeros((2, 4)), "M")
         assert np.allclose(np.exp(logp), 1.0 / 3.0)
 
@@ -156,11 +156,11 @@ class TestStackedEncoders:
         upstream = [Tensor(rng.standard_normal(a.shape)) for a in got]
 
         def run(encode_fused, bind):
-            bound = bind(model, Tape())
+            bound, grad = bind(model, Tape())
             outs = self.outputs(model, bound, *encode_fused(model, bound, x))
             backward(sum_all(functools.reduce(
                 ad.add, [sum_all(ad.mul(o, u)) for o, u in zip(outs, upstream)])))
-            return [o.data for o in outs], block_grads(model, bound)
+            return [o.data for o in outs], block_grads(model, grad)
 
         values, grads = run(Model.encode_fused, Model.bind)
         want_values, want_grads = run(reference_encode_fused, per_block_bind)
@@ -180,10 +180,10 @@ class TestStackedEncoders:
         cfg = TrainingConfig(variant=variant)
 
         def run(bind):
-            bound = bind(model, Tape())
+            bound, grad = bind(model, Tape())
             loss, parts = _finetune_loss(model, bound, vocab22, utts, cfg)
             backward(loss)
-            return loss.item(), parts, [g.tobytes() for g in block_grads(model, bound)]
+            return loss.item(), parts, [g.tobytes() for g in block_grads(model, grad)]
 
         got = run(Model.bind)
         monkeypatch.setattr(Model, "encode_fused", reference_encode_fused)
@@ -200,15 +200,39 @@ class TestStackedEncoders:
     def test_an_encoder_block_is_written_in_place_not_assigned(self):
         model = Model(small_arch(), seed=24)
         block, stack = model.params["enc_e.0.w_cur"], model.params["encs.0.w_cur"]
-        with pytest.raises(CsrtError, match=r"^parameter block 'enc_e.0.w_cur' is a view of its"
-                                            r" encoder stack; write it in place: "):
+        with pytest.raises(CsrtError, match=r"^parameter block 'enc_e.0.w_cur' is a view of the"
+                                            r" parameter vector; write it in place: "):
             model.params["enc_e.0.w_cur"] = np.zeros_like(block)
         assert model.params["enc_e.0.w_cur"] is block
         model.params["enc_e.0.w_cur"] += 1.0  # in place: `+=` hands back the view itself
         assert model.params["enc_e.0.w_cur"] is block and stack[1].tobytes() == block.tobytes()
-        joint_b = np.ones(4)
-        model.params["joint.b"] = joint_b  # a block outside the stacks stays assignable
-        assert model.params["joint.b"] is joint_b
+        joint_b = model.params["joint.b"]
+        with pytest.raises(CsrtError, match=r"^parameter block 'joint.b' is a view of the"):
+            model.params["joint.b"] = np.ones(4)  # a block outside the stacks too
+        assert model.params["joint.b"] is joint_b and not joint_b.any()
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("family", ["single", "dual", "triple"])
+    def test_one_vector_behind_every_block_stack_and_gradient(self, family, mixing):
+        model = Model(small_arch(family, mixing), seed=25)
+        params, vec, encs = model.params, model.vec, model.arch.encoder_names
+        assert model.n_params == vec.size == param_count(model.arch)
+        assert all(np.shares_memory(a, vec) for a in [*params.values(), *params.stacks.values()])
+        bound, grad = model.bind(Tape())
+        assert all(np.shares_memory(t.data, vec) and np.shares_memory(t.grad, grad)
+                   for t in bound.values())
+        assert sum(t.grad.size for t in bound.values()) == grad.size  # each entry once
+        for name in params:
+            enc, _, kind = name.partition(".")
+            if enc in encs:  # a write through the block shows in its stack, and the reverse
+                block, stack = params[name], params[f"encs.{kind}"][encs.index(enc)]
+                block.flat[-1] = 5.0
+                assert stack.flat[-1] == 5.0
+                stack.flat[0] = -5.0
+                assert block.flat[0] == -5.0
+            with pytest.raises(CsrtError, match=rf"^parameter block '{name}' is a view of the "
+                                                r"parameter vector; write it in place: [^\n]*$"):
+                params[name] = params[name].copy()
 
 
 class TestConvLayerNode:
@@ -217,10 +241,10 @@ class TestConvLayerNode:
     @staticmethod
     def run(model, encode, x, upstream):
         """Output and every parameter gradient of sum(encode's output * upstream)."""
-        bound = model.bind(Tape())
+        bound, grad = model.bind(Tape())
         out = encode(bound, x)
         backward(sum_all(ad.mul(out, Tensor(upstream))))
-        return [out.data] + block_grads(model, bound)
+        return [out.data] + block_grads(model, grad)
 
     @pytest.mark.parametrize("T", [1, 2, 6])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -327,15 +351,15 @@ class TestPackedSubnets:
         """Log-posteriors, summed CTC loss and every block gradient, taped."""
         tape = Tape()
         if packed:
-            bound = model.bind(tape)
+            bound, grad = model.bind(tape)
             logps = model.subnets(bound, items)
         else:
-            bound = per_block_bind(model, tape)
+            bound, grad = per_block_bind(model, tape)
             logps = reference_pretrain_logps(model, bound, items)
         loss = ctc_loss(logps, _ctc_targets([len(x) for _, x in items]))
         backward(loss)
         return [lp.data for lp in logps], loss.item(), dict(zip(model.params,
-                                                                 block_grads(model, bound)))
+                                                                 block_grads(model, grad)))
 
     @pytest.mark.parametrize("batch", list(PACKED_BATCHES))
     @pytest.mark.parametrize("layers", [1, 2])
@@ -403,7 +427,7 @@ class TestPackedSubnets:
     ], ids=["zero-frames", "wrong-width", "one-dimensional"])
     def test_a_bad_item_is_a_one_line_shape_error(self, features, message):
         model = Model(small_arch(), seed=74)
-        for bound in (model.params, model.bind(Tape())):
+        for bound in (model.params, model.bind(Tape())[0]):
             with pytest.raises(ShapeMismatchError, match=f"^{message}$"):
                 model.subnets(bound, [("M", np.ones((2, 3))), ("E", features)])
 
@@ -415,9 +439,9 @@ class TestTapeNodes:
         model = Model(small_arch("triple", encoder_layers=layers), seed=27)
         tape = Tape()
         if packed:  # one block per encoder, as `subnets` packs them
-            model.encode(model.bind(tape), np.ones((3, 5, 3)), np.zeros((3, 5), dtype=bool))
+            model.encode(model.bind(tape)[0], np.ones((3, 5, 3)), np.zeros((3, 5), dtype=bool))
         else:
-            model.encode(model.bind(tape), np.ones((5, 3)))
+            model.encode(model.bind(tape)[0], np.ones((5, 3)))
         assert len(tape) == layers
 
     @pytest.mark.parametrize("mixing,pretrain_nodes,finetune_nodes", [("conv", 19, 355),
@@ -432,12 +456,12 @@ class TestTapeNodes:
         model = Model(arch_for("conditional-ls", values, vocab, corpus.feature_dim), seed=0)
         items = [(lang, u) for lang in "ME" for u in corpus.split(f"train-mono-{lang.lower()}")[:4]]
         tape = Tape()
-        bound = model.bind(tape)
+        bound, _ = model.bind(tape)
         assert len(bound) == (25 if mixing == "conv" else 23)  # a leaf per stack, per other block
         _pretrain_loss(model, bound, vocab, items)
         assert len(tape) == pretrain_nodes
         tape = Tape()
-        _finetune_loss(model, model.bind(tape), vocab, corpus.split("train-cs")[:8],
+        _finetune_loss(model, model.bind(tape)[0], vocab, corpus.split("train-cs")[:8],
                        TrainingConfig(variant="conditional-ls"))
         assert len(tape) == finetune_nodes
 
@@ -452,14 +476,14 @@ class TestTapeNodes:
 
         def batch_nodes():  # the tape's length before backward, as perfbench counts it
             tape = Tape()
-            _finetune_loss(model, model.bind(tape), vocab22, utts, cfg)
+            _finetune_loss(model, model.bind(tape)[0], vocab22, utts, cfg)
             return len(tape)
 
         single = Model(small_arch("single", mixing), seed=25)  # a stack of one encoder
 
         def encoder_nodes(utt):
             tape = Tape()
-            single.encode(single.bind(tape), utt.features)
+            single.encode(single.bind(tape)[0], utt.features)
             return len(tape)
 
         total = batch_nodes()
@@ -481,7 +505,7 @@ class TestArrayForwards:
         model = Model(small_arch(family, mixing), seed=13)
         x = np.random.default_rng(T).standard_normal((T, 3))
         y = (1,) if T == 1 else (1, 4, 2)
-        bound = model.bind(Tape())
+        bound, _ = model.bind(Tape())
         fused, hs = model.encode_fused(model.params, x)
         want_fused, want_hs = model.encode_fused(bound, x)
         pred, want_pred = model.predict(model.params, y), model.predict(bound, y)
@@ -504,11 +528,11 @@ class TestArrayForwards:
                 Utterance("b", rng.standard_normal((1, 3)), (2,))]
         cfg = TrainingConfig(variant="conditional-ls")
         got = _finetune_loss(model, model.params, vocab22, utts, cfg)
-        want = _finetune_loss(model, model.bind(Tape()), vocab22, utts, cfg)
+        want = _finetune_loss(model, model.bind(Tape())[0], vocab22, utts, cfg)
         assert (got[0].item(), got[1]) == (want[0].item(), want[1])
         items = [("M", Utterance("m", rng.standard_normal((3, 3)), (1, 2)))]
         assert (_pretrain_loss(model, model.params, vocab22, items).item()
-                == _pretrain_loss(model, model.bind(Tape()), vocab22, items).item())
+                == _pretrain_loss(model, model.bind(Tape())[0], vocab22, items).item())
 
 
 class TestDecoderAndJoint:
@@ -572,7 +596,7 @@ class TestDecoderAndJoint:
     def test_lattice_feeds_rnnt_loss(self):
         model = Model(small_arch(), seed=5)
         tape = Tape()
-        bound = model.bind(tape)
+        bound, _ = model.bind(tape)
         h_enc, _ = model.encode_fused(bound, np.random.default_rng(3).standard_normal((3, 3)))
         lattice = model.joint(bound, h_enc, model.predict(bound, (1, 3)))
         loss = rnnt_loss([lattice], [(1, 3)])
@@ -612,7 +636,7 @@ class TestVariants:
     def test_subnet_and_head_check_family_and_language_first(self, family, lang, message):
         model = Model(small_arch(family=family), seed=6)
         x = np.zeros((2, 3))
-        for bound in (model.params, model.bind(Tape())):
+        for bound in (model.params, model.bind(Tape())[0]):
             with pytest.raises(CsrtError, match=message):
                 model.subnets(bound, [(lang, x)])
             with pytest.raises(CsrtError, match=message):

@@ -81,7 +81,7 @@ def test_model_joint_records_through_autodiff_record_custom(monkeypatch):
 
     monkeypatch.setattr(autodiff, "record_custom", spy)
     model, _, x, y = checks.tiny_setup()
-    bound = model.bind(autodiff.Tape())
+    bound, _ = model.bind(autodiff.Tape())
     h_enc, _ = model.encode_fused(bound, x)
     model.joint(bound, h_enc, model.predict(bound, y))
     assert recorded == [7] * (model.arch.encoder_layers + 1)
@@ -106,6 +106,27 @@ def test_finetune_calls_each_model_layer_the_benchmark_times(monkeypatch):
                             joint_dim=4, n_m=vocab.n_m, n_e=vocab.n_e)
         model = Model(arch, seed=0)
         calls.update(dict.fromkeys(calls, 0))
-        training._finetune_loss(model, model.bind(autodiff.Tape()), vocab, utts,
+        training._finetune_loss(model, model.bind(autodiff.Tape())[0], vocab, utts,
                                 training.TrainingConfig(variant=variant))
         assert calls == {"encode_fused": 2, "predict": 2, "joint": 2, "ctc_head": 2 * heads}, variant
+
+
+def test_training_steps_call_the_optimizer_the_benchmark_times(monkeypatch):
+    # perfbench/tracer.py times the optimizer by rebinding `training.optimizer_step`; a step
+    # that updated the parameters through any other object, after a rename or with the
+    # optimizer inlined, would leave its `training.optimizer_step_ms` span reading 0.
+    calls = []
+    orig = training.optimizer_step
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(training, "optimizer_step", counted)
+    model, vocab, x, y = checks.tiny_setup()
+    cfg = training.TrainingConfig(variant="conditional-ls", epochs=1)
+    training.pretrain([Utterance("m", x, (1,))], [Utterance("e", x, (3,))], cfg, model.arch,
+                      vocab=vocab)
+    assert len(calls) == 1
+    training.finetune({"cs": [Utterance("cs", x, y)]}, None, cfg, model.arch, vocab=vocab)
+    assert len(calls) == 2

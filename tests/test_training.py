@@ -14,6 +14,7 @@ from csrt.model import (
     Architecture,
     Checkpoint,
     Model,
+    ParamViews,
     _param_layout,
     init_params,
     load_checkpoint,
@@ -99,11 +100,6 @@ def reference_optimizer_step(params, grads, state, config):
     return norm, clipped
 
 
-def _blocks(rng):
-    return {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(4), "c": np.array(0.5),
-            "d": rng.standard_normal((2, 2, 2))}
-
-
 def _bits(blocks):
     return {k: (np.shape(v), np.asarray(v).tobytes()) for k, v in blocks.items()}
 
@@ -112,22 +108,23 @@ def reference_state(step=0, m=(), v=()):
     return SimpleNamespace(step=step, m=dict(m), v=dict(v))
 
 
-def _slices(flat, params):
-    """Per-block slices of a flat vector laid out in the order of `params`; {} for None."""
-    if flat is None:
-        return {}
-    out, lo = {}, 0
-    for name, arr in params.items():
-        out[name] = flat[lo : lo + np.size(arr)].reshape(np.shape(arr))
-        lo += np.size(arr)
-    assert lo == flat.size
-    return out
+def small_model(family="dual", seed=3):
+    arch = Architecture(family=family, input_dim=3, hidden_dim=4, encoder_layers=1,
+                        encoder_mixing="conv", embed_dim=3, decoder_dim=4, joint_dim=4,
+                        n_m=2, n_e=2)
+    return Model(arch, seed=seed)
 
 
-def _state_bits(params, state):
-    """Parameters, per-block moments and step; a TrainState's flat moments are sliced."""
+def _moment_blocks(arch, flat):
+    """A flat moment's blocks by name (views of it); {} for None."""
+    return {} if flat is None else dict(ParamViews(arch, flat))
+
+
+def _state_bits(arch, params, state):
+    """Parameters, per-block moments and step; a TrainState's flat moments are viewed per block."""
     if isinstance(state, TrainState):
-        state = reference_state(state.step, _slices(state.m, params), _slices(state.v, params))
+        state = reference_state(state.step, _moment_blocks(arch, state.m),
+                                _moment_blocks(arch, state.v))
     return _bits(params), _bits(state.m), _bits(state.v), state.step
 
 
@@ -145,28 +142,34 @@ class TestSchedules:
 
 class TestOptimizerStep:
     def test_zero_lr_no_change(self):
-        params = {"w": np.array([1.0, -2.0])}
-        optimizer_step(params, {"w": np.array([3.0, 4.0])}, TrainState(), tcfg(learning_rate=0.0))
-        assert np.array_equal(params["w"], [1.0, -2.0])
+        model = small_model()
+        before = model.vec.copy()
+        grad = np.random.default_rng(1).standard_normal(model.n_params)
+        optimizer_step(model, grad, TrainState(), tcfg(learning_rate=0.0))
+        assert model.vec.tobytes() == before.tobytes()
 
     def test_plain_descent_square(self):
-        # f(w) = w^2 from w=1, lr=0.1: w' = 1 - 0.1 * 2 = 0.8
-        params = {"w": np.array(1.0)}
+        # f(w) = sum w^2, lr=0.1: w' = w - 0.1 * 2w = 0.8w, every block alike
+        model = small_model()
+        before = model.vec.copy()
         cfg = tcfg(learning_rate=0.1, beta1=0.0, beta2=0.0, grad_clip=0.0)
-        optimizer_step(params, {"w": np.array(2.0)}, TrainState(), cfg)
-        assert params["w"] == pytest.approx(0.8)
+        optimizer_step(model, 2.0 * model.vec, TrainState(), cfg)
+        assert model.vec == pytest.approx(0.8 * before)
 
     def test_nan_gradient_names_block(self):
-        params = {"enc.w": np.array(1.0)}
-        with pytest.raises(OptimizerError) as err:
-            optimizer_step(params, {"enc.w": np.array(np.nan)}, TrainState(), tcfg())
-        assert "enc.w" in str(err.value)
+        model = small_model("triple")
+        grad = np.random.default_rng(2).standard_normal(model.n_params)
+        ParamViews(model.arch, grad)["encs.0.w_cur"][1, 2, 1] = np.nan  # enc_e's slice
+        with pytest.raises(OptimizerError, match=r"^non-finite gradient in parameter block "
+                                                 r"'enc_e.0.w_cur'$"):
+            optimizer_step(model, grad, TrainState(), tcfg())
 
     def test_returns_norm_before_clipping(self):
-        grads = {"a": np.full(4, 100.0), "b": np.array(0.0)}
+        model = small_model()
+        grad = np.zeros(model.n_params)
+        grad[[0, 5, -1, -7]] = 100.0
         for clip, clipped in ((1.0, True), (200.0, False), (0.0, False)):
-            params = {"a": np.zeros(4), "b": np.array(1.0)}
-            norm, did_clip = optimizer_step(params, grads, TrainState(), tcfg(grad_clip=clip))
+            norm, did_clip = optimizer_step(model, grad, TrainState(), tcfg(grad_clip=clip))
             assert norm == pytest.approx(200.0) and did_clip is clipped
 
     @pytest.mark.parametrize("overrides", [
@@ -177,42 +180,34 @@ class TestOptimizerStep:
             "plain-descent", "warmup"])
     def test_bitwise_equals_block_by_block_reference(self, overrides):
         cfg = tcfg(**overrides)
+        model = small_model("triple", seed=5)
         rng = np.random.default_rng(5)
-        start = _blocks(rng)
-        grads = [{k: 3.0 * rng.standard_normal(np.shape(v)) for k, v in start.items()}
-                 for _ in range(4)]
-        runs = []
-        for step, state in ((optimizer_step, TrainState()),
-                            (reference_optimizer_step, reference_state())):
-            params = {k: v.copy() for k, v in start.items()}
-            returns = [step(params, g, state, cfg) for g in grads]
-            runs.append((returns, _state_bits(params, state)))
-        assert runs[0] == runs[1]
-        assert any(clipped for _, clipped in runs[0][0]) == (cfg.grad_clip not in (0.0, 1000.0))
+        grads = [3.0 * rng.standard_normal(model.n_params) for _ in range(4)]
+        ref_params, ref = {k: v.copy() for k, v in model.params.items()}, reference_state()
+        state, arch = TrainState(), model.arch
+        returns = [optimizer_step(model, g, state, cfg) for g in grads]
+        assert returns == [reference_optimizer_step(ref_params, ParamViews(arch, g), ref, cfg)
+                           for g in grads]
+        assert _state_bits(arch, model.params, state) == _state_bits(arch, ref_params, ref)
+        assert any(clipped for _, clipped in returns) == (cfg.grad_clip not in (0.0, 1000.0))
 
     def test_resumed_moments_bitwise_equal_reference(self):
-        arch = Architecture(family="dual", input_dim=3, hidden_dim=4, encoder_layers=1,
-                            encoder_mixing="conv", embed_dim=3, decoder_dim=4, joint_dim=4,
-                            n_m=2, n_e=2)
-        model, state, cfg = Model(arch, seed=3), TrainState(), tcfg()
-        rng = np.random.default_rng(8)
-
-        def grads():
-            return {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
-
+        model, state, cfg = small_model(), TrainState(), tcfg()
+        arch, rng = model.arch, np.random.default_rng(8)
         for _ in range(2):
-            optimizer_step(model.params, grads(), state, cfg)
+            optimizer_step(model, rng.standard_normal(model.n_params), state, cfg)
         ck = _finish_checkpoint(model, state, "finetune")
         kept = _bits(ck.blocks)
-        later = [grads() for _ in range(3)]
+        later = [rng.standard_normal(model.n_params) for _ in range(3)]
         resumed, st = start_from(ck, arch, "finetune", resume=True)
         ref_params = {k: v.copy() for k, v in ck.model_params().items()}
         moments = {key: {k[6:]: v.copy() for k, v in ck.blocks.items()
                          if k.startswith(f"opt.{key}.")} for key in "mv"}
         ref = reference_state(st.step, **moments)
-        returns = [optimizer_step(resumed.params, g, st, cfg) for g in later]
-        assert returns == [reference_optimizer_step(ref_params, g, ref, cfg) for g in later]
-        assert _state_bits(resumed.params, st) == _state_bits(ref_params, ref)
+        returns = [optimizer_step(resumed, g, st, cfg) for g in later]
+        assert returns == [reference_optimizer_step(ref_params, ParamViews(arch, g), ref, cfg)
+                           for g in later]
+        assert _state_bits(arch, resumed.params, st) == _state_bits(arch, ref_params, ref)
         saved = _finish_checkpoint(resumed, st, "finetune").blocks
         assert _bits({k: v for k, v in saved.items() if k.startswith("opt.")}) == _bits(
             {f"opt.{key}.{k}": v for key in "mv" for k, v in getattr(ref, key).items()})
@@ -223,8 +218,7 @@ class TestOptimizerStep:
                             encoder_mixing="conv", embed_dim=2, decoder_dim=3, joint_dim=3,
                             n_m=1, n_e=1)
         model, state = Model(arch, seed=1), TrainState()
-        optimizer_step(model.params, {k: np.ones(v.shape) for k, v in model.params.items()},
-                       state, tcfg())
+        optimizer_step(model, np.ones(model.n_params), state, tcfg())
         ck = _finish_checkpoint(model, state, "finetune")
         for name, arr in (("opt.m.joint.w_out", np.zeros((4, 3))), ("opt.v.nope", np.zeros(2))):
             bad = type(ck)(ck.fingerprint, {**ck.blocks, name: arr})
@@ -236,8 +230,7 @@ class TestOptimizerStep:
                             encoder_mixing="conv", embed_dim=2, decoder_dim=3, joint_dim=3,
                             n_m=1, n_e=1)
         model, state = Model(arch, seed=1), TrainState()
-        optimizer_step(model.params, {k: np.ones(v.shape) for k, v in model.params.items()},
-                       state, tcfg())
+        optimizer_step(model, np.ones(model.n_params), state, tcfg())
         ck = _finish_checkpoint(model, state, "finetune")
         layout = list(model.params)
         for key in "mv":
@@ -256,27 +249,27 @@ class TestOptimizerStep:
             start_from(strays, arch, "finetune", resume=True)
         no_v = {k: v for k, v in ck.blocks.items() if not k.startswith("opt.v.")}
         _, st = start_from(Checkpoint(ck.fingerprint, no_v), arch, "finetune", resume=True)
-        assert st.v is None and _bits(_slices(st.m, model.params)) == _bits(
+        assert st.v is None and _bits(_moment_blocks(arch, st.m)) == _bits(
             {k[6:]: v for k, v in ck.blocks.items() if k.startswith("opt.m.")})
 
     def test_non_finite_middle_block_changes_nothing(self):
         rng = np.random.default_rng(6)
-        params, state, cfg = _blocks(rng), TrainState(), tcfg()
-        optimizer_step(params, {k: rng.standard_normal(np.shape(v)) for k, v in params.items()},
-                       state, cfg)
-        before = _state_bits(params, state)
+        model, state, cfg = small_model(), TrainState(), tcfg()
+        optimizer_step(model, rng.standard_normal(model.n_params), state, cfg)
+        before = _state_bits(model.arch, model.params, state)
         for bad_value in (np.nan, np.inf):
-            grads = {k: rng.standard_normal(np.shape(v)) for k, v in params.items()}
-            grads["b"][2] = bad_value
-            with pytest.raises(OptimizerError, match="block 'b'"):
-                optimizer_step(params, grads, state, cfg)
-            assert _state_bits(params, state) == before
+            grad = rng.standard_normal(model.n_params)
+            ParamViews(model.arch, grad)["encs.0.b_mix"][1, 0, 2] = bad_value  # enc_e's slice
+            with pytest.raises(OptimizerError, match="block 'enc_e.0.b_mix'"):
+                optimizer_step(model, grad, state, cfg)
+            assert _state_bits(model.arch, model.params, state) == before
 
     def test_clipping_bounds_update(self):
-        params = {"w": np.zeros(4)}
+        model = small_model()
+        before = model.vec.copy()
         cfg = tcfg(learning_rate=1.0, beta1=0.0, beta2=0.0, grad_clip=1.0)
-        optimizer_step(params, {"w": np.full(4, 100.0)}, TrainState(), cfg)
-        assert np.linalg.norm(params["w"]) == pytest.approx(1.0)
+        optimizer_step(model, np.full(model.n_params, 100.0), TrainState(), cfg)
+        assert np.linalg.norm(model.vec - before) == pytest.approx(1.0)
 
 
 class TestPretrain:
@@ -561,7 +554,7 @@ def test_ls_finetune_handles_empty_masked_targets(world, pretrained):
     cfg = tcfg(variant="conditional-ls")
     model = Model(arch, params=pretrained.model_params())
     mono_m = corpus.split("train-mono-m")[0]
-    loss, parts = _finetune_loss(model, model.bind(Tape()), vocab, [mono_m], cfg)
+    loss, parts = _finetune_loss(model, model.bind(Tape())[0], vocab, [mono_m], cfg)
     assert np.isfinite(loss.item())
     assert parts["ctc_e"] is not None  # empty-target CTC term still evaluated
 
