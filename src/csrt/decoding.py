@@ -1,13 +1,13 @@
 """Greedy CTC decoding and greedy/beam transducer decoding.
 
-Decoding makes no Tensor. The encoders run tape-free on the plain arrays
-of `model.params` (`Model.encode_fused`), and transducer search reads the
-prediction and joint networks' arrays under the names `Model.predict` and
-`Model.joint` use, the reference it is tested against. Per utterance
-a scorer projects the encoder rows once, `E = h_enc @ joint.w_enc +
-joint.b`, and numbers label prefixes in a trie of (parent id, label), id 0
-the empty prefix (the start token). Each id has one prediction-net step and
-its state's projection `d = state @ joint.w_dec`. Its one joint evaluation,
+Decoding makes no Tensor. The encoders run tape-free on the plain arrays of
+`model.params` (`Model.encode_fused` on `[x]`), and transducer search reads
+the prediction and joint networks' arrays under the names `Model.predict` and
+`Model.joint` use, the reference it is tested against. Per utterance a scorer
+projects the encoder rows once, `E = h_enc @ joint.w_enc + joint.b`, and
+numbers label prefixes in a trie of (parent id, label), id 0 the empty prefix
+(the start token). Each id has one prediction-net step and its state's
+projection `d = state @ joint.w_dec`. Its one joint evaluation,
 `log_softmax(tanh(E[t] + d) @ joint.w_out + joint.b_out)`, scores a frame
 under each frontier prefix, or a run of frames under one prefix.
 
@@ -134,7 +134,7 @@ def rnnt_decode(model, x, beam=1):
         raise CsrtError(f"rnnt_decode: beam must be >= 1, got {beam}")
     if not np.isfinite(x).all():
         raise CsrtError("rnnt_decode: features hold a non-finite value")
-    h_enc, _ = model.encode_fused(model.params, x)
+    [h_enc], _ = model.encode_fused(model.params, [x])
     cap = MAX_EMITS_PER_FRAME_FACTOR * len(h_enc)
     scorer = _Scorer(model, h_enc)
     greedy = _greedy(scorer, cap)

@@ -6,8 +6,10 @@ All parameters live in one float64 vector, `Model.vec`, in `_param_layout`
 order, however a checkpoint stored them. `params` (`ParamViews`) views each
 block and, per layer and weight kind, an (n_enc, ...) stack of the encoders'
 blocks; a step's gradient and the Adam moments are vectors of that layout,
-viewed alike. The layer code runs every encoder at once over the stacks;
-pre-training packs its batch along rows, one language per encoder (`subnets`).
+viewed alike. The layer code runs every encoder at once over the stacks, over a
+batch packed along rows with a dead-row mask (`_pack`): one language per encoder
+in pre-training (`subnets`), all of it on every encoder, as one 2-D block, in
+fine-tuning (`encode_fused`, which no longer runs one utterance at a time).
 The components take a `bound` dict and thread it through; there is no
 whole-model forward, each loss calls the ones it reads (see training.py).
 `bound` is either `bind`'s tape leaves, which training records, or
@@ -30,6 +32,7 @@ truncated checkpoint.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -161,6 +164,19 @@ def init_params(arch, seed):
     return params
 
 
+@functools.cache
+def _cuts(arch):
+    """(name, offset, size, shape) of each block of `arch` in layout order, and of each encoder
+    stack's kind within the first encoder's run of the vector; computed once per architecture."""
+    blocks, lo, enc0 = [], 0, f"{arch.encoder_names[0]}."
+    for name, shape, _ in _param_layout(arch):
+        blocks.append((name, lo, math.prod(shape), shape))
+        lo += blocks[-1][2]
+    stacks = [(f"encs.{name[len(enc0):]}", lo, n, (1,) * (2 - len(shape)) + shape)
+              for name, lo, n, shape in blocks if name.startswith(enc0)]
+    return tuple(blocks), tuple(stacks)  # shared by every caller: not to be changed
+
+
 class ParamViews(dict):
     """Views of `vec`, a float64 vector in `_param_layout` order (the parameters, a gradient or
     an Adam moment): each block by name, in layout order, and in `stacks`, also read by name,
@@ -168,21 +184,18 @@ class ParamViews(dict):
     that kind (a bias as (n_enc, 1, H), to add to rows). A block is written in place."""
 
     def __init__(self, arch, vec):
-        views, first, lo, enc0 = {}, [], 0, f"{arch.encoder_names[0]}."
-        for name, shape, _ in _param_layout(arch):
-            n = math.prod(shape)
-            views[name] = vec[lo : lo + n].reshape(shape)
-            if name.startswith(enc0):
-                first.append((name.partition(".")[2], lo, n, (1,) * (2 - len(shape)) + shape))
-            lo += n
-        super().__init__(views)
+        blocks, first = _cuts(arch)
+        super().__init__((name, vec[lo : lo + n].reshape(shape)) for name, lo, n, shape in blocks)
         n_enc, size = len(arch.encoder_names), sum(n for _, _, n, _ in first)
         rows = vec[: n_enc * size].reshape(n_enc, size)  # the encoders share one layout
-        self.arch, self.stacks = arch, {f"encs.{k}": rows[:, lo : lo + n].reshape((n_enc, *shape))
+        self.arch, self.stacks = arch, {k: rows[:, lo : lo + n].reshape((n_enc, *shape))
                                         for k, lo, n, shape in first}
 
     def __setitem__(self, name, value):
-        if value is not self.get(name):  # `+=` gives back the view itself
+        view = self.get(name, self.stacks.get(name))
+        if view is None:
+            raise CsrtError(f"{name!r} is not a parameter block")
+        if value is not view:  # `+=` gives back the view itself
             raise CsrtError(f"parameter block {name!r} is a view of the parameter vector;"
                             f" write it in place: params[{name!r}][...] = ...")
 
@@ -211,23 +224,27 @@ def _ops(weight):
 
 def _recur(pre, u, starts=(0,)):
     """Rows of state_t = tanh(pre[t] + state_{t-1} @ u), from a zero state at each row of
-    `starts` (no matmul there), so no state crosses from one packed slot into the next.
+    `starts` (no matmul there), so no state crosses from one packed slot into the next. Each
+    slot's rows are cut out first: a step's row view, whose gradient is zeros but for its row,
+    then spans its slot, not the whole packed block.
 
     The shared recurrence of the recurrent encoder and the prediction net;
     `pre` holds each step's input projection with its bias already added, as
     (T, H) rows or a stack's (n_enc, T, H).
     """
-    ops, rows = _ops(u), []
-    for t in range(pre.shape[-2]):
-        step = ops.rows(pre, t, t + 1)
-        rows.append(ops.tanh(step if t in starts else ops.add(step, ops.matmul(rows[-1], u))))
+    ops, rows, ends = _ops(u), [], [*starts[1:], pre.shape[-2]]
+    for lo, hi in zip(starts, ends):
+        slot = pre if len(ends) == 1 else ops.rows(pre, lo, hi)
+        for t in range(hi - lo):
+            step = ops.rows(slot, t, t + 1)
+            rows.append(ops.tanh(step if t == 0 else ops.add(step, ops.matmul(rows[-1], u))))
     return ops.concat(rows) if len(rows) > 1 else rows[0]
 
 
 def _conv_layer(*inputs, dead=None):
     """A conv encoder layer, one node on Tensors: tanh(tanh(prev @ w_prev + h @ w_cur + next @
-    w_next + b_mix) @ w_ff + b_ff), prev and next the rows around h's (zero past the ends); the
-    rows a (n_enc, N) mask `dead` marks are 0 after it, their gradient 0 before it is read."""
+    w_next + b_mix) @ w_ff + b_ff), prev and next the rows around h's (zero past the ends); rows
+    a `dead` mask (N or n_enc x N) marks are 0 after it, their gradient 0 before it is read."""
     h, w_prev, w_cur, w_next, b_mix, w_ff, b_ff = (t.data if isinstance(t, Tensor) else t
                                                   for t in inputs)
     pad = np.zeros(h.shape[:-2] + (1, h.shape[-1]))
@@ -238,12 +255,12 @@ def _conv_layer(*inputs, dead=None):
     y = np.tanh(np.add(mix, b_mix, out=mix), out=mix) @ w_ff
     y = np.tanh(np.add(y, b_ff, out=y), out=y)
     if dead is not None:
-        y[dead] = 0.0
+        y[..., dead, :] = 0.0
 
     def grad_fn(g):  # the tape is single-use: mix becomes 1 - mix*mix once read
         g_ff = g * (1.0 - y * y)
         if dead is not None:
-            g_ff[dead] = 0.0
+            g_ff[..., dead, :] = 0.0
         g_mix, g_w_ff = g_ff @ w_ff.mT, mix.mT @ g_ff
         g_mix *= np.subtract(1.0, np.multiply(mix, mix, out=mix), out=mix)
         g_h = None if inputs[0].tape is None else np.zeros(padded.shape)  # not for features
@@ -306,9 +323,8 @@ class Model:
 
     def encode(self, bound, x, dead=None, starts=(0,)):
         """Every encoder's layers over the stacks, giving (n_enc, T, H): over one (T, input_dim)
-        feature array that every encoder reads, or, with a `dead` row mask, over one packed
-        (n_enc, N, input_dim) block per encoder (`subnets`), whose dead rows a conv layer zeroes
-        and whose recurrence restarts at each row of `starts`.
+        feature array, or, with a `dead` row mask, over a packed block (`_pack`), whose dead
+        rows a conv layer zeroes and whose recurrence restarts at each row of `starts`.
 
         `bound` is `bind`'s Tensors, or `params` itself for tape-free inference on plain
         arrays; the components take either and return the same kind (see `_ops`).
@@ -342,37 +358,50 @@ class Model:
         ops = _ops(bound[f"{p}.w"])
         return ops.log_softmax(ops.add(ops.matmul(h, bound[f"{p}.w"]), bound[f"{p}.b"]), axis=1)
 
-    def subnets(self, bound, items):
-        """Each (lang, features) item's CTC log-posteriors, in item order, from one encoder pass.
-
-        M items are packed along rows on encoder 0 and E items on encoder 1 (a third encoder
-        reads only dead rows). The k-th longest item of each language takes slot k; slots lie
-        end to end, one zero separator row apart. An item's rows are a view of its head's.
-        """
-        sides = [self._side(lang) for lang, _ in items]
-        xs = [self._features(x, f"subnets: item {i}") for i, (_, x) in enumerate(items)]
-        slots = [sorted((i for i, s in enumerate(sides) if s == side), key=lambda i: -len(xs[i]))
-                 for side in "me"]
-        widths = [max(len(xs[at[k]]) for at in slots if k < len(at))
-                  for k in range(max(map(len, slots)))]
+    def _pack(self, bound, lanes, xs):
+        """The encoders' output over checked feature arrays `xs` packed along rows, and each
+        array's (start, stop) rows. Lane e lists the arrays encoder e reads (one lane: a 2-D block
+        every encoder reads); slot k holds each lane's k-th array, one zero separator row between
+        slots, and rows no array fills are dead. One array alone is read as is, with no mask."""
+        if len(xs) == 1 == len(lanes):
+            return self.encode(bound, xs[0]), [(0, len(xs[0]))]
+        widths = [max(len(xs[lane[k]]) for lane in lanes if k < len(lane))
+                  for k in range(max(map(len, lanes)))]
         starts = np.cumsum([0] + [w + 1 for w in widths]).tolist()  # a slot and its separator
-        x = np.zeros((len(self.arch.encoder_names), starts[-1] - 1, self.arch.input_dim))
-        dead, spans = np.ones(x.shape[:2], dtype=bool), {}
-        for e, at in enumerate(slots):
-            for k, i in enumerate(at):
+        n = 1 if len(lanes) == 1 else len(self.arch.encoder_names)  # past the lanes: all dead
+        x = np.zeros((n, starts[-1] - 1, self.arch.input_dim))
+        dead, spans = np.ones(x.shape[:2], dtype=bool), [None] * len(xs)
+        for e, lane in enumerate(lanes):
+            for k, i in enumerate(lane):
                 spans[i] = starts[k], starts[k] + len(xs[i])
                 x[e, slice(*spans[i])], dead[e, slice(*spans[i])] = xs[i], False
-        h, ops = self.encode(bound, x, dead, starts[:-1]), _ops(bound["encs.0.b_mix"])
-        heads = [self.ctc_head(bound, ops.select(h, e), "ME"[e]) if at else None
-                 for e, at in enumerate(slots)]
-        return [ops.rows(heads["me".index(s)], *spans[i]) for i, s in enumerate(sides)]
+        x, dead = (x[0], dead[0]) if n == 1 else (x, dead)
+        return self.encode(bound, x, dead, starts[:-1]), spans
 
-    def encode_fused(self, bound, x):
-        """Sum of the encoders' (equal-shape) outputs, in encoder order, and the list of those
-        outputs; one encoder's output is its own sum."""
-        hs, ops = self.encode(bound, x), _ops(bound["encs.0.b_mix"])
-        outs = [ops.select(hs, i) for i in range(len(self.arch.encoder_names))]
-        return (outs[0] if len(outs) == 1 else ops.stack_sum(hs)), outs
+    def subnets(self, bound, items):
+        """Each (lang, features) item's CTC log-posteriors, in item order, a view of its head's
+        rows: one pass packs M items on encoder 0, E on 1, the k-th longest of each in slot k."""
+        sides = [self._side(lang) for lang, _ in items]
+        xs = [self._features(x, f"subnets: item {i}") for i, (_, x) in enumerate(items)]
+        lanes = [sorted((i for i, s in enumerate(sides) if s == side), key=lambda i: -len(xs[i]))
+                 for side in "me"]
+        h, spans = self._pack(bound, lanes, xs)
+        ops = _ops(bound["encs.0.b_mix"])
+        heads = [self.ctc_head(bound, ops.select(h, e), "ME"[e]) if lane else None
+                 for e, lane in enumerate(lanes)]
+        return [ops.rows(heads["me".index(s)], *span) for s, span in zip(sides, spans)]
+
+    def encode_fused(self, bound, xs, heads=False):
+        """Per feature array of `xs`, its rows of the encoders' sum (in encoder order) and with
+        `heads` of each CTC head (M, then E): one pass, every encoder reading the batch packed."""
+        xs = [self._features(x, f"encode_fused: item {i}") for i, x in enumerate(xs)]
+        h, spans = self._pack(bound, [list(range(len(xs)))], xs)
+        ops = _ops(bound["encs.0.b_mix"])
+        fused = ops.select(h, 0) if len(self.arch.encoder_names) == 1 else ops.stack_sum(h)
+        logps = [self.ctc_head(bound, ops.select(h, e), lang)
+                 for e, lang in enumerate("ME")] if heads else []
+        return ([ops.rows(fused, *span) for span in spans],
+                [[ops.rows(lp, *span) for span in spans] for lp in logps])
 
     def predict(self, bound, y):
         """Decoder states for all prefixes of y: rows 0..L, row u = Decoder(y[:u])."""

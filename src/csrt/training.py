@@ -216,19 +216,16 @@ def _pretrain_loss(model, bound, vocab, items):
 def _finetune_loss(model, bound, vocab, utts, config):
     """Summed transducer or LS loss of utts, one node per loss term, and the term sums."""
     ls = config.variant == "conditional-ls"
-    lattices, heads = [], []
-    for utt in utts:
-        h_enc, hs = model.encode_fused(bound, utt.features)
-        lattices.append(model.joint(bound, h_enc, model.predict(bound, utt.labels)))
-        if ls:
-            heads.append([model.ctc_head(bound, h, lang) for h, lang in zip(hs, "ME")])
+    h_encs, heads = model.encode_fused(bound, [utt.features for utt in utts], heads=ls)
+    lattices = [model.joint(bound, h_enc, model.predict(bound, utt.labels))
+                for h_enc, utt in zip(h_encs, utts)]
     l_rnnt = rnnt_loss(lattices, [utt.labels for utt in utts])
     if not ls:
         return l_rnnt, {"rnnt": l_rnnt.item()}
     l_m, l_e = (
-        ctc_loss([h[i] for h in heads],
+        ctc_loss(logps,
                  [_local_labels(vocab, mask_labels(utt.labels, lang, vocab), lang) for utt in utts])
-        for i, lang in enumerate("ME")
+        for logps, lang in zip(heads, "ME")
     )
     parts = {"rnnt": l_rnnt.item(), "ctc_m": l_m.item(), "ctc_e": l_e.item()}
     return ls_loss(l_rnnt, l_m, l_e, config.lam), parts

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from csrt import autodiff as ad
-from csrt.alignments import Vocabulary
+from csrt.alignments import Vocabulary, mask_labels
 from csrt.data import CorpusSpec, gen_corpus
+from csrt.losses import ctc_loss, ls_loss, rnnt_loss
 from csrt.model import ParamViews, _ops, _recur
+from csrt.training import _local_labels
 
 
 @pytest.fixture(scope="session")
@@ -125,6 +127,38 @@ def reference_encode_fused(model, bound, x):
     """Model.encode_fused as one encoder after another, summed pairwise in encoder order."""
     hs = [reference_encode(model, bound, x, enc) for enc in model.arch.encoder_names]
     return functools.reduce(_ops(hs[0]).add, hs), hs
+
+
+def stacked_encode_fused(model, bound, x):
+    """Model.encode_fused as it was before packing, over one utterance: the stacked encoders'
+    sum, in encoder order, and the list of their outputs; one encoder's output is its own sum."""
+    hs, ops = model.encode(bound, x), _ops(bound["encs.0.b_mix"])
+    outs = [ops.select(hs, i) for i in range(len(model.arch.encoder_names))]
+    return (outs[0] if len(outs) == 1 else ops.stack_sum(hs)), outs
+
+
+def reference_finetune_loss(model, bound, vocab, utts, config, encode_fused=stacked_encode_fused):
+    """training._finetune_loss as it was before packing: per utterance, the fused encoders
+    (`encode_fused`: the stacked ones, or `reference_encode_fused`) and, for conditional-ls,
+    each CTC head over its encoder's output. Returns the loss, the term sums and the heads'
+    per-utterance log-posteriors (M, then E)."""
+    ls = config.variant == "conditional-ls"
+    lattices, heads = [], []
+    for utt in utts:
+        h_enc, hs = encode_fused(model, bound, utt.features)
+        lattices.append(model.joint(bound, h_enc, model.predict(bound, utt.labels)))
+        if ls:
+            heads.append([model.ctc_head(bound, h, lang) for h, lang in zip(hs, "ME")])
+    l_rnnt = rnnt_loss(lattices, [utt.labels for utt in utts])
+    if not ls:
+        return l_rnnt, {"rnnt": l_rnnt.item()}, []
+    l_m, l_e = (
+        ctc_loss([h[i] for h in heads],
+                 [_local_labels(vocab, mask_labels(utt.labels, lang, vocab), lang) for utt in utts])
+        for i, lang in enumerate("ME")
+    )
+    parts = {"rnnt": l_rnnt.item(), "ctc_m": l_m.item(), "ctc_e": l_e.item()}
+    return ls_loss(l_rnnt, l_m, l_e, config.lam), parts, [list(h) for h in zip(*heads)]
 
 
 def per_block_bind(model, tape):

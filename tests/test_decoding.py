@@ -46,7 +46,7 @@ def reference_greedy(model, x, frames=None):
     When given a list as `frames`, appends the frame of each emission to it.
     """
     bound, _ = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
-    h_enc, _ = model.encode_fused(bound, x)
+    [h_enc], _ = model.encode_fused(bound, [x])
     prefix = []
     h_dec = _state(model, bound, ())
     score = 0.0
@@ -76,7 +76,7 @@ def reference_beam(model, x, beam):
     result falls back to the greedy chain when that scores higher.
     """
     bound, _ = model.bind(ad.Tape())  # the taped op-by-op components, not the array path
-    h_enc, _ = model.encode_fused(bound, x)
+    [h_enc], _ = model.encode_fused(bound, [x])
     T = h_enc.shape[0]
     cap = 3 * T
 
@@ -118,7 +118,7 @@ def reference_step_beam(model, x, beam):
     It drives rnnt_decode's own `_Scorer`, so the two differ only in what they rank and
     when, and in the order of a frontier's rows in the joint call.
     """
-    h_enc, _ = model.encode_fused(model.params, x)
+    [h_enc], _ = model.encode_fused(model.params, [x])
     cap = decoding.MAX_EMITS_PER_FRAME_FACTOR * len(h_enc)
     scorer = decoding._Scorer(model, h_enc)
 

@@ -13,13 +13,15 @@ from conftest import (
     reference_conv_layer,
     reference_encode,
     reference_encode_fused,
+    reference_finetune_loss,
     reference_joint,
     reference_pretrain_logps,
+    stacked_encode_fused,
     sum_all,
     zero_fill_accumulate,
 )
 from csrt import autodiff as ad
-from csrt.autodiff import Tape, Tensor, backward
+from csrt.autodiff import Tape, Tensor, backward, grad_check
 from csrt.checks import full_model_grad_check, tiny_setup
 from csrt.config import defaults
 from csrt.data import CorpusSpec, Utterance, gen_corpus
@@ -119,21 +121,19 @@ class TestHeadsAndFusion:
         model = Model(small_arch(family), seed=3)
         x = np.random.default_rng(2).standard_normal((5, 3))
         hs = [reference_encode(model, model.params, x, enc) for enc in model.arch.encoder_names]
-        fused, outs = model.encode_fused(model.params, x)
+        heads = model.arch.has_ctc_heads
+        [fused], logps = model.encode_fused(model.params, [x], heads=heads)
         total = hs[0] if family == "single" else hs[0] + hs[1]
         if family == "triple":
             total = total + hs[2]
         assert fused.tobytes() == total.tobytes()
-        assert [h.tobytes() for h in outs] == [h.tobytes() for h in hs]
-        if family == "single":
-            assert fused is outs[0]  # one encoder: its output is the sum, not a copy
-
-
-FAMILY_VARIANT = {"single": "vanilla", "dual": "conditional-ls", "triple": "three-encoder"}
+        want = [model.ctc_head(model.params, h, lang) for h, lang in zip(hs, "ME")] if heads else []
+        assert [lp.tobytes() for [lp] in logps] == [w.tobytes() for w in want]
 
 
 class TestStackedEncoders:
-    """The stacked encoders against `reference_encode`, one encoder after another."""
+    """The stacked encoders on one utterance (`stacked_encode_fused`) against
+    `reference_encode`, one encoder after another."""
 
     @staticmethod
     def outputs(model, bound, fused, hs):
@@ -149,7 +149,7 @@ class TestStackedEncoders:
         model = Model(small_arch(family, mixing), seed=21)
         rng = np.random.default_rng(T)
         x = rng.standard_normal((T, 3))
-        got = self.outputs(model, model.params, *model.encode_fused(model.params, x))
+        got = self.outputs(model, model.params, *stacked_encode_fused(model, model.params, x))
         want = self.outputs(model, model.params, *reference_encode_fused(model, model.params, x))
         assert all(type(a) is np.ndarray for a in got)
         assert [a.tobytes() for a in got] == [w.tobytes() for w in want]
@@ -162,7 +162,7 @@ class TestStackedEncoders:
                 ad.add, [sum_all(ad.mul(o, u)) for o, u in zip(outs, upstream)])))
             return [o.data for o in outs], block_grads(model, grad)
 
-        values, grads = run(Model.encode_fused, Model.bind)
+        values, grads = run(stacked_encode_fused, Model.bind)
         want_values, want_grads = run(reference_encode_fused, per_block_bind)
         assert [a.tobytes() for a in values] == [w.tobytes() for w in got]
         assert [a.tobytes() for a in want_values] == [w.tobytes() for w in got]
@@ -172,22 +172,22 @@ class TestStackedEncoders:
     @pytest.mark.parametrize("variant", ["vanilla", "conditional", "conditional-ls",
                                          "three-encoder"])
     def test_finetune_loss_and_gradients_bitwise_equal_the_reference(self, variant, mixing,
-                                                                      vocab22, monkeypatch):
+                                                                      vocab22):
+        # The per-utterance fine-tuning loss, through the stacks and through each encoder.
         model = Model(small_arch(variant_family(variant), mixing), seed=22)
         rng = np.random.default_rng(23)
         utts = [Utterance("a", rng.standard_normal((5, 3)), (1, 3, 2)),
                 Utterance("b", rng.standard_normal((1, 3)), (4,))]
         cfg = TrainingConfig(variant=variant)
 
-        def run(bind):
+        def run(bind, encode_fused):
             bound, grad = bind(model, Tape())
-            loss, parts = _finetune_loss(model, bound, vocab22, utts, cfg)
+            loss, parts, _ = reference_finetune_loss(model, bound, vocab22, utts, cfg,
+                                                     encode_fused)
             backward(loss)
             return loss.item(), parts, [g.tobytes() for g in block_grads(model, grad)]
 
-        got = run(Model.bind)
-        monkeypatch.setattr(Model, "encode_fused", reference_encode_fused)
-        assert got == run(per_block_bind)
+        assert run(Model.bind, stacked_encode_fused) == run(per_block_bind, reference_encode_fused)
 
     def test_blocks_are_views_of_the_stacks(self):
         model = Model(small_arch("triple"), seed=24)
@@ -210,6 +210,17 @@ class TestStackedEncoders:
         with pytest.raises(CsrtError, match=r"^parameter block 'joint.b' is a view of the"):
             model.params["joint.b"] = np.ones(4)  # a block outside the stacks too
         assert model.params["joint.b"] is joint_b and not joint_b.any()
+
+    def test_an_unknown_block_name_is_a_one_line_error(self):
+        model = Model(small_arch(), seed=24)
+        with pytest.raises(CsrtError, match=r"^'nope' is not a parameter block$"):
+            model.params["nope"] = 1
+        assert "nope" not in model.params
+        stack = model.params["encs.0.w_ff"]
+        model.params["encs.0.w_ff"] += 1.0  # a stack too is written in place
+        assert model.params["encs.0.w_ff"] is stack and "encs.0.w_ff" not in model.params
+        # The block cuts are made once per architecture, and equal architectures share them.
+        assert model_module._cuts(model.arch) is model_module._cuts(replace(model.arch))
 
     @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
     @pytest.mark.parametrize("family", ["single", "dual", "triple"])
@@ -432,24 +443,152 @@ class TestPackedSubnets:
                 model.subnets(bound, [("M", np.ones((2, 3))), ("E", features)])
 
 
+def _utterance(rng, t, n_labels, dim=3):
+    """An utterance of t random frames and n_labels labels alternating between an M unit and
+    an E unit (units 1 and 3), so that either language's masked CTC target fits t frames."""
+    return Utterance(f"t{t}", rng.standard_normal((t, dim)), (1, 3) * (n_labels // 2) +
+                     (1,) * (n_labels % 2))
+
+
+class TestPackedFinetune:
+    """`_finetune_loss`, whose encoders and heads run once over the batch packed along rows
+    (`Model.encode_fused`), against `reference_finetune_loss`, which runs them per utterance.
+
+    Losses are bitwise equal, and so are the heads' log-posteriors, with `TestPackedSubnets`'
+    exception: a one-frame utterance packed among longer ones (its rows within 1e-12).
+    Gradients sum in another order, within 1e-12; for a batch of one nothing is packed, and
+    they are bitwise equal too.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        return gen_corpus(CorpusSpec(seed=0, train_count=8), tmp_path_factory.mktemp("packed"))
+
+    @staticmethod
+    def run(model, bound, vocab, utts, variant, packed):
+        """Loss, term sums and the heads' per-utterance log-posteriors (M, then E)."""
+        cfg = TrainingConfig(variant=variant)
+        if not packed:
+            return reference_finetune_loss(model, bound, vocab, utts, cfg)
+        _, heads = model.encode_fused(bound, [u.features for u in utts],
+                                      heads=variant == "conditional-ls")
+        return (*_finetune_loss(model, bound, vocab, utts, cfg), heads)
+
+    @staticmethod
+    def check_heads(utts, heads, want_heads):
+        packed_rows = len(utts) > 1 and max(u.n_frames for u in utts) > 1
+        for logps, want_logps in zip(heads, want_heads, strict=True):
+            for u, got, want in zip(utts, logps, want_logps, strict=True):
+                got, want = getattr(got, "data", got), getattr(want, "data", want)
+                assert got.tobytes() == want.tobytes() if u.n_frames > 1 or not packed_rows else (
+                    _close(got, want))
+
+    def taped(self, model, vocab, utts, variant, packed):
+        tape = Tape()
+        bound, grad = model.bind(tape)
+        loss, parts, heads = self.run(model, bound, vocab, utts, variant, packed)
+        backward(loss)
+        return loss.item(), parts, heads, dict(zip(model.params, block_grads(model, grad)))
+
+    @pytest.mark.parametrize("batch", ["one", "t1", "u1", "eight"])
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("variant", ["conditional-ls", "conditional", "three-encoder",
+                                         "vanilla"])
+    def test_default_width_batches(self, corpus, variant, mixing, batch):
+        # train-cs utterances at default widths, a one-frame utterance and one without labels.
+        rng = np.random.default_rng(80)
+        t1, u1 = _utterance(rng, 1, 1, corpus.feature_dim), _utterance(rng, 4, 0,
+                                                                       corpus.feature_dim)
+        cs = corpus.split("train-cs")
+        utts = {"one": cs[:1], "t1": [t1], "u1": [u1],
+                "eight": [cs[0], t1, *cs[1:4], u1, *cs[4:6]]}[batch]
+        values = {**defaults(), "encoder-mixing": mixing}
+        model = Model(arch_for(variant, values, corpus.vocab, corpus.feature_dim), seed=81)
+        vocab = corpus.vocab
+        got = self.run(model, model.params, vocab, utts, variant, packed=True)  # tape-free
+        want = self.run(model, model.params, vocab, utts, variant, packed=False)
+        assert (got[0].item(), got[1]) == (want[0].item(), want[1])
+        self.check_heads(utts, got[2], want[2])
+        loss, parts, heads, grads = self.taped(model, vocab, utts, variant, packed=True)
+        assert (loss, parts) == (got[0].item(), got[1])  # validation's values are the step's
+        assert [[h.data.tobytes() for h in lps] for lps in heads] == [
+            [h.tobytes() for h in lps] for lps in got[2]]
+        want_loss, want_parts, want_heads, want_grads = self.taped(model, vocab, utts, variant,
+                                                                   packed=False)
+        assert (loss, parts) == (want_loss, want_parts)
+        self.check_heads(utts, heads, want_heads)
+        for name, g in grads.items():
+            if len(utts) == 1:
+                assert g.tobytes() == want_grads[name].tobytes(), name
+            else:
+                assert _close(g, want_grads[name]), name
+
+    @pytest.mark.parametrize("hidden", [6, 32])
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    @pytest.mark.parametrize("variant", ["conditional-ls", "three-encoder", "vanilla"])
+    def test_random_small_batches_within_1e12(self, variant, mixing, hidden, vocab22):
+        # At other widths than the defaults, any packed rows may differ in the last bits.
+        rng = np.random.default_rng(82)
+        model = Model(small_arch(variant_family(variant), mixing, hidden_dim=hidden), seed=83)
+        for _ in range(6):
+            utts = [_utterance(rng, t, int(rng.integers(0, t // 2 + 1)))
+                    for t in rng.integers(1, 9, size=int(rng.integers(1, 9))).tolist()]
+            loss, parts, heads, grads = self.taped(model, vocab22, utts, variant, packed=True)
+            want = self.taped(model, vocab22, utts, variant, packed=False)
+            assert _close(loss, want[0]) and parts.keys() == want[1].keys()
+            assert all(_close(parts[k], want[1][k]) for k in parts)
+            for logps, want_logps in zip(heads, want[2], strict=True):
+                assert all(_close(g.data, w.data) for g, w in zip(logps, want_logps))
+            assert all(_close(g, want[3][n]) for n, g in grads.items())
+
+    @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
+    def test_grad_check_through_live_separator_rows(self, mixing, vocab22):
+        # Three utterances, packed with two separator rows, through two layers, every parameter
+        # drawn at random: nonzero biases make the separator rows nonzero before the conv
+        # layer's mask, and the recurrence runs through them.
+        rng = np.random.default_rng(84)
+        model = Model(small_arch("dual", mixing), seed=85)
+        model.vec[...] = rng.uniform(-0.8, 0.8, model.vec.size)
+        utts = [_utterance(rng, 3, 2), _utterance(rng, 1, 1), _utterance(rng, 2, 0)]
+        arrays = model.params.roots()
+        names = sorted(arrays)
+        cfg = TrainingConfig(variant="conditional-ls")
+
+        def f(leaves):
+            return _finetune_loss(model, dict(zip(names, leaves)), vocab22, utts, cfg)[0]
+
+        assert grad_check(f, [arrays[n] for n in names]) < 1e-4
+
+
 class TestTapeNodes:
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("packed", [False, True])
+    @pytest.mark.parametrize("packed", [None, "per-encoder", "shared"])
     def test_a_conv_encode_call_records_one_node_per_layer(self, packed, layers):
         model = Model(small_arch("triple", encoder_layers=layers), seed=27)
         tape = Tape()
-        if packed:  # one block per encoder, as `subnets` packs them
+        if packed == "per-encoder":  # one block per encoder, as `subnets` packs them
             model.encode(model.bind(tape)[0], np.ones((3, 5, 3)), np.zeros((3, 5), dtype=bool))
+        elif packed == "shared":  # one block every encoder reads, as `encode_fused` packs them
+            model.encode(model.bind(tape)[0], np.ones((5, 3)), np.zeros(5, dtype=bool))
         else:
             model.encode(model.bind(tape)[0], np.ones((5, 3)))
         assert len(tape) == layers
 
-    @pytest.mark.parametrize("mixing,pretrain_nodes,finetune_nodes", [("conv", 19, 355),
-                                                                     ("recurrent", 621, 1555)])
+    @pytest.mark.parametrize("mixing,pretrain_nodes,finetune_nodes", [("conv", 19, 302),
+                                                                     ("recurrent", 629, 1504)])
     def test_default_width_batches(self, tmp_path, mixing, pretrain_nodes, finetune_nodes):
         # 8 utterances of CorpusSpec(seed=0, train_count=8) at default widths. With conv
         # mixing, pre-training records 2 layer nodes for the packed batch, per language a pick
         # of its encoder and 3 head nodes, a row view per utterance and the CTC loss node.
+        # Fine-tuning (144 frames, 51 labels) records 2 layer nodes for the packed batch, the
+        # encoders' sum and a row view per utterance (8), per head a pick of its encoder, 3 head
+        # nodes and a row view per utterance (2 x 12), 252 prediction-net nodes, 8 joints and 7
+        # loss nodes (the transducer, 2 CTC and 4 of the LS sum): 302. A recurrent layer records
+        # 4N - S + 6 nodes over N packed rows in S slots: its input projection (2), a view of
+        # each slot, N row views and N tanh, a matmul and add at each of the N - S rows that are
+        # no slot's first, the concat (1) and the feed-forward (3). Fine-tuning packs N = 151
+        # rows (7 separators) in S = 8 slots: two such layers instead of the 2 conv nodes make
+        # 1,504.
         corpus = gen_corpus(CorpusSpec(seed=0, train_count=8), tmp_path)
         vocab = corpus.vocab
         values = {**defaults(), "encoder-mixing": mixing}
@@ -467,32 +606,23 @@ class TestTapeNodes:
 
     @pytest.mark.parametrize("mixing", ["conv", "recurrent"])
     @pytest.mark.parametrize("family", ["single", "dual", "triple"])
-    def test_the_encoders_record_one_encoders_worth_per_batch(self, family, mixing, vocab22,
-                                                              monkeypatch):
+    def test_the_encoders_record_one_encoders_worth_per_batch(self, family, mixing):
         model = Model(small_arch(family, mixing), seed=25)
-        rng = np.random.default_rng(26)
-        utts = [Utterance(str(t), rng.standard_normal((t, 3)), (1, 3)[: t]) for t in (1, 2, 7, 4)]
-        cfg = TrainingConfig(variant=FAMILY_VARIANT[family])
-
-        def batch_nodes():  # the tape's length before backward, as perfbench counts it
-            tape = Tape()
-            _finetune_loss(model, model.bind(tape)[0], vocab22, utts, cfg)
-            return len(tape)
-
         single = Model(small_arch("single", mixing), seed=25)  # a stack of one encoder
+        rng = np.random.default_rng(26)
+        xs = [rng.standard_normal((t, 3)) for t in (1, 2, 7, 4)]
 
-        def encoder_nodes(utt):
+        def nodes(m, encode):  # what encoding the batch records
             tape = Tape()
-            single.encode(single.bind(tape)[0], utt.features)
+            encode(m, m.bind(tape)[0])
             return len(tape)
 
-        total = batch_nodes()
-        monkeypatch.setattr(Model, "encode_fused",  # the encoders on arrays, recording nothing
-                            lambda self, bound, x, f=Model.encode_fused: f(self, self.params, x))
-        outside = batch_nodes()
-        one_encoder = sum(encoder_nodes(utt) for utt in utts)
-        # Per utterance, beyond one encoder's ops: the sum and a pick of each encoder.
-        assert total - outside <= one_encoder + (1 + len(model.arch.encoder_names)) * len(utts)
+        packed = nodes(model, lambda m, bound: m.encode_fused(bound, xs))
+        assert packed == nodes(single, lambda m, bound: m.encode_fused(bound, xs))
+        assert packed < nodes(model, lambda m, bound: [stacked_encode_fused(m, bound, x)
+                                                       for x in xs])
+        if mixing == "conv":  # a node per layer, the sum and a row view per utterance
+            assert packed == model.arch.encoder_layers + 1 + len(xs)
 
 
 class TestArrayForwards:
@@ -506,15 +636,14 @@ class TestArrayForwards:
         x = np.random.default_rng(T).standard_normal((T, 3))
         y = (1,) if T == 1 else (1, 4, 2)
         bound, _ = model.bind(Tape())
-        fused, hs = model.encode_fused(model.params, x)
-        want_fused, want_hs = model.encode_fused(bound, x)
+        heads = model.arch.has_ctc_heads
+        [fused], logps = model.encode_fused(model.params, [x], heads=heads)
+        [want_fused], want_logps = model.encode_fused(bound, [x], heads=heads)
         pred, want_pred = model.predict(model.params, y), model.predict(bound, y)
-        got, want = [fused, *hs, pred], [want_fused, *want_hs, want_pred]
-        if model.arch.has_ctc_heads:
-            for lang, h, want_h in zip("ME", hs, want_hs):
-                got += [model.ctc_head(model.params, h, lang),
-                        *model.subnets(model.params, [(lang, x)])]
-                want += [model.ctc_head(bound, want_h, lang)] * 2
+        got, want = [fused, pred], [want_fused, want_pred]
+        for lang, [lp], [want_lp] in zip("ME", logps, want_logps):
+            got += [lp, *model.subnets(model.params, [(lang, x)])]
+            want += [want_lp] * 2
         assert all(type(a) is np.ndarray for a in got)
         assert [a.tobytes() for a in got] == [w.data.tobytes() for w in want]
         lattice = model.joint(model.params, fused, pred)  # as validation calls it
@@ -553,7 +682,7 @@ class TestDecoderAndJoint:
     def test_joint_normalizes_and_dims(self):
         model = Model(small_arch(), seed=5)
         bound = model.params
-        h_enc, _ = model.encode_fused(bound, np.random.default_rng(2).standard_normal((3, 3)))
+        [h_enc], _ = model.encode_fused(bound, [np.random.default_rng(2).standard_normal((3, 3))])
         h_dec = model.predict(bound, (1,))
         lat = model.joint(bound, h_enc, h_dec)
         assert lat.shape == (3, 2, 5)  # V^M + V^E + blank = 5
@@ -597,7 +726,7 @@ class TestDecoderAndJoint:
         model = Model(small_arch(), seed=5)
         tape = Tape()
         bound, _ = model.bind(tape)
-        h_enc, _ = model.encode_fused(bound, np.random.default_rng(3).standard_normal((3, 3)))
+        [h_enc], _ = model.encode_fused(bound, [np.random.default_rng(3).standard_normal((3, 3))])
         lattice = model.joint(bound, h_enc, model.predict(bound, (1, 3)))
         loss = rnnt_loss([lattice], [(1, 3)])
         backward(loss)
@@ -616,9 +745,8 @@ class TestVariants:
         model = Model(small_arch(), seed=6)
         assert set(finetune_parts(model, "conditional-ls", vocab22)) == {"rnnt", "ctc_m", "ctc_e"}
         assert set(finetune_parts(model, "conditional", vocab22)) == {"rnnt"}
-        _, (h_m, h_e) = model.encode_fused(model.params, np.zeros((2, 3)))
-        assert model.ctc_head(model.params, h_m, "M").shape == (2, 3)
-        assert model.ctc_head(model.params, h_e, "E").shape == (2, 3)
+        _, ([lp_m], [lp_e]) = model.encode_fused(model.params, [np.zeros((2, 3))], heads=True)
+        assert lp_m.shape == lp_e.shape == (2, 3)
 
     def test_vanilla_returns_rnnt_only(self, vocab22):
         model = Model(small_arch(family="single"), seed=6)
@@ -640,13 +768,13 @@ class TestVariants:
             with pytest.raises(CsrtError, match=message):
                 model.subnets(bound, [(lang, x)])
             with pytest.raises(CsrtError, match=message):
-                model.ctc_head(bound, model.encode_fused(bound, x)[0], lang)
+                model.ctc_head(bound, model.encode_fused(bound, [x])[0][0], lang)
 
     def test_three_encoder_matches_conditional_shape(self):
         dual = Model(small_arch(), seed=7)
         triple = Model(small_arch(family="triple"), seed=7)
         x = np.random.default_rng(4).standard_normal((3, 3))
-        a, b = (m.joint(bound, m.encode_fused(bound, x)[0], m.predict(bound, (1,)))
+        a, b = (m.joint(bound, m.encode_fused(bound, [x])[0][0], m.predict(bound, (1,)))
                 for m, bound in ((dual, dual.params), (triple, triple.params)))
         assert a.shape == b.shape == (3, 2, 5)
 

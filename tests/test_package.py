@@ -82,25 +82,26 @@ def test_model_joint_records_through_autodiff_record_custom(monkeypatch):
     monkeypatch.setattr(autodiff, "record_custom", spy)
     model, _, x, y = checks.tiny_setup()
     bound, _ = model.bind(autodiff.Tape())
-    h_enc, _ = model.encode_fused(bound, x)
+    [h_enc], _ = model.encode_fused(bound, [x])
     model.joint(bound, h_enc, model.predict(bound, y))
     assert recorded == [7] * (model.arch.encoder_layers + 1)
 
 
 def test_finetune_calls_each_model_layer_the_benchmark_times(monkeypatch):
     # perfbench/tracer.py times these layers by rebinding the Model class attributes;
-    # a loss that bypassed one would leave that layer's benchmark span reading 0.
+    # a loss that bypassed one would leave that layer's benchmark span reading 0. The
+    # encoders and heads run once per batch, the rest once per utterance.
     calls = dict.fromkeys(("encode_fused", "predict", "joint", "ctc_head"), 0)
     for name in calls:
-        def counted(self, *args, _name=name, _orig=getattr(Model, name)):
+        def counted(self, *args, _name=name, _orig=getattr(Model, name), **kwargs):
             calls[_name] += 1
-            return _orig(self, *args)
+            return _orig(self, *args, **kwargs)
 
         monkeypatch.setattr(Model, name, counted)
     _, vocab, x, y = checks.tiny_setup()
     utts = [Utterance("a", x, y), Utterance("b", x[:2], y[:1])]
-    heads_per_utt = {"conditional-ls": 2, "conditional": 0, "three-encoder": 0, "vanilla": 0}
-    for variant, heads in heads_per_utt.items():
+    heads_per_batch = {"conditional-ls": 2, "conditional": 0, "three-encoder": 0, "vanilla": 0}
+    for variant, heads in heads_per_batch.items():
         arch = Architecture(family=variant_family(variant), input_dim=3, hidden_dim=4,
                             encoder_layers=1, encoder_mixing="conv", embed_dim=3, decoder_dim=4,
                             joint_dim=4, n_m=vocab.n_m, n_e=vocab.n_e)
@@ -108,7 +109,7 @@ def test_finetune_calls_each_model_layer_the_benchmark_times(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         training._finetune_loss(model, model.bind(autodiff.Tape())[0], vocab, utts,
                                 training.TrainingConfig(variant=variant))
-        assert calls == {"encode_fused": 2, "predict": 2, "joint": 2, "ctc_head": 2 * heads}, variant
+        assert calls == {"encode_fused": 1, "predict": 2, "joint": 2, "ctc_head": heads}, variant
 
 
 def test_training_steps_call_the_optimizer_the_benchmark_times(monkeypatch):
